@@ -18,7 +18,7 @@ use std::sync::Arc;
 use strtaint_automata::{Dfa, Fst};
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction, Degradation};
 use strtaint_grammar::intersect::intersect_with;
-use strtaint_grammar::image::image_with;
+use strtaint_grammar::image::image_into;
 use strtaint_grammar::{Cfg, NtId, Symbol, Taint};
 
 use crate::builder::{Analysis, Hotspot, Provenance};
@@ -384,8 +384,8 @@ impl<'a> Emitter<'a> {
             return self.any_with_taint(what, t);
         }
         let budget = self.budget.clone();
-        match image_with(&self.cfg, nt, fst, &budget) {
-            Ok((g2, r2)) => self.cfg.import_from(&g2, r2),
+        match image_into(&mut self.cfg, nt, fst, &budget) {
+            Ok(root) => root,
             Err(err) => {
                 // Sound widening: Σ* with the operand's taint is a
                 // superset of any transducer image of it.

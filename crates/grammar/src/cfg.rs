@@ -7,7 +7,6 @@
 //! program; individual string expressions are *roots* (nonterminals)
 //! within it.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::symbol::{NtId, Symbol, Taint};
@@ -137,31 +136,6 @@ impl Cfg {
         id
     }
 
-    /// Computes the set of *productive* nonterminals (those deriving at
-    /// least one terminal string).
-    pub fn productive(&self) -> Vec<bool> {
-        let n = self.num_nonterminals();
-        let mut productive = vec![false; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (lhs, rhs) in self.iter_productions() {
-                if productive[lhs.index()] {
-                    continue;
-                }
-                let ok = rhs.iter().all(|s| match s {
-                    Symbol::T(_) => true,
-                    Symbol::N(id) => productive[id.index()],
-                });
-                if ok {
-                    productive[lhs.index()] = true;
-                    changed = true;
-                }
-            }
-        }
-        productive
-    }
-
     /// Computes the set of nonterminals reachable from `root`.
     pub fn reachable(&self, root: NtId) -> Vec<bool> {
         let mut seen = vec![false; self.num_nonterminals()];
@@ -187,24 +161,7 @@ impl Cfg {
     /// arena — prefer this in code that runs against the (large,
     /// append-only) program-wide grammar.
     pub fn reachable_list(&self, root: NtId) -> Vec<NtId> {
-        let mut seen: HashSet<NtId> = HashSet::new();
-        let mut order = vec![root];
-        seen.insert(root);
-        let mut cursor = 0;
-        while cursor < order.len() {
-            let id = order[cursor];
-            cursor += 1;
-            for rhs in self.productions(id) {
-                for s in rhs {
-                    if let Symbol::N(t) = s {
-                        if seen.insert(*t) {
-                            order.push(*t);
-                        }
-                    }
-                }
-            }
-        }
-        order
+        Reach::new(self, root).order
     }
 
     /// Counts productions reachable from `root`, stopping early once
@@ -221,38 +178,11 @@ impl Cfg {
         count
     }
 
-    /// Computes the productive subset of the given nonterminals
-    /// (restricted fixpoint — cost proportional to the sublist).
-    fn productive_among(&self, ids: &[NtId]) -> HashSet<NtId> {
-        let mut productive: HashSet<NtId> = HashSet::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &id in ids {
-                if productive.contains(&id) {
-                    continue;
-                }
-                let ok = self.productions(id).iter().any(|rhs| {
-                    rhs.iter().all(|s| match s {
-                        Symbol::T(_) => true,
-                        Symbol::N(n) => productive.contains(n),
-                    })
-                });
-                if ok {
-                    productive.insert(id);
-                    changed = true;
-                }
-            }
-        }
-        productive
-    }
-
     /// Returns `true` if the language of `root` is empty.
     ///
     /// Cost is proportional to the subgraph reachable from `root`.
     pub fn is_empty_language(&self, root: NtId) -> bool {
-        let ids = self.reachable_list(root);
-        !self.productive_among(&ids).contains(&root)
+        !Reach::new(self, root).productive(self)[0]
     }
 
     /// Builds a trimmed copy containing only nonterminals reachable from
@@ -263,69 +193,79 @@ impl Cfg {
     /// root has no productions (empty language). Cost is proportional
     /// to the reachable subgraph.
     pub fn trimmed(&self, root: NtId) -> (Cfg, NtId) {
-        let ids = self.reachable_list(root);
-        let productive = self.productive_among(&ids);
-        let mut map: HashMap<NtId, NtId> = HashMap::new();
+        let _span = strtaint_obs::Span::enter("trim", "");
+        let reach = Reach::new(self, root);
+        let kept = reach.kept(self);
         let mut out = Cfg::new();
-        // Root first so it exists even when unproductive.
-        let new_root = out.add_nonterminal(self.name(root));
-        out.set_taint(new_root, self.taint(root));
-        map.insert(root, new_root);
-        for &id in &ids {
-            if id != root && productive.contains(&id) {
+        for (local, &id) in reach.order.iter().enumerate() {
+            if kept[local] != u32::MAX {
                 let n = out.add_nonterminal(self.name(id));
                 out.set_taint(n, self.taint(id));
-                map.insert(id, n);
             }
         }
-        for &id in &ids {
-            let Some(&new_lhs) = map.get(&id) else { continue };
+        for (local, &id) in reach.order.iter().enumerate() {
+            let new_lhs = kept[local];
+            if new_lhs == u32::MAX {
+                continue;
+            }
             'prods: for rhs in self.productions(id) {
                 let mut new_rhs = Vec::with_capacity(rhs.len());
                 for s in rhs {
                     match s {
                         Symbol::T(b) => new_rhs.push(Symbol::T(*b)),
-                        Symbol::N(sub) => match map.get(sub) {
-                            Some(&n) => new_rhs.push(Symbol::N(n)),
-                            None => continue 'prods,
+                        Symbol::N(sub) => match kept[reach.local(*sub)] {
+                            u32::MAX => continue 'prods,
+                            n => new_rhs.push(Symbol::N(NtId(n))),
                         },
                     }
                 }
-                out.add_production(new_lhs, new_rhs);
+                out.add_production(NtId(new_lhs), new_rhs);
             }
         }
-        (out, new_root)
+        (out, NtId(0))
     }
 
     /// Imports everything reachable from `other_root` in `other` into
     /// this arena, returning the id `other_root` maps to.
     ///
     /// Names and taint labels are preserved. Used by the analysis to
-    /// splice intersection/image results (which are built as standalone
+    /// splice intersection results (which are built as standalone
     /// grammars) back into the program-wide grammar.
     pub fn import_from(&mut self, other: &Cfg, other_root: NtId) -> NtId {
-        let ids = other.reachable_list(other_root);
-        let mut map: HashMap<NtId, NtId> = HashMap::new();
-        for &id in &ids {
+        let reach = Reach::new(other, other_root);
+        let base = self.num_nonterminals() as u32;
+        for &id in &reach.order {
             let n = self.add_nonterminal(other.name(id));
             self.set_taint(n, other.taint(id));
-            map.insert(id, n);
         }
-        for (lhs, rhs) in ids
-            .iter()
-            .flat_map(|&id| other.productions(id).iter().map(move |r| (id, r)))
-        {
-            let Some(&new_lhs) = map.get(&lhs) else { continue };
-            let new_rhs = rhs
-                .iter()
-                .map(|s| match s {
-                    Symbol::T(b) => Symbol::T(*b),
-                    Symbol::N(id) => Symbol::N(map[id]),
-                })
-                .collect();
-            self.add_production(new_lhs, new_rhs);
+        for (local, &id) in reach.order.iter().enumerate() {
+            for rhs in other.productions(id) {
+                let new_rhs = rhs
+                    .iter()
+                    .map(|s| match s {
+                        Symbol::T(b) => Symbol::T(*b),
+                        Symbol::N(sub) => Symbol::N(NtId(base + reach.local(*sub) as u32)),
+                    })
+                    .collect();
+                self.add_production(NtId(base + local as u32), new_rhs);
+            }
         }
-        map[&other_root]
+        NtId(base)
+    }
+
+    /// Appends a nonterminal together with its productions, moving them
+    /// into the arena without copying.
+    pub(crate) fn push_nonterminal(
+        &mut self,
+        name: String,
+        taint: Taint,
+        rules: Vec<Vec<Symbol>>,
+    ) -> NtId {
+        let id = NtId(self.names.len() as u32);
+        self.names.push(name);
+        self.taint.push(taint);
+        self.prods.push(rules);
+        id
     }
 
     /// Returns a nonterminal deriving every byte string (`Σ*`), creating
@@ -399,11 +339,8 @@ impl Cfg {
                 }
                 for sym in rhs {
                     if let Symbol::N(t) = sym {
-                        let _ = writeln!(
-                            out,
-                            "  n{} -> n{} [label=\"p{pi}: {label}\"];",
-                            id.0, t.0
-                        );
+                        let _ =
+                            writeln!(out, "  n{} -> n{} [label=\"p{pi}: {label}\"];", id.0, t.0);
                     }
                 }
             }
@@ -455,6 +392,160 @@ impl Cfg {
     }
 }
 
+/// The nonterminals reachable from a root, numbered densely in
+/// breadth-first discovery order: the root is local 0, and a
+/// nonterminal's local id is its position in [`Reach::order`].
+///
+/// Trimming, emptiness, import, FST image and prepared-grammar
+/// construction all start from this one walk.
+pub(crate) struct Reach {
+    /// Arena ids in discovery order.
+    pub(crate) order: Vec<NtId>,
+    /// `slot[arena id]` = local id + 1, or 0 when unreached. A zeroed
+    /// allocation, so only the pages the walk touches cost anything;
+    /// it doubles as the visited set.
+    slot: Vec<u32>,
+}
+
+impl Reach {
+    /// Walks the subgraph reachable from `root`.
+    pub(crate) fn new(g: &Cfg, root: NtId) -> Reach {
+        let mut slot = vec![0u32; g.num_nonterminals()];
+        let mut order = vec![root];
+        slot[root.index()] = 1;
+        let mut cursor = 0;
+        while cursor < order.len() {
+            let id = order[cursor];
+            cursor += 1;
+            for rhs in g.productions(id) {
+                for s in rhs {
+                    if let Symbol::N(t) = *s {
+                        if slot[t.index()] == 0 {
+                            order.push(t);
+                            slot[t.index()] = order.len() as u32;
+                        }
+                    }
+                }
+            }
+        }
+        Reach { order, slot }
+    }
+
+    /// Local id of a reached arena nonterminal.
+    #[inline]
+    pub(crate) fn local(&self, id: NtId) -> usize {
+        debug_assert!(self.slot[id.index()] != 0, "{id} was not reached");
+        self.slot[id.index()] as usize - 1
+    }
+
+    /// Productivity of each reached nonterminal, by local id.
+    ///
+    /// One counter worklist, linear in the subgraph: every production
+    /// counts its outstanding nonterminal occurrences, and the
+    /// production fires its left-hand side when the count reaches zero.
+    pub(crate) fn productive(&self, g: &Cfg) -> Vec<bool> {
+        // Per production: its left-hand side and how many nonterminal
+        // occurrences are not yet known productive; per occurrence: the
+        // (local nonterminal, production) pair.
+        let mut lhs_of: Vec<u32> = Vec::new();
+        let mut pending: Vec<u32> = Vec::new();
+        let mut occurrences: Vec<(u32, u32)> = Vec::new();
+        for (local, &id) in self.order.iter().enumerate() {
+            for rhs in g.productions(id) {
+                let p = pending.len() as u32;
+                let before = occurrences.len();
+                occurrences.extend(
+                    rhs.iter()
+                        .filter_map(|s| s.as_nt())
+                        .map(|t| (self.local(t) as u32, p)),
+                );
+                pending.push((occurrences.len() - before) as u32);
+                lhs_of.push(local as u32);
+            }
+        }
+        let users = Csr::new(self.order.len(), occurrences.iter().copied());
+        let mut productive = vec![false; self.order.len()];
+        let mut queue: Vec<u32> = Vec::new();
+        for (p, &count) in pending.iter().enumerate() {
+            let lhs = lhs_of[p] as usize;
+            if count == 0 && !productive[lhs] {
+                productive[lhs] = true;
+                queue.push(lhs as u32);
+            }
+        }
+        while let Some(y) = queue.pop() {
+            for &p in users.get(y) {
+                let p = p as usize;
+                pending[p] -= 1;
+                let lhs = lhs_of[p] as usize;
+                if pending[p] == 0 && !productive[lhs] {
+                    productive[lhs] = true;
+                    queue.push(lhs as u32);
+                }
+            }
+        }
+        productive
+    }
+
+    /// The trimmed numbering: `kept[local]` is the nonterminal's id in
+    /// the trimmed grammar, or `u32::MAX` when it is dropped. The root
+    /// is always kept as id 0 (with no productions when it is
+    /// unproductive); the other productive nonterminals follow in
+    /// discovery order.
+    pub(crate) fn kept(&self, g: &Cfg) -> Vec<u32> {
+        let productive = self.productive(g);
+        let mut next = 0u32;
+        productive
+            .iter()
+            .enumerate()
+            .map(|(local, &p)| {
+                if p || local == 0 {
+                    next += 1;
+                    next - 1
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect()
+    }
+}
+
+/// A compressed adjacency list over dense ids.
+pub(crate) struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Groups `(from, to)` pairs by `from`, keeping their order.
+    pub(crate) fn new(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Csr {
+        let mut start = vec![0u32; n + 1];
+        for (from, _) in pairs.clone() {
+            start[from as usize + 1] += 1;
+        }
+        for x in 0..n {
+            start[x + 1] += start[x];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; start[n] as usize];
+        for (from, to) in pairs {
+            items[fill[from as usize] as usize] = to;
+            fill[from as usize] += 1;
+        }
+        Csr { start, items }
+    }
+
+    /// Number of ids.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The items of `x`, in insertion order.
+    pub(crate) fn get(&self, x: u32) -> &[u32] {
+        &self.items[self.start[x as usize] as usize..self.start[x as usize + 1] as usize]
+    }
+}
+
 impl fmt::Display for Cfg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for id in self.nonterminals() {
@@ -492,11 +583,8 @@ mod tests {
         let c = g.add_nonterminal("C");
         g.add_production(a, vec![Symbol::N(b)]);
         g.add_literal_production(c, b"ok");
-        let p = g.productive();
-        assert!(!p[a.index()]);
-        assert!(!p[b.index()]);
-        assert!(p[c.index()]);
         assert!(g.is_empty_language(a));
+        assert!(g.is_empty_language(b));
         assert!(!g.is_empty_language(c));
     }
 

@@ -19,14 +19,13 @@ use strtaint_automata::Dfa;
 
 use crate::budget::{Budget, BudgetExceeded};
 use crate::cfg::Cfg;
-use crate::normal::normalize;
+use crate::normal::{Normal, P};
 use crate::symbol::{NtId, Symbol};
 
 /// Outcome of the intersection fixpoint, before grammar reconstruction.
 struct Fixpoint {
-    /// Normalized input grammar.
-    norm: Cfg,
-    norm_root: NtId,
+    /// Normalized input grammar; its root is id 0.
+    norm: Normal,
     /// by_start[X][i] = sorted end states j with X_{ij} realized.
     by_start: Vec<HashMap<u32, Vec<u32>>>,
     /// by_end[X][j] = start states i with X_{ij} realized.
@@ -44,36 +43,15 @@ impl Fixpoint {
 /// Runs the Bar-Hillel worklist fixpoint, charging `budget` one unit
 /// per discovery attempt and capping the realized-triple count.
 fn fixpoint(g: &Cfg, root: NtId, dfa: &Dfa, budget: &Budget) -> Result<Fixpoint, BudgetExceeded> {
-    let (trimmed, troot) = g.trimmed(root);
-    let norm = normalize(&trimmed);
+    let norm = Normal::new(g, root);
     let nv = norm.num_nonterminals();
     let q = dfa.num_states() as u32;
-
-    // Index productions.
-    #[derive(Clone, Copy)]
-    enum P {
-        Eps,
-        T(u8),
-        N(NtId),
-        TT(u8, u8),
-        TN(u8, NtId),
-        NT(NtId, u8),
-        NN(NtId, NtId),
-    }
-    let mut prods: Vec<(NtId, P)> = Vec::new();
-    for (lhs, rhs) in norm.iter_productions() {
-        let p = match rhs {
-            [] => P::Eps,
-            [Symbol::T(a)] => P::T(*a),
-            [Symbol::N(x)] => P::N(*x),
-            [Symbol::T(a), Symbol::T(b)] => P::TT(*a, *b),
-            [Symbol::T(a), Symbol::N(x)] => P::TN(*a, *x),
-            [Symbol::N(x), Symbol::T(b)] => P::NT(*x, *b),
-            [Symbol::N(x), Symbol::N(y)] => P::NN(*x, *y),
-            _ => unreachable!("grammar is normalized"),
-        };
-        prods.push((lhs, p));
-    }
+    let mut fx = Fixpoint {
+        norm,
+        by_start: vec![HashMap::new(); nv],
+        by_end: vec![HashMap::new(); nv],
+    };
+    let prods = &fx.norm.prods;
 
     // Occurrence indexes: for each nonterminal, productions where it
     // appears in each role.
@@ -98,7 +76,7 @@ fn fixpoint(g: &Cfg, root: NtId, dfa: &Dfa, budget: &Budget) -> Result<Fixpoint,
     let mut reverse: HashMap<u8, HashMap<u32, Vec<u32>>> = HashMap::new();
     {
         let mut bytes: Vec<u8> = Vec::new();
-        for (_, p) in &prods {
+        for (_, p) in prods {
             match p {
                 P::T(a) | P::TN(a, _) | P::NT(_, a) => bytes.push(*a),
                 P::TT(a, b) => {
@@ -121,12 +99,6 @@ fn fixpoint(g: &Cfg, root: NtId, dfa: &Dfa, budget: &Budget) -> Result<Fixpoint,
         }
     }
 
-    let mut fx = Fixpoint {
-        norm,
-        norm_root: troot,
-        by_start: vec![HashMap::new(); nv],
-        by_end: vec![HashMap::new(); nv],
-    };
     let mut worklist: Vec<(NtId, u32, u32)> = Vec::new();
     let mut triples: usize = 0;
 
@@ -151,7 +123,7 @@ fn fixpoint(g: &Cfg, root: NtId, dfa: &Dfa, budget: &Budget) -> Result<Fixpoint,
     }
 
     // Seed: productions with no nonterminals.
-    for (lhs, p) in &prods {
+    for (lhs, p) in prods {
         match p {
             P::Eps => {
                 for i in 0..q {
@@ -271,52 +243,52 @@ pub fn intersect_with(
             for &j in ends {
                 budget.charge(1)?;
                 let lhs = map[&(x.0, i, j)];
-                for rhs in norm.productions(x) {
-                    match rhs.as_slice() {
-                        [] => {
+                for &(_, p) in norm.productions(x) {
+                    match p {
+                        P::Eps => {
                             if i == j {
                                 out.add_production(lhs, vec![]);
                             }
                         }
-                        [Symbol::T(a)] => {
-                            if dfa.step(i, *a) == j {
-                                out.add_production(lhs, vec![Symbol::T(*a)]);
+                        P::T(a) => {
+                            if dfa.step(i, a) == j {
+                                out.add_production(lhs, vec![Symbol::T(a)]);
                             }
                         }
-                        [Symbol::N(y)] => {
+                        P::N(y) => {
                             if let Some(&sub) = map.get(&(y.0, i, j)) {
                                 out.add_production(lhs, vec![Symbol::N(sub)]);
                             }
                         }
-                        [Symbol::T(a), Symbol::T(b)] => {
-                            if dfa.step(dfa.step(i, *a), *b) == j {
-                                out.add_production(lhs, vec![Symbol::T(*a), Symbol::T(*b)]);
+                        P::TT(a, b) => {
+                            if dfa.step(dfa.step(i, a), b) == j {
+                                out.add_production(lhs, vec![Symbol::T(a), Symbol::T(b)]);
                             }
                         }
-                        [Symbol::T(a), Symbol::N(y)] => {
-                            let m = dfa.step(i, *a);
+                        P::TN(a, y) => {
+                            let m = dfa.step(i, a);
                             if let Some(&sub) = map.get(&(y.0, m, j)) {
-                                out.add_production(lhs, vec![Symbol::T(*a), Symbol::N(sub)]);
+                                out.add_production(lhs, vec![Symbol::T(a), Symbol::N(sub)]);
                             }
                         }
-                        [Symbol::N(y), Symbol::T(b)] => {
+                        P::NT(y, b) => {
                             // Any mid m with Y_{im} realized and step(m,b)=j.
                             if let Some(mids) = fx.by_start[y.index()].get(&i) {
                                 for &m in mids {
-                                    if dfa.step(m, *b) == j {
+                                    if dfa.step(m, b) == j {
                                         let sub = map[&(y.0, i, m)];
                                         out.add_production(
                                             lhs,
-                                            vec![Symbol::N(sub), Symbol::T(*b)],
+                                            vec![Symbol::N(sub), Symbol::T(b)],
                                         );
                                     }
                                 }
                             }
                         }
-                        [Symbol::N(y), Symbol::N(z)] => {
+                        P::NN(y, z) => {
                             if let Some(mids) = fx.by_start[y.index()].get(&i) {
                                 for &m in mids {
-                                    if fx.realized(*z, m, j) {
+                                    if fx.realized(z, m, j) {
                                         let sy = map[&(y.0, i, m)];
                                         let sz = map[&(z.0, m, j)];
                                         out.add_production(
@@ -327,7 +299,6 @@ pub fn intersect_with(
                                 }
                             }
                         }
-                        _ => unreachable!("grammar is normalized"),
                     }
                 }
             }
@@ -338,7 +309,7 @@ pub fn intersect_with(
     let q0 = dfa.start();
     for qf in 0..dfa.num_states() as u32 {
         if dfa.is_accepting(qf) {
-            if let Some(&sub) = map.get(&(fx.norm_root.0, q0, qf)) {
+            if let Some(&sub) = map.get(&(0, q0, qf)) {
                 out.add_production(out_root, vec![Symbol::N(sub)]);
             }
         }
@@ -368,7 +339,7 @@ pub fn is_intersection_empty_with(
     let fx = fixpoint(g, root, dfa, budget)?;
     let q0 = dfa.start();
     for qf in 0..dfa.num_states() as u32 {
-        if dfa.is_accepting(qf) && fx.realized(fx.norm_root, q0, qf) {
+        if dfa.is_accepting(qf) && fx.realized(NtId(0), q0, qf) {
             return Ok(false);
         }
     }

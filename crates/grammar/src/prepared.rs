@@ -44,21 +44,9 @@ use std::sync::{Arc, RwLock};
 use strtaint_automata::ClassDfa;
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::cfg::Cfg;
-use crate::normal::normalize;
+use crate::cfg::{Cfg, Csr};
+use crate::normal::{Normal, P};
 use crate::symbol::{NtId, Symbol, Taint};
-
-/// A binary-normalized production, pre-classified by shape.
-#[derive(Clone, Copy)]
-enum P {
-    Eps,
-    T(u8),
-    N(NtId),
-    TT(u8, u8),
-    TN(u8, NtId),
-    NT(NtId, u8),
-    NN(NtId, NtId),
-}
 
 /// A grammar trimmed + binary-normalized once, ready to intersect with
 /// any number of DFAs.
@@ -69,20 +57,19 @@ enum P {
 /// classification and occurrence indexing — so each
 /// [`query`](Self::query) only pays for the fixpoint itself.
 pub struct PreparedGrammar {
-    /// Normalized (trimmed) grammar; taint labels preserved.
-    norm: Cfg,
-    norm_root: NtId,
+    /// Normalized (trimmed) grammar; taint labels preserved. Its root
+    /// is local id 0.
+    norm: Normal,
     /// Name and taint of the *original* root, for result-grammar
     /// reconstruction parity with the naive engine.
     root_name: String,
     root_taint: Taint,
-    prods: Vec<(NtId, P)>,
     /// occ_unit[x] = productions `lhs -> x`.
-    occ_unit: Vec<Vec<usize>>,
+    occ_unit: Csr,
     /// occ_left[x] = productions with `x` in the left slot (NT/NN).
-    occ_left: Vec<Vec<usize>>,
+    occ_left: Csr,
     /// occ_right[x] = productions with `x` in the right slot (TN/NN).
-    occ_right: Vec<Vec<usize>>,
+    occ_right: Csr,
     /// Sorted distinct terminal bytes the grammar mentions.
     bytes: Vec<u8>,
     /// Structural fingerprint of `(norm_root, prods)` — see
@@ -120,7 +107,7 @@ impl fmt::Debug for PreparedGrammar {
         f.debug_struct("PreparedGrammar")
             .field("root", &self.root_name)
             .field("nonterminals", &self.norm.num_nonterminals())
-            .field("productions", &self.prods.len())
+            .field("productions", &self.norm.prods.len())
             .field("distinct_bytes", &self.bytes.len())
             .finish()
     }
@@ -130,56 +117,39 @@ impl PreparedGrammar {
     /// Trims and normalizes `(g, root)` and builds the worklist indexes.
     pub fn new(g: &Cfg, root: NtId) -> Self {
         let _span = strtaint_obs::Span::enter_with("prepare", || g.name(root).to_owned());
-        let (trimmed, troot) = g.trimmed(root);
-        // Trimming keeps a production only when every RHS symbol is
-        // productive, so the root retains a production iff it derives
-        // some string: emptiness of L(root) is free to read off here.
-        let empty = trimmed.productions(troot).is_empty();
-        let norm = normalize(&trimmed);
+        let norm = Normal::new(g, root);
+        let empty = norm.is_empty();
         let nv = norm.num_nonterminals();
+        let prods = &norm.prods;
 
-        let mut prods: Vec<(NtId, P)> = Vec::new();
-        for (lhs, rhs) in norm.iter_productions() {
-            let p = match rhs {
-                [] => P::Eps,
-                [Symbol::T(a)] => P::T(*a),
-                [Symbol::N(x)] => P::N(*x),
-                [Symbol::T(a), Symbol::T(b)] => P::TT(*a, *b),
-                [Symbol::T(a), Symbol::N(x)] => P::TN(*a, *x),
-                [Symbol::N(x), Symbol::T(b)] => P::NT(*x, *b),
-                [Symbol::N(x), Symbol::N(y)] => P::NN(*x, *y),
-                _ => unreachable!("grammar is normalized"),
-            };
-            prods.push((lhs, p));
-        }
-
-        let mut occ_unit: Vec<Vec<usize>> = vec![Vec::new(); nv];
-        let mut occ_left: Vec<Vec<usize>> = vec![Vec::new(); nv];
-        let mut occ_right: Vec<Vec<usize>> = vec![Vec::new(); nv];
+        let (mut unit, mut left, mut right) = (Vec::new(), Vec::new(), Vec::new());
         let mut bytes: Vec<u8> = Vec::new();
-        for (pid, (_, p)) in prods.iter().enumerate() {
+        for (pid, &(_, p)) in prods.iter().enumerate() {
+            let pid = pid as u32;
             match p {
-                P::N(x) => occ_unit[x.index()].push(pid),
+                P::N(x) => unit.push((x.0, pid)),
                 P::TN(a, x) => {
-                    bytes.push(*a);
-                    occ_right[x.index()].push(pid);
+                    bytes.push(a);
+                    right.push((x.0, pid));
                 }
                 P::NT(x, b) => {
-                    bytes.push(*b);
-                    occ_left[x.index()].push(pid);
+                    bytes.push(b);
+                    left.push((x.0, pid));
                 }
                 P::NN(x, y) => {
-                    occ_left[x.index()].push(pid);
-                    occ_right[y.index()].push(pid);
+                    left.push((x.0, pid));
+                    right.push((y.0, pid));
                 }
-                P::T(a) => bytes.push(*a),
+                P::T(a) => bytes.push(a),
                 P::TT(a, b) => {
-                    bytes.push(*a);
-                    bytes.push(*b);
+                    bytes.push(a);
+                    bytes.push(b);
                 }
                 P::Eps => {}
             }
         }
+        let csr = |pairs: Vec<(u32, u32)>| Csr::new(nv, pairs.into_iter());
+        let (occ_unit, occ_left, occ_right) = (csr(unit), csr(left), csr(right));
         bytes.sort_unstable();
         bytes.dedup();
 
@@ -193,9 +163,9 @@ impl PreparedGrammar {
         let mut h1 = Fnv::new(0xcbf2_9ce4_8422_2325);
         let mut h2 = Fnv::new(0x6c62_272e_07bb_0142);
         for h in [&mut h1, &mut h2] {
-            h.u32(troot.0);
+            h.u32(0); // the root's id
             h.u32(nv as u32);
-            for &(lhs, p) in &prods {
+            for &(lhs, p) in prods {
                 h.u32(lhs.0);
                 match p {
                     P::Eps => h.byte(0),
@@ -233,10 +203,8 @@ impl PreparedGrammar {
 
         PreparedGrammar {
             norm,
-            norm_root: troot,
             root_name: g.name(root).to_owned(),
             root_taint: g.taint(root),
-            prods,
             occ_unit,
             occ_left,
             occ_right,
@@ -320,8 +288,8 @@ impl PreparedGrammar {
             dfa,
             forward,
             reverse,
-            by_start: vec![HashMap::new(); self.norm.num_nonterminals()],
-            by_end: vec![HashMap::new(); self.norm.num_nonterminals()],
+            by_start: vec![HashMap::new(); self.num_nonterminals()],
+            by_end: vec![HashMap::new(); self.num_nonterminals()],
             worklist: Vec::new(),
             triples: 0,
             charged: 0,
@@ -411,7 +379,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
             self.triples += 1;
             budget.check_grammar_size(self.triples)?;
             self.worklist.push((x, i, j));
-            if x == self.prep.norm_root && i == self.dfa.start() && self.dfa.is_accepting(j) {
+            if x == NtId(0) && i == self.dfa.start() && self.dfa.is_accepting(j) {
                 self.hit = true;
             }
         }
@@ -423,8 +391,8 @@ impl<'g, 'd> Intersection<'g, 'd> {
     fn run(&mut self, budget: &Budget, mode: QueryMode) -> Result<(), BudgetExceeded> {
         if !self.seeded {
             self.seeded = true;
-            for pid in 0..self.prep.prods.len() {
-                let (lhs, p) = self.prep.prods[pid];
+            for pid in 0..self.prep.norm.prods.len() {
+                let (lhs, p) = self.prep.norm.prods[pid as usize];
                 let q = self.dfa.num_states() as u32;
                 match p {
                     P::Eps => {
@@ -461,14 +429,12 @@ impl<'g, 'd> Intersection<'g, 'd> {
         } {
             budget.charge(1)?;
             self.charged += 1;
-            for oi in 0..self.prep.occ_unit[x.index()].len() {
-                let pid = self.prep.occ_unit[x.index()][oi];
-                let (lhs, _) = self.prep.prods[pid];
+            for &pid in self.prep.occ_unit.get(x.0) {
+                let (lhs, _) = self.prep.norm.prods[pid as usize];
                 self.discover(budget, lhs, i, j)?;
             }
-            for oi in 0..self.prep.occ_right[x.index()].len() {
-                let pid = self.prep.occ_right[x.index()][oi];
-                let (lhs, p) = self.prep.prods[pid];
+            for &pid in self.prep.occ_right.get(x.0) {
+                let (lhs, p) = self.prep.norm.prods[pid as usize];
                 match p {
                     P::TN(a, _) => {
                         let c = self.dfa.class_of(a) as usize;
@@ -489,9 +455,8 @@ impl<'g, 'd> Intersection<'g, 'd> {
                     _ => unreachable!("occ_right holds TN/NN only"),
                 }
             }
-            for oi in 0..self.prep.occ_left[x.index()].len() {
-                let pid = self.prep.occ_left[x.index()][oi];
-                let (lhs, p) = self.prep.prods[pid];
+            for &pid in self.prep.occ_left.get(x.0) {
+                let (lhs, p) = self.prep.norm.prods[pid as usize];
                 match p {
                     P::NT(_, b) => {
                         let c = self.dfa.class_of(b) as usize;
@@ -596,53 +561,53 @@ impl<'g, 'd> Intersection<'g, 'd> {
                     budget.charge(1)?;
                     charged_here += 1;
                     let lhs = map[&(x.0, i, j)];
-                    for rhs in norm.productions(x) {
-                        match rhs.as_slice() {
-                            [] => {
+                    for &(_, p) in norm.productions(x) {
+                        match p {
+                            P::Eps => {
                                 if i == j {
                                     out.add_production(lhs, vec![]);
                                 }
                             }
-                            [Symbol::T(a)] => {
-                                if dfa.step_byte(i, *a) == j {
-                                    out.add_production(lhs, vec![Symbol::T(*a)]);
+                            P::T(a) => {
+                                if dfa.step_byte(i, a) == j {
+                                    out.add_production(lhs, vec![Symbol::T(a)]);
                                 }
                             }
-                            [Symbol::N(y)] => {
+                            P::N(y) => {
                                 if let Some(&sub) = map.get(&(y.0, i, j)) {
                                     out.add_production(lhs, vec![Symbol::N(sub)]);
                                 }
                             }
-                            [Symbol::T(a), Symbol::T(b)] => {
-                                if dfa.step_byte(dfa.step_byte(i, *a), *b) == j {
-                                    out.add_production(lhs, vec![Symbol::T(*a), Symbol::T(*b)]);
+                            P::TT(a, b) => {
+                                if dfa.step_byte(dfa.step_byte(i, a), b) == j {
+                                    out.add_production(lhs, vec![Symbol::T(a), Symbol::T(b)]);
                                 }
                             }
-                            [Symbol::T(a), Symbol::N(y)] => {
-                                let m = dfa.step_byte(i, *a);
+                            P::TN(a, y) => {
+                                let m = dfa.step_byte(i, a);
                                 if let Some(&sub) = map.get(&(y.0, m, j)) {
-                                    out.add_production(lhs, vec![Symbol::T(*a), Symbol::N(sub)]);
+                                    out.add_production(lhs, vec![Symbol::T(a), Symbol::N(sub)]);
                                 }
                             }
-                            [Symbol::N(y), Symbol::T(b)] => {
+                            P::NT(y, b) => {
                                 // Any mid m with Y_{im} realized and
                                 // step(m,b)=j.
                                 if let Some(mids) = self.by_start[y.index()].get(&i) {
                                     for &m in mids {
-                                        if dfa.step_byte(m, *b) == j {
+                                        if dfa.step_byte(m, b) == j {
                                             let sub = map[&(y.0, i, m)];
                                             out.add_production(
                                                 lhs,
-                                                vec![Symbol::N(sub), Symbol::T(*b)],
+                                                vec![Symbol::N(sub), Symbol::T(b)],
                                             );
                                         }
                                     }
                                 }
                             }
-                            [Symbol::N(y), Symbol::N(z)] => {
+                            P::NN(y, z) => {
                                 if let Some(mids) = self.by_start[y.index()].get(&i) {
                                     for &m in mids {
-                                        if self.realized(*z, m, j) {
+                                        if self.realized(z, m, j) {
                                             let sy = map[&(y.0, i, m)];
                                             let sz = map[&(z.0, m, j)];
                                             out.add_production(
@@ -653,7 +618,6 @@ impl<'g, 'd> Intersection<'g, 'd> {
                                     }
                                 }
                             }
-                            _ => unreachable!("grammar is normalized"),
                         }
                     }
                 }
@@ -664,7 +628,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
         let q0 = dfa.start();
         for qf in 0..dfa.num_states() as u32 {
             if dfa.is_accepting(qf) {
-                if let Some(&sub) = map.get(&(self.prep.norm_root.0, q0, qf)) {
+                if let Some(&sub) = map.get(&(0, q0, qf)) {
                     out.add_production(out_root, vec![Symbol::N(sub)]);
                 }
             }

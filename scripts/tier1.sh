@@ -36,6 +36,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> grammar kernels vs reference (image, prepare)"
+cargo test -q -p strtaint-grammar
+
 echo "==> daemon round-trip (restart replay + corrupt-cache recovery)"
 cargo test -q -p strtaint-daemon
 cargo test -q --test daemon
