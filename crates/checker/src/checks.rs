@@ -514,9 +514,7 @@ pub(crate) fn splice_example_memo(
             if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
                 return None;
             }
-            let (marked, mroot) =
-                crate::abstraction::marked_grammar(cfg, root, x, &HashMap::new());
-            shortest_string(&marked, mroot)?
+            crate::abstraction::prepare_marked(cfg, root, x).shortest_string()?
         }
     };
     let mut out = Vec::with_capacity(skeleton.len() + witness.len());

@@ -17,12 +17,10 @@
 //! Hotspots whose grammar exceeds the reconstruction budget export an
 //! incomplete set (`complete == false`) rather than an unsound one.
 
-use std::collections::HashMap;
-
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
 
-use crate::abstraction::{marked_grammar, maximal_labeled};
+use crate::abstraction::{maximal_labeled, prepare_marked};
 use crate::pmemo::PreparedMemo;
 
 /// Reconstruction budget, aligned with witness splicing so a hotspot
@@ -41,30 +39,26 @@ pub(crate) fn hotspot_skeletons(
     root: NtId,
     memo: Option<&PreparedMemo>,
 ) -> (Vec<Vec<u8>>, bool) {
+    let _span = strtaint_obs::Span::enter("skeletons", "");
+    // The size guard depends on `(cfg, root)` alone. Over budget, every
+    // candidate — and the untainted fallback — yields no skeleton, so
+    // one walk decides the whole hotspot before any per-candidate work.
+    if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
+        return (Vec::new(), false);
+    }
     let candidates = maximal_labeled(cfg, root);
+    if candidates.is_empty() {
+        return match shortest_string(cfg, root) {
+            Some(s) => (vec![s], true),
+            None => (Vec::new(), false),
+        };
+    }
     let mut out: Vec<Vec<u8>> = Vec::new();
     let mut complete = true;
-    if candidates.is_empty() {
-        if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
-            complete = false;
-        } else {
-            match shortest_string(cfg, root) {
-                Some(s) => out.push(s),
-                None => complete = false,
-            }
-        }
-    }
     for &x in &candidates {
         let skeleton = match memo {
             Some(m) => m.skeleton_for(cfg, root, x, SKELETON_BUDGET),
-            None => {
-                if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
-                    None
-                } else {
-                    let (marked, mroot) = marked_grammar(cfg, root, x, &HashMap::new());
-                    shortest_string(&marked, mroot)
-                }
-            }
+            None => prepare_marked(cfg, root, x).shortest_string(),
         };
         match skeleton {
             Some(s) => out.push(s),
@@ -144,6 +138,31 @@ mod tests {
         let (sk, complete) = hotspot_skeletons(&g, root, None);
         assert!(complete);
         assert_eq!(sk, vec![b"SELECT 1".to_vec()]);
+    }
+
+    /// Over the size guard, neither path derives anything: the hoisted
+    /// guard gives the same answer the per-candidate guards gave.
+    #[test]
+    fn oversize_hotspot_is_incomplete_on_both_paths() {
+        let (mut g, root) = harness();
+        let x = g
+            .nonterminals()
+            .find(|&n| g.name(n) == "_GET[id]")
+            .expect("x");
+        for k in 0..SKELETON_BUDGET {
+            g.add_literal_production(x, k.to_string().as_bytes());
+        }
+        let memo = PreparedMemo::new();
+        assert_eq!(hotspot_skeletons(&g, root, None), (Vec::new(), false));
+        assert_eq!(
+            hotspot_skeletons(&g, root, Some(&memo)),
+            (Vec::new(), false)
+        );
+        assert_eq!(memo.skeleton_for(&g, root, x, SKELETON_BUDGET), None);
+        let untainted = g.add_nonterminal("q");
+        g.add_production(untainted, vec![Symbol::N(x)]);
+        g.set_taint(x, Taint::NONE);
+        assert_eq!(hotspot_skeletons(&g, untainted, None), (Vec::new(), false));
     }
 
     #[test]

@@ -159,19 +159,7 @@ pub fn analyze_page_cached(
     let check_time = t1.elapsed();
 
     // Grammar size restricted to the query grammars (Table 1 columns).
-    let mut reachable = vec![false; analysis.cfg.num_nonterminals()];
-    for h in &analysis.hotspots {
-        for (i, r) in analysis.cfg.reachable(h.root).into_iter().enumerate() {
-            reachable[i] = reachable[i] || r;
-        }
-    }
-    let grammar_nonterminals = reachable.iter().filter(|&&b| b).count();
-    let grammar_productions = analysis
-        .cfg
-        .nonterminals()
-        .filter(|id| reachable[id.index()])
-        .map(|id| analysis.cfg.productions(id).len())
-        .sum();
+    let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
 
     Ok(PageReport {
         entry: entry.to_owned(),
@@ -256,19 +244,8 @@ pub fn analyze_page_policies_cached(
     }
     let check_time = t1.elapsed();
 
-    let mut reachable = vec![false; analysis.cfg.num_nonterminals()];
-    for h in &sites {
-        for (i, r) in analysis.cfg.reachable(h.root).into_iter().enumerate() {
-            reachable[i] = reachable[i] || r;
-        }
-    }
-    let grammar_nonterminals = reachable.iter().filter(|&&b| b).count();
-    let grammar_productions = analysis
-        .cfg
-        .nonterminals()
-        .filter(|id| reachable[id.index()])
-        .map(|id| analysis.cfg.productions(id).len())
-        .sum();
+    let roots: Vec<NtId> = items.iter().map(|&(root, _)| root).collect();
+    let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
 
     Ok(PageReport {
         entry: entry.to_owned(),
@@ -343,19 +320,7 @@ pub fn analyze_page_xss_cached(
     }
     let check_time = t1.elapsed();
 
-    let mut reachable = vec![false; analysis.cfg.num_nonterminals()];
-    for h in &analysis.echo_sinks {
-        for (i, r) in analysis.cfg.reachable(h.root).into_iter().enumerate() {
-            reachable[i] = reachable[i] || r;
-        }
-    }
-    let grammar_nonterminals = reachable.iter().filter(|&&b| b).count();
-    let grammar_productions = analysis
-        .cfg
-        .nonterminals()
-        .filter(|id| reachable[id.index()])
-        .map(|id| analysis.cfg.productions(id).len())
-        .sum();
+    let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
 
     Ok(PageReport {
         entry: entry.to_owned(),
@@ -371,6 +336,14 @@ pub fn analyze_page_xss_cached(
         degradations: analysis.degradations,
         skipped: None,
     })
+}
+
+/// Nonterminal and production counts of the grammar reachable from the
+/// page's sink roots — the Table 1 |V| and |R| columns.
+fn query_grammar_size(cfg: &Cfg, roots: &[NtId]) -> (usize, usize) {
+    let reached = cfg.reachable_from(roots);
+    let productions = reached.iter().map(|&id| cfg.productions(id).len()).sum();
+    (reached.len(), productions)
 }
 
 /// Extracts a human-readable message from a caught panic payload.

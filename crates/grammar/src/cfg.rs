@@ -164,15 +164,35 @@ impl Cfg {
         Reach::new(self, root).order
     }
 
-    /// Counts productions reachable from `root`, stopping early once
+    /// Computes the nonterminals reachable from any of `roots` — the
+    /// union of their [`Cfg::reachable_list`]s — in one walk.
+    pub fn reachable_from(&self, roots: &[NtId]) -> Vec<NtId> {
+        Reach::from_roots(self, roots).order
+    }
+
+    /// Counts productions reachable from `root`, stopping the walk once
     /// `cap` is exceeded (returns `cap + 1` in that case). Used to bound
     /// expensive grammar transformations.
     pub fn count_reachable_productions(&self, root: NtId, cap: usize) -> usize {
+        let mut seen = vec![false; self.num_nonterminals()];
+        seen[root.index()] = true;
+        let mut stack = vec![root];
         let mut count = 0usize;
-        for id in self.reachable_list(root) {
+        while let Some(id) = stack.pop() {
             count += self.productions(id).len();
             if count > cap {
                 return cap + 1;
+            }
+            for t in self
+                .productions(id)
+                .iter()
+                .flatten()
+                .filter_map(|s| s.as_nt())
+            {
+                if !seen[t.index()] {
+                    seen[t.index()] = true;
+                    stack.push(t);
+                }
             }
         }
         count
@@ -405,14 +425,39 @@ pub(crate) struct Reach {
     /// allocation, so only the pages the walk touches cost anything;
     /// it doubles as the visited set.
     slot: Vec<u32>,
+    /// A nonterminal read as a terminal: never walked into, and its
+    /// occurrences need no productivity (see [`Reach::around`]).
+    opaque: Option<NtId>,
 }
 
 impl Reach {
     /// Walks the subgraph reachable from `root`.
     pub(crate) fn new(g: &Cfg, root: NtId) -> Reach {
+        Reach::walk(g, &[root], None)
+    }
+
+    /// Walks the subgraph reachable from any of `roots`; the roots
+    /// come first in the order, duplicates dropped.
+    pub(crate) fn from_roots(g: &Cfg, roots: &[NtId]) -> Reach {
+        Reach::walk(g, roots, None)
+    }
+
+    /// Walks from `root` as if every occurrence of `opaque` (not the
+    /// root) were a terminal — the walk of a marked grammar, without
+    /// building it.
+    pub(crate) fn around(g: &Cfg, root: NtId, opaque: NtId) -> Reach {
+        Reach::walk(g, &[root], Some(opaque))
+    }
+
+    fn walk(g: &Cfg, roots: &[NtId], opaque: Option<NtId>) -> Reach {
         let mut slot = vec![0u32; g.num_nonterminals()];
-        let mut order = vec![root];
-        slot[root.index()] = 1;
+        let mut order = Vec::with_capacity(roots.len());
+        for &root in roots {
+            if slot[root.index()] == 0 {
+                order.push(root);
+                slot[root.index()] = order.len() as u32;
+            }
+        }
         let mut cursor = 0;
         while cursor < order.len() {
             let id = order[cursor];
@@ -420,7 +465,7 @@ impl Reach {
             for rhs in g.productions(id) {
                 for s in rhs {
                     if let Symbol::N(t) = *s {
-                        if slot[t.index()] == 0 {
+                        if slot[t.index()] == 0 && Some(t) != opaque {
                             order.push(t);
                             slot[t.index()] = order.len() as u32;
                         }
@@ -428,7 +473,11 @@ impl Reach {
                 }
             }
         }
-        Reach { order, slot }
+        Reach {
+            order,
+            slot,
+            opaque,
+        }
     }
 
     /// Local id of a reached arena nonterminal.
@@ -457,6 +506,7 @@ impl Reach {
                 occurrences.extend(
                     rhs.iter()
                         .filter_map(|s| s.as_nt())
+                        .filter(|&t| Some(t) != self.opaque)
                         .map(|t| (self.local(t) as u32, p)),
                 );
                 pending.push((occurrences.len() - before) as u32);

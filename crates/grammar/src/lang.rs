@@ -9,6 +9,7 @@
 use std::collections::HashSet;
 
 use crate::cfg::Cfg;
+use crate::normal::{Normal, Occurrences};
 use crate::symbol::{NtId, Symbol};
 
 /// Returns `true` if the language of `root` is infinite.
@@ -154,58 +155,12 @@ fn scc_ids(g: &Cfg) -> Vec<u32> {
 /// witness bytes verbatim, so report bytes stay identical across all of
 /// them only because every path extracts this same canonical string.
 ///
-/// The tie-break is compositional: in a minimal-length derivation every
-/// nonterminal occurrence is expanded at its own minimal length, so the
-/// candidates for one production all have equal component widths, and
-/// comparing their concatenations lexicographically reduces to taking
-/// the componentwise (length, lex)-minimum.
+/// Runs the shared shortest-derivation kernel (see `shortest.rs`) over
+/// the trimmed, binary-normalized grammar with a one-state automaton —
+/// the same kernel that extracts intersection witnesses.
 pub fn shortest_string(g: &Cfg, root: NtId) -> Option<Vec<u8>> {
-    let n = g.num_nonterminals();
-    let ids = g.reachable_list(root);
-    let mut best: Vec<Option<Vec<u8>>> = vec![None; n];
-    // Iterate to fixpoint over the reachable subgraph; values only
-    // decrease in the well-founded (length, bytes) order, so this
-    // terminates.
-    loop {
-        let mut changed = false;
-        for (lhs, rhs) in ids
-            .iter()
-            .flat_map(|&id| g.productions(id).iter().map(move |r| (id, r.as_slice())))
-        {
-            let mut candidate: Vec<u8> = Vec::new();
-            let mut ok = true;
-            for s in rhs {
-                match s {
-                    Symbol::T(b) => candidate.push(*b),
-                    Symbol::N(id) => match &best[id.index()] {
-                        Some(w) => candidate.extend_from_slice(w),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let better = match &best[lhs.index()] {
-                None => true,
-                Some(cur) => {
-                    candidate.len() < cur.len()
-                        || (candidate.len() == cur.len() && candidate < *cur)
-                }
-            };
-            if better {
-                best[lhs.index()] = Some(candidate);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    best[root.index()].clone()
+    let norm = Normal::new(g, root);
+    crate::shortest::canonical(&norm, &Occurrences::new(&norm), &crate::shortest::OneState)
 }
 
 /// Enumerates the full (finite) language of `root`, up to `max_count`

@@ -50,6 +50,7 @@ pub mod intersect;
 pub mod lang;
 pub mod normal;
 pub mod prepared;
+mod shortest;
 pub mod stats;
 pub mod symbol;
 

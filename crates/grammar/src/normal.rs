@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 
-use crate::cfg::{Cfg, Reach};
+use crate::cfg::{Cfg, Csr, Reach};
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// Returns an equivalent grammar whose productions all have `|rhs| ≤ 2`.
@@ -106,8 +106,35 @@ impl Normal {
     /// Trims `(g, root)` to its reachable, productive part and
     /// binary-normalizes it.
     pub(crate) fn new(g: &Cfg, root: NtId) -> Normal {
+        Normal::build(g, root, None)
+    }
+
+    /// [`Normal::new`] of the *marked grammar* of `(g, root)` — every
+    /// occurrence of `x` read as the terminal `marker`, every `marker`
+    /// terminal as `substitute`, every taint dropped — without
+    /// building that grammar. When `x` is the root the marked grammar
+    /// is the single string `marker`.
+    pub(crate) fn marked(g: &Cfg, root: NtId, x: NtId, marker: u8, substitute: u8) -> Normal {
+        if x == root {
+            let name = g.name(root).to_owned();
+            return Normal {
+                prods: vec![(NtId(0), P::T(marker))],
+                first: vec![0, 1],
+                name_ends: vec![name.len() as u32],
+                names: name,
+                taints: vec![Taint::NONE],
+                helpers: Vec::new(),
+            };
+        }
+        Normal::build(g, root, Some((x, marker, substitute)))
+    }
+
+    fn build(g: &Cfg, root: NtId, mark: Option<(NtId, u8, u8)>) -> Normal {
         let _span = strtaint_obs::Span::enter("trim", "");
-        let reach = Reach::new(g, root);
+        let reach = match mark {
+            Some((x, ..)) => Reach::around(g, root, x),
+            None => Reach::new(g, root),
+        };
         let kept = reach.kept(g);
         let mut out = Normal {
             prods: Vec::new(),
@@ -129,14 +156,22 @@ impl Normal {
             let lhs = NtId(kept[local]);
             out.names.push_str(g.name(id));
             out.name_ends.push(out.names.len() as u32);
-            out.taints.push(g.taint(id));
+            out.taints.push(if mark.is_some() {
+                Taint::NONE
+            } else {
+                g.taint(id)
+            });
             out.first.push(out.prods.len() as u32);
             'prods: for orig in g.productions(id) {
                 rhs.clear();
                 for s in orig {
-                    rhs.push(match *s {
-                        Symbol::T(b) => Symbol::T(b),
-                        Symbol::N(sub) => match kept[reach.local(sub)] {
+                    rhs.push(match (*s, mark) {
+                        (Symbol::T(b), Some((_, marker, substitute))) if b == marker => {
+                            Symbol::T(substitute)
+                        }
+                        (Symbol::N(sub), Some((x, marker, _))) if sub == x => Symbol::T(marker),
+                        (Symbol::T(b), _) => Symbol::T(b),
+                        (Symbol::N(sub), _) => match kept[reach.local(sub)] {
                             u32::MAX => continue 'prods,
                             n => Symbol::N(NtId(n)),
                         },
@@ -210,6 +245,44 @@ impl Normal {
     /// The taint labels of `x`.
     pub(crate) fn taint(&self, x: NtId) -> Taint {
         self.taints.get(x.index()).copied().unwrap_or(Taint::NONE)
+    }
+}
+
+/// Where each nonterminal of a [`Normal`] grammar occurs, by slot:
+/// the production lists a bottom-up pass wakes when that nonterminal
+/// gains a new fact. `NN(y, y)` is listed under `y` once per slot.
+pub(crate) struct Occurrences {
+    /// `unit[x]` = productions `lhs -> x`.
+    pub(crate) unit: Csr,
+    /// `left[x]` = productions with `x` in the left slot (NT/NN).
+    pub(crate) left: Csr,
+    /// `right[x]` = productions with `x` in the right slot (TN/NN).
+    pub(crate) right: Csr,
+}
+
+impl Occurrences {
+    pub(crate) fn new(norm: &Normal) -> Occurrences {
+        let (mut unit, mut left, mut right) = (Vec::new(), Vec::new(), Vec::new());
+        for (pid, &(_, p)) in norm.prods.iter().enumerate() {
+            let pid = pid as u32;
+            match p {
+                P::N(x) => unit.push((x.0, pid)),
+                P::TN(_, x) => right.push((x.0, pid)),
+                P::NT(x, _) => left.push((x.0, pid)),
+                P::NN(x, y) => {
+                    left.push((x.0, pid));
+                    right.push((y.0, pid));
+                }
+                P::Eps | P::T(_) | P::TT(..) => {}
+            }
+        }
+        let n = norm.num_nonterminals();
+        let csr = |pairs: Vec<(u32, u32)>| Csr::new(n, pairs.into_iter());
+        Occurrences {
+            unit: csr(unit),
+            left: csr(left),
+            right: csr(right),
+        }
     }
 }
 

@@ -20,12 +20,15 @@
 //!   the moment an accepting root triple is realized — emptiness is
 //!   decided without draining the remaining frontier.
 //! - [`Intersection::grammar`]/[`Intersection::witness`] *resume* the
-//!   same fixpoint to completion and reconstruct the intersection
-//!   grammar, so a witness after an emptiness query costs only the
-//!   leftover frontier instead of a second full fixpoint. Resumption is
-//!   sound because the realized set is monotone: every triple already
-//!   discovered stays realized, and draining the worklist discovers
-//!   exactly the triples the from-scratch fixpoint would.
+//!   same fixpoint to completion, so a witness after an emptiness
+//!   query costs only the leftover frontier instead of a second full
+//!   fixpoint. Resumption is sound because the realized set is
+//!   monotone: every triple already discovered stays realized, and
+//!   draining the worklist discovers exactly the triples the
+//!   from-scratch fixpoint would. `grammar` then reconstructs the
+//!   intersection grammar; `witness` reads the canonical witness off
+//!   the triples directly with the shortest-derivation kernel
+//!   (`shortest.rs`).
 //!
 //! Realized end-state sets are kept **sorted** and probed with
 //! `binary_search` (debug assertions check orderedness), replacing the
@@ -44,8 +47,8 @@ use std::sync::{Arc, RwLock};
 use strtaint_automata::ClassDfa;
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::cfg::{Cfg, Csr};
-use crate::normal::{Normal, P};
+use crate::cfg::Cfg;
+use crate::normal::{Normal, Occurrences, P};
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// A grammar trimmed + binary-normalized once, ready to intersect with
@@ -64,12 +67,8 @@ pub struct PreparedGrammar {
     /// reconstruction parity with the naive engine.
     root_name: String,
     root_taint: Taint,
-    /// occ_unit[x] = productions `lhs -> x`.
-    occ_unit: Csr,
-    /// occ_left[x] = productions with `x` in the left slot (NT/NN).
-    occ_left: Csr,
-    /// occ_right[x] = productions with `x` in the right slot (TN/NN).
-    occ_right: Csr,
+    /// Where each nonterminal occurs, by production slot.
+    occ: Occurrences,
     /// Sorted distinct terminal bytes the grammar mentions.
     bytes: Vec<u8>,
     /// Structural fingerprint of `(norm_root, prods)` — see
@@ -117,39 +116,35 @@ impl PreparedGrammar {
     /// Trims and normalizes `(g, root)` and builds the worklist indexes.
     pub fn new(g: &Cfg, root: NtId) -> Self {
         let _span = strtaint_obs::Span::enter_with("prepare", || g.name(root).to_owned());
-        let norm = Normal::new(g, root);
+        Self::from_normal(Normal::new(g, root), g.name(root), g.taint(root))
+    }
+
+    /// Prepares the *marked grammar* of `(g, root)` — every occurrence
+    /// of `x` replaced by the terminal `marker`, every `marker`
+    /// terminal by `substitute`, every taint dropped (the root becomes
+    /// the single string `marker` when `x == root`) — without building
+    /// it: the same preparation, fingerprint included, as
+    /// [`Self::new`] on that grammar.
+    pub fn new_marked(g: &Cfg, root: NtId, x: NtId, marker: u8, substitute: u8) -> Self {
+        let _span = strtaint_obs::Span::enter_with("prepare", || g.name(root).to_owned());
+        let norm = Normal::marked(g, root, x, marker, substitute);
+        Self::from_normal(norm, g.name(root), Taint::NONE)
+    }
+
+    fn from_normal(norm: Normal, root_name: &str, root_taint: Taint) -> Self {
         let empty = norm.is_empty();
         let nv = norm.num_nonterminals();
         let prods = &norm.prods;
 
-        let (mut unit, mut left, mut right) = (Vec::new(), Vec::new(), Vec::new());
+        let occ = Occurrences::new(&norm);
         let mut bytes: Vec<u8> = Vec::new();
-        for (pid, &(_, p)) in prods.iter().enumerate() {
-            let pid = pid as u32;
+        for &(_, p) in prods {
             match p {
-                P::N(x) => unit.push((x.0, pid)),
-                P::TN(a, x) => {
-                    bytes.push(a);
-                    right.push((x.0, pid));
-                }
-                P::NT(x, b) => {
-                    bytes.push(b);
-                    left.push((x.0, pid));
-                }
-                P::NN(x, y) => {
-                    left.push((x.0, pid));
-                    right.push((y.0, pid));
-                }
-                P::T(a) => bytes.push(a),
-                P::TT(a, b) => {
-                    bytes.push(a);
-                    bytes.push(b);
-                }
-                P::Eps => {}
+                P::T(a) | P::TN(a, _) | P::NT(_, a) => bytes.push(a),
+                P::TT(a, b) => bytes.extend([a, b]),
+                P::Eps | P::N(_) | P::NN(..) => {}
             }
         }
-        let csr = |pairs: Vec<(u32, u32)>| Csr::new(nv, pairs.into_iter());
-        let (occ_unit, occ_left, occ_right) = (csr(unit), csr(left), csr(right));
         bytes.sort_unstable();
         bytes.dedup();
 
@@ -203,11 +198,9 @@ impl PreparedGrammar {
 
         PreparedGrammar {
             norm,
-            root_name: g.name(root).to_owned(),
-            root_taint: g.taint(root),
-            occ_unit,
-            occ_left,
-            occ_right,
+            root_name: root_name.to_owned(),
+            root_taint,
+            occ,
             bytes,
             fingerprint: (h1.0, h2.0),
             empty,
@@ -236,6 +229,13 @@ impl PreparedGrammar {
     /// witness: exactly the contract memoized verdict replay needs.
     pub fn fingerprint(&self) -> (u64, u64) {
         self.fingerprint
+    }
+
+    /// The canonical (length, lexicographic)-minimal string of the
+    /// prepared language — what [`crate::lang::shortest_string`] returns
+    /// for the original `(g, root)` — or `None` if it is empty.
+    pub fn shortest_string(&self) -> Option<Vec<u8>> {
+        crate::shortest::canonical(&self.norm, &self.occ, &crate::shortest::OneState)
     }
 
     /// The sorted distinct terminal bytes the grammar can emit. Every
@@ -429,11 +429,11 @@ impl<'g, 'd> Intersection<'g, 'd> {
         } {
             budget.charge(1)?;
             self.charged += 1;
-            for &pid in self.prep.occ_unit.get(x.0) {
+            for &pid in self.prep.occ.unit.get(x.0) {
                 let (lhs, _) = self.prep.norm.prods[pid as usize];
                 self.discover(budget, lhs, i, j)?;
             }
-            for &pid in self.prep.occ_right.get(x.0) {
+            for &pid in self.prep.occ.right.get(x.0) {
                 let (lhs, p) = self.prep.norm.prods[pid as usize];
                 match p {
                     P::TN(a, _) => {
@@ -455,7 +455,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
                     _ => unreachable!("occ_right holds TN/NN only"),
                 }
             }
-            for &pid in self.prep.occ_left.get(x.0) {
+            for &pid in self.prep.occ.left.get(x.0) {
                 let (lhs, p) = self.prep.norm.prods[pid as usize];
                 match p {
                     P::NT(_, b) => {
@@ -637,19 +637,38 @@ impl<'g, 'd> Intersection<'g, 'd> {
         Ok((out, out_root))
     }
 
-    /// Completes the fixpoint and extracts a shortest witness string of
-    /// the intersection, or `None` if it is empty.
+    /// Completes the fixpoint and extracts the canonical (length,
+    /// lexicographic)-minimal witness string of the intersection, or
+    /// `None` if it is empty.
+    ///
+    /// Fuel parity with [`Self::grammar`]: extraction charges one unit
+    /// per realized triple, exactly what reconstruction charges, so the
+    /// query cache's recorded witness fuel and every trip point are the
+    /// same as when witnesses were read off the rebuilt grammar.
     pub fn witness(&mut self, budget: &Budget) -> Result<Option<Vec<u8>>, BudgetExceeded> {
         if self.is_empty() && self.worklist.is_empty() {
             return Ok(None);
         }
-        let _span = strtaint_obs::Span::enter_with("witness", || self.prep.root_name.clone());
+        let mut span = strtaint_obs::Span::enter("witness", "");
         self.complete(budget)?;
+        span.set_detail(|| self.triples.to_string());
         if self.is_empty() {
             return Ok(None);
         }
-        let (out, root) = self.grammar(budget)?;
-        Ok(crate::lang::shortest_string(&out, root))
+        for _ in 0..self.triples {
+            budget.charge(1)?;
+        }
+        self.charged += self.triples as u64;
+        let steps = crate::shortest::DfaSteps {
+            dfa: self.dfa,
+            forward: &self.forward,
+            reverse: &self.reverse,
+        };
+        Ok(crate::shortest::canonical(
+            &self.prep.norm,
+            &self.prep.occ,
+            &steps,
+        ))
     }
 }
 

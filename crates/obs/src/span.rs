@@ -266,6 +266,17 @@ impl Span {
         Span::enter_enabled(name, detail)
     }
 
+    /// Replaces the detail of an open span, for details only known
+    /// partway through it. Like [`Span::enter_with`], the closure runs
+    /// only when the event stream will retain the detail.
+    pub fn set_detail(&mut self, detail: impl FnOnce() -> String) {
+        if let Some(active) = &mut self.active {
+            if mode() == Mode::Full {
+                active.detail = detail();
+            }
+        }
+    }
+
     fn enter_enabled(name: &'static str, detail: impl FnOnce() -> String) -> Span {
         // Only the Full event stream consumes the detail; Aggregate
         // must not pay its allocation on every span.

@@ -36,8 +36,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> grammar kernels vs reference (image, prepare)"
+echo "==> grammar kernels vs reference (image, prepare, shortest)"
 cargo test -q -p strtaint-grammar
+
+echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
+cargo test -q -p strtaint-checker
 
 echo "==> daemon round-trip (restart replay + corrupt-cache recovery)"
 cargo test -q -p strtaint-daemon
