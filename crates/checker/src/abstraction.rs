@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use strtaint_grammar::{Cfg, NtId, PreparedGrammar, Symbol};
+use strtaint_grammar::{Cfg, NtId, Symbol};
 use strtaint_sql::VAR_MARKER;
 
 /// Byte used to neutralize stray [`VAR_MARKER`] terminals coming from
@@ -217,18 +217,9 @@ pub fn marked_grammar(
     (out, map[&root])
 }
 
-/// Prepares the replacement-free marked grammar of `(cfg, root, x)` —
-/// the context grammar C2 and the XSS contexts query, and the source
-/// of skeletons — without building it: the same preparation as
-/// `PreparedGrammar::new` on `marked_grammar(cfg, root, x, &{})`.
-pub(crate) fn prepare_marked(cfg: &Cfg, root: NtId, x: NtId) -> PreparedGrammar {
-    PreparedGrammar::new_marked(cfg, root, x, VAR_MARKER, MARKER_SUBSTITUTE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use strtaint_grammar::Taint;
 
     #[test]
@@ -301,70 +292,5 @@ mod tests {
         g.add_literal_production(root, b"whatever");
         let (m, mroot) = marked_grammar(&g, root, root, &HashMap::new());
         assert!(m.derives(mroot, &[VAR_MARKER]));
-    }
-
-    /// A random grammar over nonterminals `0..n` whose terminals include
-    /// the marker byte itself.
-    fn random_grammar() -> impl Strategy<Value = Cfg> {
-        const TERMINALS: [u8; 4] = [b'a', b'\'', VAR_MARKER, b'1'];
-        let rhs = proptest::collection::vec(0..10usize, 0..4);
-        proptest::collection::vec(proptest::collection::vec(rhs, 0..4), 1..7).prop_map(|spec| {
-            let mut g = Cfg::new();
-            let n = spec.len();
-            let ids: Vec<NtId> = (0..n).map(|k| g.add_nonterminal(format!("N{k}"))).collect();
-            g.set_taint(ids[n / 2], Taint::DIRECT);
-            for (k, prods) in spec.iter().enumerate() {
-                for codes in prods {
-                    let rhs = codes
-                        .iter()
-                        .map(|&c| match TERMINALS.get(c) {
-                            Some(&t) => Symbol::T(t),
-                            None => Symbol::N(ids[(c - TERMINALS.len()) % n]),
-                        })
-                        .collect();
-                    g.add_production(ids[k], rhs);
-                }
-            }
-            g
-        })
-    }
-
-    /// The intersection of a preparation with Σ*, rebuilt as a grammar.
-    fn reconstruct(prep: &PreparedGrammar) -> String {
-        use strtaint_automata::{ClassDfa, Dfa};
-        use strtaint_grammar::{Budget, QueryMode};
-        let any = ClassDfa::new(&Dfa::any_string());
-        let unlimited = Budget::unlimited();
-        let mut ix = prep
-            .query(&any, &unlimited, QueryMode::Full)
-            .expect("unlimited");
-        let (g, root) = ix.grammar(&unlimited).expect("unlimited");
-        g.display_from(root)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(200))]
-
-        /// Preparing the marked grammar in place equals preparing the
-        /// built copy, for every root and every marked nonterminal —
-        /// the root itself and unreachable ones included.
-        #[test]
-        fn prepare_marked_matches_built_copy(g in random_grammar()) {
-            for root in g.nonterminals() {
-                for x in g.nonterminals() {
-                    let (m, mroot) = marked_grammar(&g, root, x, &HashMap::new());
-                    let built = PreparedGrammar::new(&m, mroot);
-                    let direct = prepare_marked(&g, root, x);
-                    prop_assert_eq!(direct.fingerprint(), built.fingerprint());
-                    prop_assert_eq!(direct.num_nonterminals(), built.num_nonterminals());
-                    prop_assert_eq!(direct.alphabet(), built.alphabet());
-                    prop_assert_eq!(direct.is_empty_language(), built.is_empty_language());
-                    prop_assert_eq!(direct.shortest_string(), built.shortest_string());
-                    prop_assert_eq!(format!("{direct:?}"), format!("{built:?}"));
-                    // Names and taints surface in reconstructed grammars.
-                    prop_assert_eq!(reconstruct(&direct), reconstruct(&built));
-                }
-            }
-        }
     }
 }

@@ -505,16 +505,17 @@ pub(crate) fn splice_example_memo(
     memo: Option<&PreparedMemo>,
 ) -> Option<Vec<u8>> {
     const BUDGET: usize = 50_000;
+    if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
+        return None;
+    }
     let skeleton = match memo {
         // The memoized path derives its key from `(cfg, root, x)`
-        // directly, so a warm hit skips the marked-grammar clone too;
-        // the size guard is answered by the key traversal itself.
-        Some(m) => m.skeleton_for(cfg, root, x, BUDGET)?,
+        // directly, so a warm hit skips the marked-grammar clone too.
+        Some(m) => m.skeleton_for(cfg, root, x)?,
         None => {
-            if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
-                return None;
-            }
-            crate::abstraction::prepare_marked(cfg, root, x).shortest_string()?
+            let (marked, mroot) =
+                crate::abstraction::marked_grammar(cfg, root, x, &HashMap::new());
+            shortest_string(&marked, mroot)?
         }
     };
     let mut out = Vec::with_capacity(skeleton.len() + witness.len());

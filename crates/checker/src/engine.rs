@@ -27,7 +27,7 @@ use strtaint_grammar::prepared::{PreparedCache, PreparedGrammar, QueryMode};
 use strtaint_grammar::stats::EngineStats;
 use strtaint_grammar::{Cfg, NtId};
 
-use crate::abstraction::{marked_grammar, prepare_marked};
+use crate::abstraction::marked_grammar;
 use crate::pmemo::PreparedMemo;
 use crate::qcache::{Mode, QueryCache, QueryKey, Verdict};
 use crate::report::HotspotReport;
@@ -202,8 +202,8 @@ impl<'a> Engine<'a> {
 
     /// Target for the marked grammar of `(cfg, root, x)` with no
     /// replacements — the context grammar of the C2 and XSS checks.
-    /// The prepared paths never construct the marked grammar (see
-    /// [`PreparedMemo::marked_prepared`]); the
+    /// On the memoized path a warm hit never constructs the marked
+    /// grammar at all (see [`PreparedMemo::marked_prepared`]); the
     /// naive path builds it into `scratch`, which must outlive the
     /// returned target.
     pub(crate) fn target_marked<'t>(
@@ -219,7 +219,10 @@ impl<'a> Engine<'a> {
         }
         let (prep, hit) = match self.pmemo {
             Some(memo) => memo.marked_prepared(cfg, root, x),
-            None => (Arc::new(prepare_marked(cfg, root, x)), false),
+            None => {
+                let (marked, mroot) = marked_grammar(cfg, root, x, &Default::default());
+                (Arc::new(PreparedGrammar::new(&marked, mroot)), false)
+            }
         };
         if !hit {
             self.stats.normalizations += 1;

@@ -20,9 +20,10 @@
 //! check-local *marked grammars* (and their skeletons) are keyed by
 //! the fingerprint of the *page* subgrammar plus the marked
 //! nonterminal's content-stable position — the inputs of
-//! `marked_grammar`, not its output — so a warm hit skips the
-//! preparation, and a miss prepares the marked grammar in place
-//! (`PreparedGrammar::new_marked`) without cloning the page grammar.
+//! `marked_grammar`, not its output — so a warm hit skips not only
+//! the preparation but the whole-grammar clone that builds the marked
+//! grammar in the first place. A skeleton miss reads the string off
+//! the marked preparation when C2 has already memoized it.
 //!
 //! # Soundness of sharing
 //!
@@ -49,10 +50,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::prepared::PreparedGrammar;
 use strtaint_grammar::{Cfg, NtId, Symbol};
 
-use crate::abstraction::prepare_marked;
+use crate::abstraction::marked_grammar;
 
 /// Prepared grammars retained (each is a trimmed, normalized, indexed
 /// copy of a hotspot subgrammar — the heavyweight entries).
@@ -291,77 +293,72 @@ impl PreparedMemo {
 
     /// Returns the prepared *marked grammar* of `(g, root, x)` — the
     /// context grammar both cascades query — sharing prior work across
-    /// content-identical pages. The marked grammar is never
-    /// constructed: the key is derived from the page subgrammar
+    /// content-identical pages. On a hit the marked grammar is never
+    /// even constructed: the key is derived from the page subgrammar
     /// fingerprint and `x`'s content-stable position, which fully
-    /// determine `marked_grammar`'s (replacement-free) output, and a
-    /// miss prepares it in place.
+    /// determine `marked_grammar`'s (replacement-free) output.
     pub(crate) fn marked_prepared(&self, g: &Cfg, root: NtId, x: NtId) -> (Arc<PreparedGrammar>, bool) {
         let (fp, locals, _) = fingerprint_with_locals(g, root);
-        self.marked_keyed(g, root, x, fp, local_of(&locals, x))
-    }
-
-    /// [`Self::marked_prepared`] with the key traversal already done:
-    /// `lx` is `x`'s local id, `None` when `x` is unreachable from
-    /// `root` — then the marked grammar is not content-addressable
-    /// from this key, so it is prepared but not memoized.
-    fn marked_keyed(
-        &self,
-        g: &Cfg,
-        root: NtId,
-        x: NtId,
-        fp: (u64, u64),
-        lx: Option<u32>,
-    ) -> (Arc<PreparedGrammar>, bool) {
-        let key = lx.map(|lx| derive_key(fp, lx, TAG_MARKED));
-        if let (Some(key), Ok(store)) = (key, self.prepared.lock()) {
+        let lx = locals.get(x.index()).copied().filter(|&v| v != UNDISCOVERED);
+        let Some(lx) = lx else {
+            // `x` unreachable from `root`: the marked grammar is not
+            // content-addressable from this key, so build it directly.
+            let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+            return (Arc::new(PreparedGrammar::new(&marked, mroot)), false);
+        };
+        let key = derive_key(fp, lx, TAG_MARKED);
+        if let Ok(store) = self.prepared.lock() {
             if let Some(p) = store.get(&key) {
                 return (p, true);
             }
         }
-        let prep = Arc::new(prepare_marked(g, root, x));
-        match (key, self.prepared.lock()) {
-            (Some(key), Ok(mut store)) => (store.insert(key, prep), false),
-            _ => (prep, false),
+        let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+        let prep = Arc::new(PreparedGrammar::new(&marked, mroot));
+        match self.prepared.lock() {
+            Ok(mut store) => (store.insert(key, prep), false),
+            Err(_) => (prep, false),
         }
     }
 
     /// Returns the canonical shortest string of the marked grammar of
     /// `(g, root, x)` — the example-query skeleton — computing it once
     /// per content-identical page. `None` (no finite string) is
-    /// memoized too. A miss reads the string off the memoized marked
-    /// preparation (a hit once C2 has run), so the skeleton costs no
-    /// second preparation. `cap` is the
-    /// reconstruction guard: grammars with more reachable productions
-    /// yield `None`, the same decision as
-    /// `count_reachable_productions(root, cap) > cap` — answered here
-    /// from the key traversal's own count.
-    pub(crate) fn skeleton_for(&self, g: &Cfg, root: NtId, x: NtId, cap: usize) -> Option<Vec<u8>> {
-        let (fp, locals, count) = fingerprint_with_locals(g, root);
-        if count > cap {
-            return None;
-        }
-        let lx = local_of(&locals, x);
-        let key = lx.map(|lx| derive_key(fp, lx, TAG_SKELETON));
-        if let (Some(key), Ok(store)) = (key, self.skeletons.lock()) {
+    /// memoized too, and a hit skips the grammar construction exactly
+    /// as in [`PreparedMemo::marked_prepared`]. A miss reads the string
+    /// off the memoized marked preparation when there is one (C2 has
+    /// usually prepared it), and otherwise derives it without filling
+    /// the store of heavy preparations. Callers apply the size guard
+    /// first.
+    pub(crate) fn skeleton_for(&self, g: &Cfg, root: NtId, x: NtId) -> Option<Vec<u8>> {
+        let (fp, locals, _) = fingerprint_with_locals(g, root);
+        let lx = locals.get(x.index()).copied().filter(|&v| v != UNDISCOVERED);
+        let Some(lx) = lx else {
+            let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+            return shortest_string(&marked, mroot);
+        };
+        let key = derive_key(fp, lx, TAG_SKELETON);
+        if let Ok(store) = self.skeletons.lock() {
             if let Some(s) = store.get(&key) {
                 return s;
             }
         }
-        let skeleton = self.marked_keyed(g, root, x, fp, lx).0.shortest_string();
-        match (key, self.skeletons.lock()) {
-            (Some(key), Ok(mut store)) => store.insert(key, skeleton),
-            _ => skeleton,
+        let marked = self
+            .prepared
+            .lock()
+            .ok()
+            .and_then(|store| store.get(&derive_key(fp, lx, TAG_MARKED)));
+        let skeleton = match marked {
+            Some(prep) => prep.shortest_string(),
+            None => {
+                let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+                shortest_string(&marked, mroot)
+            }
+        };
+        match self.skeletons.lock() {
+            Ok(mut store) => store.insert(key, skeleton),
+            Err(_) => skeleton,
         }
     }
-}
-
-/// The content-stable local id of `x`, `None` if unreachable.
-fn local_of(locals: &[u32], x: NtId) -> Option<u32> {
-    locals
-        .get(x.index())
-        .copied()
-        .filter(|&v| v != UNDISCOVERED)
 }
 
 #[cfg(test)]
@@ -441,34 +438,37 @@ mod tests {
         assert!(hit2, "second call must hit without reconstructing");
         assert!(Arc::ptr_eq(&m1, &m2));
         // A hit returns exactly what direct construction would build.
-        let (marked, mroot) = crate::abstraction::marked_grammar(&g, root, x, &HashMap::new());
+        let (marked, mroot) = marked_grammar(&g, root, x, &HashMap::new());
         let direct = PreparedGrammar::new(&marked, mroot);
         assert_eq!(m1.fingerprint(), direct.fingerprint());
 
-        let s1 = memo.skeleton_for(&g, root, x, 50_000);
-        let s2 = memo.skeleton_for(&g, root, x, 50_000);
+        let s1 = memo.skeleton_for(&g, root, x);
+        let s2 = memo.skeleton_for(&g, root, x);
         assert_eq!(s1, s2);
-        assert_eq!(s1, strtaint_grammar::lang::shortest_string(&marked, mroot));
-        // The size guard fires from the traversal's own count.
-        assert_eq!(memo.skeleton_for(&g, root, x, 0), None);
+        assert_eq!(s1, shortest_string(&marked, mroot));
     }
 
     #[test]
-    fn skeleton_shares_the_marked_preparation() {
+    fn skeleton_miss_prepares_nothing_into_the_memo() {
         let memo = PreparedMemo::new();
         let (g, root) = sample("");
         let x = g
             .nonterminals()
             .find(|&n| g.name(n) == "x")
             .expect("sample tainted nonterminal");
-        let skeleton = memo.skeleton_for(&g, root, x, 50_000);
+        let skeleton = memo.skeleton_for(&g, root, x);
         let mut want = b"SELECT ".to_vec();
         want.push(strtaint_sql::VAR_MARKER);
         assert_eq!(skeleton, Some(want));
-        // The miss prepared the marked grammar once, for C2 to reuse.
+        // The miss derived the skeleton without storing a preparation.
         let (prep, hit) = memo.marked_prepared(&g, root, x);
-        assert!(hit);
+        assert!(!hit);
+        // Once C2 has prepared the marked grammar, a skeleton miss on a
+        // fresh skeleton store reads the same bytes off it.
         assert_eq!(prep.shortest_string(), skeleton);
+        let warm = PreparedMemo::new();
+        warm.marked_prepared(&g, root, x);
+        assert_eq!(warm.skeleton_for(&g, root, x), skeleton);
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! Hotspots whose grammar exceeds the reconstruction budget export an
 //! incomplete set (`complete == false`) rather than an unsound one.
 
+use std::collections::HashMap;
+
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
 
-use crate::abstraction::{maximal_labeled, prepare_marked};
+use crate::abstraction::{marked_grammar, maximal_labeled};
 use crate::pmemo::PreparedMemo;
 
 /// Reconstruction budget, aligned with witness splicing so a hotspot
@@ -42,7 +44,8 @@ pub(crate) fn hotspot_skeletons(
     let _span = strtaint_obs::Span::enter("skeletons", "");
     // The size guard depends on `(cfg, root)` alone. Over budget, every
     // candidate — and the untainted fallback — yields no skeleton, so
-    // one walk decides the whole hotspot before any per-candidate work.
+    // one capped walk decides the whole hotspot before any
+    // per-candidate work.
     if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
         return (Vec::new(), false);
     }
@@ -57,8 +60,11 @@ pub(crate) fn hotspot_skeletons(
     let mut complete = true;
     for &x in &candidates {
         let skeleton = match memo {
-            Some(m) => m.skeleton_for(cfg, root, x, SKELETON_BUDGET),
-            None => prepare_marked(cfg, root, x).shortest_string(),
+            Some(m) => m.skeleton_for(cfg, root, x),
+            None => {
+                let (marked, mroot) = marked_grammar(cfg, root, x, &HashMap::new());
+                shortest_string(&marked, mroot)
+            }
         };
         match skeleton {
             Some(s) => out.push(s),
@@ -140,8 +146,7 @@ mod tests {
         assert_eq!(sk, vec![b"SELECT 1".to_vec()]);
     }
 
-    /// Over the size guard, neither path derives anything: the hoisted
-    /// guard gives the same answer the per-candidate guards gave.
+    /// Over the size guard, neither path derives anything.
     #[test]
     fn oversize_hotspot_is_incomplete_on_both_paths() {
         let (mut g, root) = harness();
@@ -158,7 +163,6 @@ mod tests {
             hotspot_skeletons(&g, root, Some(&memo)),
             (Vec::new(), false)
         );
-        assert_eq!(memo.skeleton_for(&g, root, x, SKELETON_BUDGET), None);
         let untainted = g.add_nonterminal("q");
         g.add_production(untainted, vec![Symbol::N(x)]);
         g.set_taint(x, Taint::NONE);

@@ -425,31 +425,17 @@ pub(crate) struct Reach {
     /// allocation, so only the pages the walk touches cost anything;
     /// it doubles as the visited set.
     slot: Vec<u32>,
-    /// A nonterminal read as a terminal: never walked into, and its
-    /// occurrences need no productivity (see [`Reach::around`]).
-    opaque: Option<NtId>,
 }
 
 impl Reach {
     /// Walks the subgraph reachable from `root`.
     pub(crate) fn new(g: &Cfg, root: NtId) -> Reach {
-        Reach::walk(g, &[root], None)
+        Reach::from_roots(g, &[root])
     }
 
     /// Walks the subgraph reachable from any of `roots`; the roots
     /// come first in the order, duplicates dropped.
     pub(crate) fn from_roots(g: &Cfg, roots: &[NtId]) -> Reach {
-        Reach::walk(g, roots, None)
-    }
-
-    /// Walks from `root` as if every occurrence of `opaque` (not the
-    /// root) were a terminal — the walk of a marked grammar, without
-    /// building it.
-    pub(crate) fn around(g: &Cfg, root: NtId, opaque: NtId) -> Reach {
-        Reach::walk(g, &[root], Some(opaque))
-    }
-
-    fn walk(g: &Cfg, roots: &[NtId], opaque: Option<NtId>) -> Reach {
         let mut slot = vec![0u32; g.num_nonterminals()];
         let mut order = Vec::with_capacity(roots.len());
         for &root in roots {
@@ -465,7 +451,7 @@ impl Reach {
             for rhs in g.productions(id) {
                 for s in rhs {
                     if let Symbol::N(t) = *s {
-                        if slot[t.index()] == 0 && Some(t) != opaque {
+                        if slot[t.index()] == 0 {
                             order.push(t);
                             slot[t.index()] = order.len() as u32;
                         }
@@ -473,11 +459,7 @@ impl Reach {
                 }
             }
         }
-        Reach {
-            order,
-            slot,
-            opaque,
-        }
+        Reach { order, slot }
     }
 
     /// Local id of a reached arena nonterminal.
@@ -506,7 +488,6 @@ impl Reach {
                 occurrences.extend(
                     rhs.iter()
                         .filter_map(|s| s.as_nt())
-                        .filter(|&t| Some(t) != self.opaque)
                         .map(|t| (self.local(t) as u32, p)),
                 );
                 pending.push((occurrences.len() - before) as u32);

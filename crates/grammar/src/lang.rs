@@ -160,7 +160,7 @@ fn scc_ids(g: &Cfg) -> Vec<u32> {
 /// the same kernel that extracts intersection witnesses.
 pub fn shortest_string(g: &Cfg, root: NtId) -> Option<Vec<u8>> {
     let norm = Normal::new(g, root);
-    crate::shortest::canonical(&norm, &Occurrences::new(&norm), &crate::shortest::OneState)
+    crate::shortest::canonical_free(&norm, &Occurrences::new(&norm), &crate::shortest::OneState)
 }
 
 /// Enumerates the full (finite) language of `root`, up to `max_count`

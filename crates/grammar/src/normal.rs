@@ -106,35 +106,8 @@ impl Normal {
     /// Trims `(g, root)` to its reachable, productive part and
     /// binary-normalizes it.
     pub(crate) fn new(g: &Cfg, root: NtId) -> Normal {
-        Normal::build(g, root, None)
-    }
-
-    /// [`Normal::new`] of the *marked grammar* of `(g, root)` — every
-    /// occurrence of `x` read as the terminal `marker`, every `marker`
-    /// terminal as `substitute`, every taint dropped — without
-    /// building that grammar. When `x` is the root the marked grammar
-    /// is the single string `marker`.
-    pub(crate) fn marked(g: &Cfg, root: NtId, x: NtId, marker: u8, substitute: u8) -> Normal {
-        if x == root {
-            let name = g.name(root).to_owned();
-            return Normal {
-                prods: vec![(NtId(0), P::T(marker))],
-                first: vec![0, 1],
-                name_ends: vec![name.len() as u32],
-                names: name,
-                taints: vec![Taint::NONE],
-                helpers: Vec::new(),
-            };
-        }
-        Normal::build(g, root, Some((x, marker, substitute)))
-    }
-
-    fn build(g: &Cfg, root: NtId, mark: Option<(NtId, u8, u8)>) -> Normal {
         let _span = strtaint_obs::Span::enter("trim", "");
-        let reach = match mark {
-            Some((x, ..)) => Reach::around(g, root, x),
-            None => Reach::new(g, root),
-        };
+        let reach = Reach::new(g, root);
         let kept = reach.kept(g);
         let mut out = Normal {
             prods: Vec::new(),
@@ -156,22 +129,14 @@ impl Normal {
             let lhs = NtId(kept[local]);
             out.names.push_str(g.name(id));
             out.name_ends.push(out.names.len() as u32);
-            out.taints.push(if mark.is_some() {
-                Taint::NONE
-            } else {
-                g.taint(id)
-            });
+            out.taints.push(g.taint(id));
             out.first.push(out.prods.len() as u32);
             'prods: for orig in g.productions(id) {
                 rhs.clear();
                 for s in orig {
-                    rhs.push(match (*s, mark) {
-                        (Symbol::T(b), Some((_, marker, substitute))) if b == marker => {
-                            Symbol::T(substitute)
-                        }
-                        (Symbol::N(sub), Some((x, marker, _))) if sub == x => Symbol::T(marker),
-                        (Symbol::T(b), _) => Symbol::T(b),
-                        (Symbol::N(sub), _) => match kept[reach.local(sub)] {
+                    rhs.push(match *s {
+                        Symbol::T(b) => Symbol::T(b),
+                        Symbol::N(sub) => match kept[reach.local(sub)] {
                             u32::MAX => continue 'prods,
                             n => Symbol::N(NtId(n)),
                         },

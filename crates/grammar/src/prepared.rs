@@ -116,22 +116,7 @@ impl PreparedGrammar {
     /// Trims and normalizes `(g, root)` and builds the worklist indexes.
     pub fn new(g: &Cfg, root: NtId) -> Self {
         let _span = strtaint_obs::Span::enter_with("prepare", || g.name(root).to_owned());
-        Self::from_normal(Normal::new(g, root), g.name(root), g.taint(root))
-    }
-
-    /// Prepares the *marked grammar* of `(g, root)` — every occurrence
-    /// of `x` replaced by the terminal `marker`, every `marker`
-    /// terminal by `substitute`, every taint dropped (the root becomes
-    /// the single string `marker` when `x == root`) — without building
-    /// it: the same preparation, fingerprint included, as
-    /// [`Self::new`] on that grammar.
-    pub fn new_marked(g: &Cfg, root: NtId, x: NtId, marker: u8, substitute: u8) -> Self {
-        let _span = strtaint_obs::Span::enter_with("prepare", || g.name(root).to_owned());
-        let norm = Normal::marked(g, root, x, marker, substitute);
-        Self::from_normal(norm, g.name(root), Taint::NONE)
-    }
-
-    fn from_normal(norm: Normal, root_name: &str, root_taint: Taint) -> Self {
+        let norm = Normal::new(g, root);
         let empty = norm.is_empty();
         let nv = norm.num_nonterminals();
         let prods = &norm.prods;
@@ -198,8 +183,8 @@ impl PreparedGrammar {
 
         PreparedGrammar {
             norm,
-            root_name: root_name.to_owned(),
-            root_taint,
+            root_name: g.name(root).to_owned(),
+            root_taint: g.taint(root),
             occ,
             bytes,
             fingerprint: (h1.0, h2.0),
@@ -235,7 +220,7 @@ impl PreparedGrammar {
     /// prepared language — what [`crate::lang::shortest_string`] returns
     /// for the original `(g, root)` — or `None` if it is empty.
     pub fn shortest_string(&self) -> Option<Vec<u8>> {
-        crate::shortest::canonical(&self.norm, &self.occ, &crate::shortest::OneState)
+        crate::shortest::canonical_free(&self.norm, &self.occ, &crate::shortest::OneState)
     }
 
     /// The sorted distinct terminal bytes the grammar can emit. Every
@@ -644,7 +629,9 @@ impl<'g, 'd> Intersection<'g, 'd> {
     /// Fuel parity with [`Self::grammar`]: extraction charges one unit
     /// per realized triple, exactly what reconstruction charges, so the
     /// query cache's recorded witness fuel and every trip point are the
-    /// same as when witnesses were read off the rebuilt grammar.
+    /// same as when witnesses were read off the rebuilt grammar. The
+    /// units are drawn while the kernel runs, so a deadline can still
+    /// cut extraction short.
     pub fn witness(&mut self, budget: &Budget) -> Result<Option<Vec<u8>>, BudgetExceeded> {
         if self.is_empty() && self.worklist.is_empty() {
             return Ok(None);
@@ -655,20 +642,28 @@ impl<'g, 'd> Intersection<'g, 'd> {
         if self.is_empty() {
             return Ok(None);
         }
-        for _ in 0..self.triples {
-            budget.charge(1)?;
-        }
-        self.charged += self.triples as u64;
         let steps = crate::shortest::DfaSteps {
             dfa: self.dfa,
             forward: &self.forward,
             reverse: &self.reverse,
         };
-        Ok(crate::shortest::canonical(
-            &self.prep.norm,
-            &self.prep.occ,
-            &steps,
-        ))
+        // One unit per finalized triple as the search goes, then the
+        // rest up to `triples`. Every final is a realized triple, so
+        // the search never needs more than `triples` units.
+        let mut owed = self.triples as u64;
+        let witness = crate::shortest::canonical(&self.prep.norm, &self.prep.occ, &steps, || {
+            debug_assert!(owed > 0, "more finals than realized triples");
+            if owed > 0 {
+                owed -= 1;
+                budget.charge(1)?;
+            }
+            Ok(())
+        })?;
+        for _ in 0..owed {
+            budget.charge(1)?;
+        }
+        self.charged += self.triples as u64;
+        Ok(witness)
     }
 }
 

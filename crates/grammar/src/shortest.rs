@@ -26,6 +26,7 @@
 
 use strtaint_automata::ClassDfa;
 
+use crate::budget::BudgetExceeded;
 use crate::normal::{Normal, Occurrences, P};
 use crate::symbol::NtId;
 
@@ -273,12 +274,31 @@ impl Heap {
     }
 }
 
+/// [`canonical`] with no budget to draw from.
+pub(crate) fn canonical_free(
+    norm: &Normal,
+    occ: &Occurrences,
+    steps: &impl Steps,
+) -> Option<Vec<u8>> {
+    match canonical(norm, occ, steps, || Ok(())) {
+        Ok(s) => s,
+        Err(_) => unreachable!("a free tick never fails"),
+    }
+}
+
 /// The canonical (length, lex)-minimal string of `L(norm) ∩ L(steps)`
 /// — `norm`'s root is local id 0 — or `None` if the intersection is
-/// empty. `occ` must be `norm`'s occurrence index.
-pub(crate) fn canonical(norm: &Normal, occ: &Occurrences, steps: &impl Steps) -> Option<Vec<u8>> {
+/// empty. `occ` must be `norm`'s occurrence index. `tick` runs once
+/// per finalized triple, so a caller can charge fuel (and meet its
+/// deadline) as the search goes; its first `Err` aborts the search.
+pub(crate) fn canonical(
+    norm: &Normal,
+    occ: &Occurrences,
+    steps: &impl Steps,
+    mut tick: impl FnMut() -> Result<(), BudgetExceeded>,
+) -> Result<Option<Vec<u8>>, BudgetExceeded> {
     if norm.is_empty() {
-        return None;
+        return Ok(None);
     }
     let q = steps.num_states() as usize;
     let cells = norm.num_nonterminals() * q;
@@ -330,8 +350,9 @@ pub(crate) fn canonical(norm: &Normal, occ: &Occurrences, steps: &impl Steps) ->
             continue;
         }
         let id = finals.finalize(&c);
+        tick()?;
         if c.x == 0 && c.i == steps.start() && steps.is_accepting(c.j) {
-            return Some(finals.value(id).to_vec());
+            return Ok(Some(finals.value(id).to_vec()));
         }
         // Wake every production instance whose last child just became
         // final: `y_{im}` combined with already-final siblings.
@@ -404,5 +425,5 @@ pub(crate) fn canonical(norm: &Normal, occ: &Occurrences, steps: &impl Steps) ->
             }
         }
     }
-    None
+    Ok(None)
 }

@@ -250,6 +250,22 @@ fn tight_fuel_trips_in_witness_charge_and_latches() {
 }
 
 #[test]
+fn passed_deadline_stops_extraction() {
+    let (g, s) = literal_grammar(&[b"1'", b"a'b", b"''"]);
+    let dfa = ClassDfa::new(&Regex::new("'").unwrap().match_dfa());
+    let prep = PreparedGrammar::new(&g, s);
+    let unlimited = Budget::unlimited();
+    let mut ix = prep.query(&dfa, &unlimited, QueryMode::Full).unwrap();
+    let before = ix.charged();
+    // The fixpoint is complete, so only extraction can meet the
+    // deadline; it checks it while the kernel runs.
+    let expired = Budget::new(Some(std::time::Duration::ZERO), None, None);
+    let err = ix.witness(&expired).unwrap_err();
+    assert_eq!(err.resource, strtaint_grammar::Resource::Deadline);
+    assert_eq!(ix.charged(), before);
+}
+
+#[test]
 fn named_shapes_match_the_relaxation() {
     let mut g = Cfg::new();
     let dead = g.add_nonterminal("dead"); // dead -> dead
