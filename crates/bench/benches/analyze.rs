@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use strtaint::{analyze_page_cached, analyze_page_with, Checker, Config, SummaryCache};
+use strtaint::{analyze_page_cached, Config, PolicyChecker, SummaryCache};
 use strtaint_corpus::synth::{synth_app, SynthConfig};
 
 /// Page-count override from `STRTAINT_BENCH_PAGES` (set by
@@ -21,7 +21,7 @@ fn pages_override() -> Option<usize> {
 
 fn bench_analyze(c: &mut Criterion) {
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let mut group = c.benchmark_group("analyze");
     group.sample_size(10);
 
@@ -40,7 +40,8 @@ fn bench_analyze(c: &mut Criterion) {
         group.bench_function(format!("cold/{pages}pages"), |b| {
             b.iter(|| {
                 for e in &entries {
-                    let r = analyze_page_with(&app.vfs, e, &config, &checker).unwrap();
+                    let fresh = SummaryCache::new();
+                    let r = analyze_page_cached(&app.vfs, e, &config, &checker, &fresh).unwrap();
                     std::hint::black_box(r.hotspots.len());
                 }
             })

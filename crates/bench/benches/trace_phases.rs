@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use strtaint::{analyze_page_cached, Checker, Config, SummaryCache};
+use strtaint::{analyze_page_cached, Config, PolicyChecker, SummaryCache};
 use strtaint_obs as obs;
 
 const SAMPLES: usize = 5;
@@ -33,7 +33,7 @@ fn corpus_run() {
         strtaint_corpus::apps::utopia::build(),
         strtaint_corpus::apps::warp::build(),
     ] {
-        let checker = Checker::new();
+        let checker = PolicyChecker::new();
         let summaries = SummaryCache::new();
         for e in &app.entries {
             let r = analyze_page_cached(&app.vfs, e, &config, &checker, &summaries)

@@ -19,22 +19,18 @@
 //!    (soundness, Theorem 3.4).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
+use strtaint_grammar::budget::{Budget, BudgetExceeded};
 use strtaint_grammar::lang::{bounded_language, shortest_string};
-use strtaint_grammar::prepared::PreparedCache;
 use strtaint_grammar::{Cfg, NtId};
 use strtaint_sql::derive::{context_candidates_with, lexeme_dfa};
 use strtaint_sql::{lex_form, SqlGrammar, TokenKind, VarPosition};
 
-use crate::abstraction::{marked_grammar, maximal_labeled};
+use crate::abstraction::marked_grammar;
 use crate::dfas;
-use crate::engine::{run_parallel, Engine, Qdfa, Target};
-use crate::pmemo::PreparedMemo;
+use crate::engine::{Engine, Qdfa, Target};
 use crate::prefilter::Prefilter;
-use crate::qcache::QueryCache;
-use crate::report::{CheckKind, Finding, HotspotReport};
+use crate::report::{CheckKind, Finding};
 
 /// Tunables for the conformance checker.
 #[derive(Debug, Clone)]
@@ -57,13 +53,13 @@ pub struct CheckOptions {
     /// Memoize intersection verdicts across hotspots and pages (the
     /// cross-page query cache; see the `qcache` module). Replay is
     /// observationally identical to recomputation — same verdicts,
-    /// same canonical witness bytes, same fuel charges. Off
-    /// (`--no-query-cache`) recomputes every query; the baseline for
-    /// benches and the cache-parity tests.
+    /// same canonical witness bytes, same fuel charges. Off recomputes
+    /// every query; the baseline for benches and the cache-parity
+    /// tests.
     pub query_cache: bool,
     /// Never replay witness bytes from the query cache: witness-mode
-    /// queries bypass memoization and extract live
-    /// (`--eager-witness`). Emptiness-only queries still memoize.
+    /// queries bypass memoization and extract live. Emptiness-only
+    /// queries still memoize.
     pub eager_witness: bool,
     /// Skip the C4 intersection when the Aho–Corasick prefilter proves
     /// no attack fragment is spellable over the prepared grammar's
@@ -85,9 +81,12 @@ impl Default for CheckOptions {
     }
 }
 
-/// Precompiled check automata, shareable across hotspots.
+/// The SQLCIV cascade (C1–C5): precompiled check automata, shareable
+/// across hotspots. The candidate loop, engine session and budget
+/// discipline around [`SqlCascade::check_one`] belong to
+/// [`crate::PolicyChecker`].
 #[derive(Debug, Clone)]
-pub struct Checker {
+pub(crate) struct SqlCascade {
     sql: SqlGrammar,
     odd_quotes: Qdfa,
     has_quote: Qdfa,
@@ -98,23 +97,13 @@ pub struct Checker {
     backquote: Qdfa,
     /// Aho–Corasick prefilter over the same fragments as `attack`.
     prefilter: Prefilter,
-    /// Cross-page verdict cache, shared by every page and worker
-    /// thread served by this checker (clones share it too).
-    qcache: Option<Arc<QueryCache>>,
-    /// Cross-page preparation + skeleton memo, content-keyed; enabled
-    /// and disabled together with `qcache`.
-    pmemo: Option<Arc<PreparedMemo>>,
-    opts: CheckOptions,
+    max_contexts: usize,
+    cheap_first: bool,
+    use_prefilter: bool,
 }
 
-impl Checker {
-    /// Builds a checker with default options.
-    pub fn new() -> Self {
-        Self::with_options(CheckOptions::default())
-    }
-
-    /// Builds a checker with explicit options.
-    pub fn with_options(opts: CheckOptions) -> Self {
+impl SqlCascade {
+    pub(crate) fn new(opts: &CheckOptions) -> Self {
         use strtaint_automata::{Dfa, Nfa};
         let backquote = Dfa::from_nfa(
             &Nfa::any_string()
@@ -122,7 +111,7 @@ impl Checker {
                 .concat(&Nfa::any_string()),
         )
         .minimize();
-        Checker {
+        SqlCascade {
             sql: SqlGrammar::standard(),
             odd_quotes: Qdfa::new(dfas::odd_unescaped_quotes()),
             has_quote: Qdfa::new(dfas::contains_unescaped_quote()),
@@ -132,143 +121,15 @@ impl Checker {
             attack: Qdfa::new(dfas::attack_fragments()),
             backquote: Qdfa::new(backquote),
             prefilter: Prefilter::new(),
-            // The naive path is the reference engine; it never
-            // memoizes, whatever the options say.
-            qcache: (opts.query_cache && !opts.naive_engine)
-                .then(|| Arc::new(QueryCache::new())),
-            pmemo: (opts.query_cache && !opts.naive_engine)
-                .then(|| Arc::new(PreparedMemo::new())),
-            opts,
+            max_contexts: opts.max_contexts,
+            cheap_first: opts.cheap_first,
+            use_prefilter: opts.prefilter,
         }
     }
 
-    /// Stamps the config-fingerprint namespace for cross-page verdict
-    /// memoization. Verdicts computed under one scope can never answer
-    /// queries made under another; drivers call this whenever the
-    /// effective analysis `Config` changes (mirroring the artifact
-    /// store, which keys evidence by the same fingerprint).
-    pub fn set_query_scope(&self, scope: u64) {
-        if let Some(qc) = &self.qcache {
-            qc.set_scope(scope);
-        }
-    }
-
-    /// Returns the reference SQL grammar in use.
-    pub fn sql_grammar(&self) -> &SqlGrammar {
-        &self.sql
-    }
-
-    /// Exports this hotspot's canonical query-skeleton set (see
-    /// [`crate::skeletons`]). Shares the prepared memo with witness
-    /// splicing, so exporting after a check is a warm lookup.
-    pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        crate::skeletons::hotspot_skeletons(cfg, root, self.pmemo.as_deref())
-    }
-
-    /// Checks one hotspot: `root` must derive every query string the
-    /// hotspot can send.
-    pub fn check_hotspot(&self, cfg: &Cfg, root: NtId) -> HotspotReport {
-        self.check_hotspot_with(cfg, root, &Budget::unlimited())
-    }
-
-    /// Budgeted form of [`Checker::check_hotspot`].
-    ///
-    /// A budget trip while checking a labeled nonterminal yields a
-    /// [`CheckKind::BudgetExhausted`] finding and a degradation record —
-    /// the nonterminal is *never* counted verified. This is the sound
-    /// direction: exhaustion can only add false positives.
-    pub fn check_hotspot_with(&self, cfg: &Cfg, root: NtId, budget: &Budget) -> HotspotReport {
-        self.check_hotspot_cached(cfg, root, budget, &PreparedCache::new())
-    }
-
-    /// Like [`Checker::check_hotspot_with`], sharing `cache` so
-    /// prepared grammars are reused across the hotspots of one page.
-    ///
-    /// `cache` must be scoped to `cfg`: it is keyed by root [`NtId`]
-    /// only, and ids from different grammars collide.
-    pub fn check_hotspot_cached(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        budget: &Budget,
-        cache: &PreparedCache,
-    ) -> HotspotReport {
-        let mut report = HotspotReport::default();
-        let candidates = maximal_labeled(cfg, root);
-        report.checked = candidates.len();
-        let mut engine = Engine::new(
-            cache,
-            self.opts.naive_engine,
-            self.qcache.as_deref(),
-            self.pmemo.as_deref(),
-            self.opts.eager_witness,
-        );
-        for &x in &candidates {
-            let _span = strtaint_obs::Span::enter_with("check", || cfg.name(x).to_owned());
-            match self.check_one(cfg, root, x, &candidates, budget, &mut engine) {
-                Ok(None) => report.verified += 1,
-                Ok(Some(finding)) => report.findings.push(finding),
-                Err(err) => {
-                    report.degradations.push(budget.degradation(
-                        err,
-                        format!("check:{}", cfg.name(x)),
-                        DegradeAction::MarkedUnverified,
-                    ));
-                    report.findings.push(Finding {
-                        nonterminal: x,
-                        name: cfg.name(x).to_owned(),
-                        taint: cfg.taint(x),
-                        kind: CheckKind::BudgetExhausted,
-                        witness: None,
-                        witness_truncated: false,
-                        example_query: None,
-                        detail: err.to_string(),
-                        at: None,
-                    });
-                }
-            }
-        }
-        report.engine = engine.stats;
-        for f in &mut report.findings {
-            f.cap_witness();
-        }
-        report
-    }
-
-    /// Checks every hotspot root of one page, on up to `workers`
-    /// threads, returning reports in input order.
-    ///
-    /// Hotspots are independent given the immutable `cfg`; a shared
-    /// [`PreparedCache`] lets them reuse each other's prepared
-    /// grammars (sinks frequently share roots or labeled sources). A
-    /// worker panic propagates to the caller unchanged, so page-level
-    /// fault isolation behaves exactly as in the serial loop.
-    pub fn check_hotspots_with(
-        &self,
-        cfg: &Cfg,
-        roots: &[NtId],
-        budget: &Budget,
-        workers: usize,
-    ) -> Vec<HotspotReport> {
-        let cache = PreparedCache::new();
-        run_parallel(roots, workers, |&root| {
-            self.check_hotspot_cached(cfg, root, budget, &cache)
-        })
-    }
-
-    /// Splices a witness tainted substring into the shortest query
-    /// context, producing the full query a database would receive.
-    fn example_query(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        x: NtId,
-        witness: &[u8],
-    ) -> Option<Vec<u8>> {
-        splice_example_memo(cfg, root, x, witness, self.pmemo.as_deref())
-    }
-
-    fn check_one(
+    /// Runs C1–C5 on the labeled nonterminal `x` of the hotspot `root`;
+    /// `all` is every maximal labeled nonterminal of the hotspot.
+    pub(crate) fn check_one(
         &self,
         cfg: &Cfg,
         root: NtId,
@@ -277,21 +138,8 @@ impl Checker {
         budget: &Budget,
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
-        let finding = |kind: CheckKind, witness: Option<Vec<u8>>, detail: String| {
-            let example_query = witness
-                .as_deref()
-                .and_then(|w| self.example_query(cfg, root, x, w));
-            Ok(Some(Finding {
-                nonterminal: x,
-                name: cfg.name(x).to_owned(),
-                taint: cfg.taint(x),
-                kind,
-                witness,
-                witness_truncated: false,
-                example_query,
-                detail,
-                at: None,
-            }))
+        let finding = |engine: &Engine<'_>, kind, witness, detail: String| {
+            Ok(Some(engine.finding(cfg, root, x, kind, witness, detail)))
         };
         // One prepared grammar serves every (cfg, x) query below —
         // C1 through C5 — and, via the shared cache, any other hotspot
@@ -305,7 +153,7 @@ impl Checker {
         // query against a tiny numeric DFA) ahead of the refuters. See
         // `CheckOptions::cheap_first` for the verdict-preservation
         // argument.
-        if self.opts.cheap_first {
+        if self.cheap_first {
             let _c = strtaint_obs::Span::enter("check:C3", "");
             if engine.is_empty(&mut tx, &self.non_numeric, budget)? {
                 return Ok(None);
@@ -318,7 +166,7 @@ impl Checker {
             let (empty, witness) =
                 engine.is_empty_or_witness(&mut tx, &self.odd_quotes, budget, (cfg, x))?;
             if !empty {
-                return finding(CheckKind::OddQuotes, witness, String::new());
+                return finding(engine, CheckKind::OddQuotes, witness, String::new());
             }
         }
 
@@ -331,7 +179,7 @@ impl Checker {
                 let (empty, witness) =
                     engine.is_empty_or_witness(&mut tx, &self.has_quote, budget, (cfg, x))?;
                 if !empty {
-                    return finding(CheckKind::EscapesLiteral, witness, String::new());
+                    return finding(engine, CheckKind::EscapesLiteral, witness, String::new());
                 }
                 return Ok(None); // confined within a string literal
             }
@@ -339,7 +187,7 @@ impl Checker {
 
         // C3: numeric-only language is confined anywhere a literal
         // fits (already decided up front when `cheap_first` is on).
-        if !self.opts.cheap_first {
+        if !self.cheap_first {
             let _c = strtaint_obs::Span::enter("check:C3", "");
             if engine.is_empty(&mut tx, &self.non_numeric, budget)? {
                 return Ok(None);
@@ -354,7 +202,7 @@ impl Checker {
         // spellable alphabet falls through to the exact engine).
         {
             let _c = strtaint_obs::Span::enter("check:C4", "");
-            let prefiltered = self.opts.prefilter
+            let prefiltered = self.use_prefilter
                 && match &tx {
                     Target::Prepared { prep, .. } => {
                         !self.prefilter.any_spellable(prep.alphabet())
@@ -373,7 +221,7 @@ impl Checker {
                             .is_none_or(|w| self.prefilter.contains_match(w)),
                         "C4 witness must contain an attack fragment"
                     );
-                    return finding(CheckKind::AttackString, witness, String::new());
+                    return finding(engine, CheckKind::AttackString, witness, String::new());
                 }
             }
         }
@@ -390,9 +238,9 @@ impl Checker {
             }
         }
         let (marked, mroot) = marked_grammar(cfg, root, x, &replacements);
-        let Some(contexts) = bounded_language(&marked, mroot, self.opts.max_contexts)
-        else {
+        let Some(contexts) = bounded_language(&marked, mroot, self.max_contexts) else {
             return finding(
+                engine,
                 CheckKind::Unresolved,
                 shortest_string(cfg, x),
                 "query contexts are unbounded".into(),
@@ -403,6 +251,7 @@ impl Checker {
         for ctx in &contexts {
             let Ok(form) = lex_form(ctx) else {
                 return finding(
+                    engine,
                     CheckKind::NotDerivable,
                     Some(ctx.clone()),
                     "query context does not lex as SQL".into(),
@@ -412,16 +261,14 @@ impl Checker {
                 continue; // X erased in this derivation
             }
             if form.vars.iter().any(|v| *v == VarPosition::Glued) {
-                return finding(
-                    CheckKind::GluedContext,
-                    Some(ctx.clone()),
-                    String::new(),
-                );
+                let kind = CheckKind::GluedContext;
+                return finding(engine, kind, Some(ctx.clone()), String::new());
             }
             if form.vars.iter().any(|v| *v == VarPosition::InString) {
                 // Inside a literal in this context: no unescaped quotes.
                 if !engine.is_empty(&mut tx, &self.has_quote, budget)? {
                     return finding(
+                        engine,
                         CheckKind::EscapesLiteral,
                         shortest_string(cfg, x),
                         "string-literal context".into(),
@@ -432,16 +279,13 @@ impl Checker {
                 && !engine.is_empty(&mut tx, &self.backquote, budget)?
             {
                 return finding(
+                    engine,
                     CheckKind::EscapesLiteral,
                     shortest_string(cfg, x),
                     "backquoted-identifier context".into(),
                 );
             }
-            if form
-                .vars
-                .iter()
-                .any(|v| *v == VarPosition::Bare)
-            {
+            if form.vars.iter().any(|v| *v == VarPosition::Bare) {
                 let candidates = context_candidates_with(&self.sql, &form, budget)?;
                 let mut ok = false;
                 for &k in &candidates {
@@ -467,6 +311,7 @@ impl Checker {
                 }
                 if !ok {
                     return finding(
+                        engine,
                         CheckKind::NotDerivable,
                         shortest_string(cfg, x),
                         format!(
@@ -482,56 +327,10 @@ impl Checker {
     }
 }
 
-impl Default for Checker {
-    fn default() -> Self {
-        Checker::new()
-    }
-}
-
-/// Splices a witness tainted substring into the shortest query context
-/// (the marked-grammar skeleton with [`strtaint_sql::VAR_MARKER`] at
-/// the tainted position), producing the full payload the downstream
-/// interpreter would receive. Shared by the SQL checker and the
-/// generic policy driver; `None` when the grammar is too large for
-/// reconstruction to be worth it. With a [`PreparedMemo`], the
-/// skeleton (the canonical shortest string of the marked grammar, the
-/// expensive part) is shared across content-identical marked grammars,
-/// so a warm re-check of an unchanged page skips the reconstruction.
-pub(crate) fn splice_example_memo(
-    cfg: &Cfg,
-    root: NtId,
-    x: NtId,
-    witness: &[u8],
-    memo: Option<&PreparedMemo>,
-) -> Option<Vec<u8>> {
-    const BUDGET: usize = 50_000;
-    if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
-        return None;
-    }
-    let skeleton = match memo {
-        // The memoized path derives its key from `(cfg, root, x)`
-        // directly, so a warm hit skips the marked-grammar clone too.
-        Some(m) => m.skeleton_for(cfg, root, x)?,
-        None => {
-            let (marked, mroot) =
-                crate::abstraction::marked_grammar(cfg, root, x, &HashMap::new());
-            shortest_string(&marked, mroot)?
-        }
-    };
-    let mut out = Vec::with_capacity(skeleton.len() + witness.len());
-    for b in skeleton {
-        if b == strtaint_sql::VAR_MARKER {
-            out.extend_from_slice(witness);
-        } else {
-            out.push(b);
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Checker;
     use strtaint_grammar::{Symbol, Taint};
 
     /// Builds `query -> "SELECT * FROM t WHERE id=" pre X post`.

@@ -1,11 +1,13 @@
 //! Checker-side façade over the prepared intersection engine.
 //!
 //! Every C1–C5 (and XSS-context) check is an emptiness question about
-//! `L(G, x) ∩ L(D)`. This module owns the plumbing both checkers share:
+//! `L(G, x) ∩ L(D)`. This module owns the plumbing every cascade shares:
 //!
 //! - [`Qdfa`]: a check automaton compiled once into its raw [`Dfa`]
-//!   *and* its byte-class form ([`ClassDfa`]) at `Checker`
-//!   construction, so per-query DFA work is two array loads per step;
+//!   *and* its byte-class form ([`ClassDfa`]) at checker construction,
+//!   so per-query DFA work is two array loads per step;
+//! - [`Shared`]: the engine routing and the one query cache and
+//!   prepared memo of a checker, handed to every cascade;
 //! - [`Engine`]: a per-hotspot session that routes queries either
 //!   through the prepared engine (a [`PreparedCache`] shared by every
 //!   check of the page) or through the naive reference path
@@ -28,9 +30,10 @@ use strtaint_grammar::stats::EngineStats;
 use strtaint_grammar::{Cfg, NtId};
 
 use crate::abstraction::marked_grammar;
+use crate::checks::CheckOptions;
 use crate::pmemo::PreparedMemo;
 use crate::qcache::{Mode, QueryCache, QueryKey, Verdict};
-use crate::report::HotspotReport;
+use crate::report::{CheckKind, Finding, HotspotReport};
 
 /// A check automaton in both raw and byte-class-compressed form.
 #[derive(Debug, Clone)]
@@ -101,21 +104,58 @@ pub(crate) enum Target<'a> {
     },
 }
 
+/// Engine routing plus the cross-page state every cascade of one
+/// checker shares. The query cache and prepared memo are built here,
+/// once per checker, and handed to each cascade's per-hotspot
+/// [`Engine`]. Sharing them across cascades is sound because both are
+/// content-keyed: a query key carries the DFA fingerprint, a memo key
+/// the grammar content, so policies never answer each other's queries.
+#[derive(Debug, Clone)]
+pub(crate) struct Shared {
+    naive: bool,
+    /// `CheckOptions::eager_witness`: never replay witness bytes from
+    /// the cache — witness-mode queries bypass memoization and extract
+    /// live.
+    eager_witness: bool,
+    /// Cross-page verdict cache; `None` disables memoization.
+    qcache: Option<Arc<QueryCache>>,
+    /// Cross-page preparation + skeleton memo (content-keyed; see the
+    /// `pmemo` module for the sharing soundness argument).
+    pmemo: Option<Arc<PreparedMemo>>,
+}
+
+impl Shared {
+    pub(crate) fn new(opts: &CheckOptions) -> Self {
+        // The naive path is the reference engine: it never memoizes,
+        // whatever the options say.
+        let memoize = opts.query_cache && !opts.naive_engine;
+        Shared {
+            naive: opts.naive_engine,
+            eager_witness: opts.eager_witness,
+            qcache: memoize.then(|| Arc::new(QueryCache::new())),
+            pmemo: memoize.then(|| Arc::new(PreparedMemo::new())),
+        }
+    }
+
+    /// Stamps the config-fingerprint namespace on the query cache.
+    pub(crate) fn set_query_scope(&self, scope: u64) {
+        if let Some(qc) = &self.qcache {
+            qc.set_scope(scope);
+        }
+    }
+
+    /// Exports one hotspot's canonical skeleton set through the shared
+    /// memo (see [`crate::skeletons`]).
+    pub(crate) fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
+        crate::skeletons::hotspot_skeletons(cfg, root, self.pmemo.as_deref())
+    }
+}
+
 /// Per-hotspot query session: routes intersections through the
 /// prepared engine or the naive path, and counts engine work.
 pub(crate) struct Engine<'a> {
     cache: &'a PreparedCache,
-    naive: bool,
-    /// Cross-page verdict cache; `None` disables memoization (naive
-    /// reference runs, `--no-query-cache`).
-    qcache: Option<&'a QueryCache>,
-    /// Cross-page preparation memo (content-keyed); disabled together
-    /// with the query cache. See the `pmemo` module for the sharing
-    /// soundness argument.
-    pmemo: Option<&'a PreparedMemo>,
-    /// `--eager-witness`: never replay witness bytes from the cache —
-    /// witness-mode queries bypass memoization and extract live.
-    eager_witness: bool,
+    shared: &'a Shared,
     pub(crate) stats: EngineStats,
 }
 
@@ -124,22 +164,34 @@ pub(crate) struct Engine<'a> {
 const WITNESS_BUDGET: usize = 50_000;
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(
-        cache: &'a PreparedCache,
-        naive: bool,
-        qcache: Option<&'a QueryCache>,
-        pmemo: Option<&'a PreparedMemo>,
-        eager_witness: bool,
-    ) -> Self {
+    pub(crate) fn new(cache: &'a PreparedCache, shared: &'a Shared) -> Self {
         Engine {
             cache,
-            naive,
-            // The naive path is the reference engine: it never
-            // memoizes, whatever the options say.
-            qcache: if naive { None } else { qcache },
-            pmemo: if naive { None } else { pmemo },
-            eager_witness,
+            shared,
             stats: EngineStats::default(),
+        }
+    }
+
+    /// A `kind` finding against `x` carrying `witness` and, when there
+    /// is one, the witness spliced into the shortest context of `x`
+    /// under `root` — the full payload the downstream interpreter
+    /// would receive (see [`splice_example_memo`]).
+    pub(crate) fn finding(
+        &self,
+        cfg: &Cfg,
+        root: NtId,
+        x: NtId,
+        kind: CheckKind,
+        witness: Option<Vec<u8>>,
+        detail: String,
+    ) -> Finding {
+        let example_query = witness
+            .as_deref()
+            .and_then(|w| splice_example_memo(cfg, root, x, w, self.shared.pmemo.as_deref()));
+        Finding {
+            witness,
+            example_query,
+            ..Finding::new(cfg, x, kind, detail)
         }
     }
 
@@ -168,7 +220,7 @@ impl<'a> Engine<'a> {
     /// the prepared paths read emptiness off the preparation in O(1)
     /// instead of re-running the productivity fixpoint per hotspot.
     pub(crate) fn target<'t>(&mut self, cfg: &'t Cfg, root: NtId) -> Option<Target<'t>> {
-        if self.naive {
+        if self.shared.naive {
             if cfg.is_empty_language(root) {
                 return None;
             }
@@ -177,7 +229,7 @@ impl<'a> Engine<'a> {
         // The per-batch cache answers repeats within this page by bare
         // `NtId` lookup; the cross-page memo answers content-identical
         // subgrammars from any page without re-preparing.
-        let (prep, hit, guarded) = match self.pmemo {
+        let (prep, hit, guarded) = match self.shared.pmemo.as_deref() {
             Some(memo) => {
                 let (prep, hit, count) = memo.prepared(cfg, root);
                 (prep, hit, Some(count > WITNESS_BUDGET))
@@ -213,11 +265,11 @@ impl<'a> Engine<'a> {
         x: NtId,
         scratch: &'t mut Option<(Cfg, NtId)>,
     ) -> Target<'t> {
-        if self.naive {
+        if self.shared.naive {
             let (c, r) = scratch.insert(marked_grammar(cfg, root, x, &Default::default()));
             return Target::Naive { cfg: c, root: *r };
         }
-        let (prep, hit) = match self.pmemo {
+        let (prep, hit) = match self.shared.pmemo.as_deref() {
             Some(memo) => memo.marked_prepared(cfg, root, x),
             None => {
                 let (marked, mroot) = marked_grammar(cfg, root, x, &Default::default());
@@ -254,7 +306,7 @@ impl<'a> Engine<'a> {
                 } else {
                     *used = true;
                 }
-                if let Some(qc) = self.qcache {
+                if let Some(qc) = self.shared.qcache.as_deref() {
                     let key = Self::query_key(qc, prep, q, Mode::Empty, budget);
                     if let Some(Verdict::Empty {
                         empty,
@@ -354,10 +406,14 @@ impl<'a> Engine<'a> {
                         gcfg.count_reachable_productions(gx, WITNESS_BUDGET) > WITNESS_BUDGET
                     })
                 };
-                // `--eager-witness` distrusts memoized witness bytes:
+                // `eager_witness` distrusts memoized witness bytes:
                 // witness-mode queries bypass the cache and extract
                 // live (emptiness-only queries still memoize).
-                let qc = if self.eager_witness { None } else { self.qcache };
+                let qc = if self.shared.eager_witness {
+                    None
+                } else {
+                    self.shared.qcache.as_deref()
+                };
                 if let Some(qc) = qc {
                     // The guard is part of the key: it decides whether
                     // the extraction phase runs at all, so it must be
@@ -481,13 +537,50 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Splices a witness tainted substring into the shortest query context
+/// (the marked-grammar skeleton with [`strtaint_sql::VAR_MARKER`] at
+/// the tainted position), producing the full payload the downstream
+/// interpreter would receive; `None` when the grammar is too large for
+/// reconstruction to be worth it. With a [`PreparedMemo`], the
+/// skeleton (the canonical shortest string of the marked grammar, the
+/// expensive part) is shared across content-identical marked grammars,
+/// so a warm re-check of an unchanged page skips the reconstruction.
+fn splice_example_memo(
+    cfg: &Cfg,
+    root: NtId,
+    x: NtId,
+    witness: &[u8],
+    memo: Option<&PreparedMemo>,
+) -> Option<Vec<u8>> {
+    const BUDGET: usize = 50_000;
+    if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
+        return None;
+    }
+    let skeleton = match memo {
+        // The memoized path derives its key from `(cfg, root, x)`
+        // directly, so a warm hit skips the marked-grammar clone too.
+        Some(m) => m.skeleton_for(cfg, root, x)?,
+        None => {
+            let (marked, mroot) = marked_grammar(cfg, root, x, &Default::default());
+            shortest_string(&marked, mroot)?
+        }
+    };
+    let mut out = Vec::with_capacity(skeleton.len() + witness.len());
+    for b in skeleton {
+        if b == strtaint_sql::VAR_MARKER {
+            out.extend_from_slice(witness);
+        } else {
+            out.push(b);
+        }
+    }
+    Some(out)
+}
+
 /// Checks `items[i]` with `check` on up to `workers` threads and
 /// returns the reports in input order.
 ///
-/// Generic over the work item so the same loop drives plain hotspot
-/// roots (`NtId`) and policy-tagged roots (`(NtId, policy)`). Lock-free
-/// work distribution (shared atomic index, per-worker result buffers,
-/// sorted merge) mirroring `analyze_app_parallel_with` in
+/// Lock-free work distribution (shared atomic index, per-worker result
+/// buffers, sorted merge) mirroring `analyze_app_parallel_with` in
 /// `strtaint-core`. A worker panic is re-raised on the calling thread
 /// so page-level fault isolation sees it exactly as a serial panic.
 pub(crate) fn run_parallel<T, F>(items: &[T], workers: usize, check: F) -> Vec<HotspotReport>

@@ -1,7 +1,7 @@
 //! Policy-conformance checking for **strtaint** (paper §3.2).
 //!
 //! Given the annotated query grammar from `strtaint-analysis`, the
-//! [`Checker`] decides for every hotspot whether each tainted
+//! [`PolicyChecker`] decides for every hotspot whether each tainted
 //! subgrammar is *syntactically confined* (paper Definitions 2.2/2.3):
 //! derivable from a single symbol of the reference SQL grammar in every
 //! query context. Violations become [`Finding`]s; if none are found
@@ -44,15 +44,14 @@ mod prefilter;
 mod qcache;
 pub mod report;
 pub mod skeletons;
-pub mod xss;
+mod xss;
 
-pub use checks::{CheckOptions, Checker};
-pub use policy_driver::{GenericChecker, PolicyChecker};
+pub use checks::CheckOptions;
+pub use policy_driver::{Checker, PolicyChecker};
 pub use report::{CheckKind, Finding, HotspotReport, MAX_WITNESS_BYTES};
 pub use skeletons::skeleton_display;
 pub use strtaint_grammar::prepared::PreparedCache;
 pub use strtaint_grammar::stats::EngineStats;
-pub use xss::XssChecker;
 
 /// The engine-evidence version string stamped into persisted artifacts
 /// (the daemon's verdict store) and profile exports. The suffix names

@@ -44,7 +44,7 @@
 //! The memo is an optimization cache, never an oracle: entries are
 //! evicted FIFO past a bounded capacity and rebuilt on demand, and the
 //! whole memo is disabled together with the query cache
-//! (`--no-query-cache`), keeping one escape hatch for the entire
+//! (`CheckOptions::query_cache`), keeping one switch for the entire
 //! optimized check path.
 
 use std::collections::{HashMap, VecDeque};

@@ -1,137 +1,53 @@
-//! The generic policy driver: runs any data-defined [`Cascade`] from
-//! the `strtaint-policy` registry through the prepared intersection
-//! engine, and multiplexes the hand-built SQL/XSS checkers with the
-//! data-defined ones behind one [`PolicyChecker`] façade.
+//! The policy driver: one [`PolicyChecker`] runs every enabled policy
+//! through one candidate loop over the prepared intersection engine.
 //!
-//! The driver is the registry's executable semantics (see the cascade
-//! contract in `strtaint_policy::registry`): for each maximal labeled
-//! nonterminal `X` of a hotspot, steps run in order against `L(X)`;
-//! a `VerifyIfEmpty` step with an empty intersection verifies `X`,
-//! a `ReportIfNonEmpty` step with a non-empty intersection reports its
-//! witness, and the residual decides anything that falls through. The
-//! budget discipline is identical to the SQL checker: a trip yields a
-//! conservative `BudgetExhausted` finding, never a silent "verified".
-
-use std::sync::Arc;
+//! A policy contributes only its cascade — the per-candidate
+//! `check_one` logic. The hand-built SQL (C1–C5) and XSS cascades live
+//! in `checks` and `xss`; every other policy is a data-defined
+//! [`Cascade`] from the `strtaint-policy` registry, run here as the
+//! registry's executable semantics (see the cascade contract in
+//! `strtaint_policy::registry`): for each maximal labeled nonterminal
+//! `X` of a hotspot, steps run in order against `L(X)`; a
+//! `VerifyIfEmpty` step with an empty intersection verifies `X`, a
+//! `ReportIfNonEmpty` step with a non-empty intersection reports its
+//! witness, and the residual decides anything that falls through.
+//!
+//! Everything around `check_one` is shared: the `maximal_labeled`
+//! walk, the `Engine` session over the checker's one query cache and
+//! prepared memo, the per-candidate span, and the budget discipline —
+//! a trip yields a conservative `BudgetExhausted` finding and a
+//! degradation, never a silent "verified".
 
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::prepared::PreparedCache;
 use strtaint_grammar::{Cfg, NtId};
-use strtaint_policy::{Cascade, CheckKind, Policy, PolicyKind, Residual, StepAction};
+use strtaint_policy::{Cascade, CheckKind, PolicyKind, Residual, StepAction};
 
 use crate::abstraction::maximal_labeled;
-use crate::checks::{splice_example_memo, CheckOptions, Checker};
-use crate::pmemo::PreparedMemo;
-use crate::engine::{run_parallel, Engine, Qdfa};
-use crate::qcache::QueryCache;
+use crate::checks::{CheckOptions, SqlCascade};
+use crate::engine::{run_parallel, Engine, Qdfa, Shared};
 use crate::report::{Finding, HotspotReport};
-use crate::xss::XssChecker;
+use crate::xss::XssCascade;
 
 /// A data-defined policy compiled for the intersection engine: every
 /// cascade DFA in byte-class form, built once per checker.
 #[derive(Debug, Clone)]
-pub struct GenericChecker {
-    id: &'static str,
+struct StepCascade {
     steps: Vec<(Qdfa, StepAction)>,
     residual: Residual,
-    naive_engine: bool,
-    eager_witness: bool,
-    /// Cross-page verdict cache (see `qcache`), one per policy —
-    /// entries never cross policy ids anyway (the cascade DFAs differ).
-    qcache: Option<Arc<QueryCache>>,
-    /// Cross-page preparation memo (see `pmemo`), gated with `qcache`.
-    pmemo: Option<Arc<PreparedMemo>>,
 }
 
-impl GenericChecker {
-    fn new(policy: &Policy, cascade: &Cascade, opts: &CheckOptions) -> Self {
-        GenericChecker {
-            id: policy.id,
+impl StepCascade {
+    fn new(cascade: &Cascade) -> Self {
+        StepCascade {
             steps: cascade
                 .steps
                 .iter()
                 .map(|s| (Qdfa::new(s.dfa.clone()), s.action.clone()))
                 .collect(),
             residual: cascade.residual.clone(),
-            naive_engine: opts.naive_engine,
-            eager_witness: opts.eager_witness,
-            qcache: (opts.query_cache && !opts.naive_engine)
-                .then(|| Arc::new(QueryCache::new())),
-            pmemo: (opts.query_cache && !opts.naive_engine)
-                .then(|| Arc::new(PreparedMemo::new())),
         }
-    }
-
-    /// Stamps the config-fingerprint namespace for cross-page verdict
-    /// memoization (see [`Checker::set_query_scope`]).
-    pub fn set_query_scope(&self, scope: u64) {
-        if let Some(qc) = &self.qcache {
-            qc.set_scope(scope);
-        }
-    }
-
-    /// Policy id this checker runs.
-    pub fn id(&self) -> &'static str {
-        self.id
-    }
-
-    /// Exports this hotspot's canonical skeleton set (see
-    /// [`crate::skeletons`]).
-    pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        crate::skeletons::hotspot_skeletons(cfg, root, self.pmemo.as_deref())
-    }
-
-    /// Checks one hotspot of this policy, sharing `cache` across the
-    /// page (cache scoping rules as in
-    /// [`Checker::check_hotspot_cached`]).
-    pub fn check_hotspot_cached(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        budget: &Budget,
-        cache: &PreparedCache,
-    ) -> HotspotReport {
-        let mut report = HotspotReport::default();
-        let candidates = maximal_labeled(cfg, root);
-        report.checked = candidates.len();
-        let mut engine = Engine::new(
-            cache,
-            self.naive_engine,
-            self.qcache.as_deref(),
-            self.pmemo.as_deref(),
-            self.eager_witness,
-        );
-        for &x in &candidates {
-            let _span = strtaint_obs::Span::enter_with("check", || cfg.name(x).to_owned());
-            match self.check_one(cfg, root, x, budget, &mut engine) {
-                Ok(None) => report.verified += 1,
-                Ok(Some(finding)) => report.findings.push(finding),
-                Err(err) => {
-                    report.degradations.push(budget.degradation(
-                        err,
-                        format!("{}-check:{}", self.id, cfg.name(x)),
-                        DegradeAction::MarkedUnverified,
-                    ));
-                    report.findings.push(Finding {
-                        nonterminal: x,
-                        name: cfg.name(x).to_owned(),
-                        taint: cfg.taint(x),
-                        kind: CheckKind::BudgetExhausted,
-                        witness: None,
-                        witness_truncated: false,
-                        example_query: None,
-                        detail: err.to_string(),
-                        at: None,
-                    });
-                }
-            }
-        }
-        report.engine = engine.stats;
-        for f in &mut report.findings {
-            f.cap_witness();
-        }
-        report
     }
 
     fn check_one(
@@ -142,22 +58,6 @@ impl GenericChecker {
         budget: &Budget,
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
-        let finding = |kind: CheckKind, witness: Option<Vec<u8>>, detail: &str| {
-            let example_query = witness
-                .as_deref()
-                .and_then(|w| splice_example_memo(cfg, root, x, w, self.pmemo.as_deref()));
-            Ok(Some(Finding {
-                nonterminal: x,
-                name: cfg.name(x).to_owned(),
-                taint: cfg.taint(x),
-                kind,
-                witness,
-                witness_truncated: false,
-                example_query,
-                detail: detail.to_owned(),
-                at: None,
-            }))
-        };
         // One prepared grammar serves every step of the cascade and,
         // via the shared cache, any other hotspot reaching `x`. An
         // empty L(X) has nothing to check.
@@ -175,7 +75,8 @@ impl GenericChecker {
                     let (empty, witness) =
                         engine.is_empty_or_witness(&mut tx, q, budget, (cfg, x))?;
                     if !empty {
-                        return finding(*kind, witness, detail);
+                        let detail = (*detail).to_owned();
+                        return Ok(Some(engine.finding(cfg, root, x, *kind, witness, detail)));
                     }
                 }
             }
@@ -183,20 +84,47 @@ impl GenericChecker {
         match &self.residual {
             Residual::Verified => Ok(None),
             Residual::Report { kind, detail } => {
-                finding(*kind, shortest_string(cfg, x), detail)
+                let (witness, detail) = (shortest_string(cfg, x), (*detail).to_owned());
+                Ok(Some(engine.finding(cfg, root, x, *kind, witness, detail)))
             }
         }
     }
 }
 
-/// One checker for every enabled policy: the hand-built SQL (C1–C5)
-/// and XSS cascades plus a [`GenericChecker`] per data-defined policy,
-/// dispatched by the policy id each hotspot carries.
+/// One policy's per-candidate check logic.
+#[derive(Debug, Clone)]
+enum PolicyCascade {
+    Sql(SqlCascade),
+    Xss(XssCascade),
+    Steps(StepCascade),
+}
+
+impl PolicyCascade {
+    fn check_one(
+        &self,
+        cfg: &Cfg,
+        root: NtId,
+        x: NtId,
+        all: &[NtId],
+        budget: &Budget,
+        engine: &mut Engine<'_>,
+    ) -> Result<Option<Finding>, BudgetExceeded> {
+        match self {
+            PolicyCascade::Sql(c) => c.check_one(cfg, root, x, all, budget, engine),
+            PolicyCascade::Xss(c) => c.check_one(cfg, root, x, budget, engine),
+            PolicyCascade::Steps(c) => c.check_one(cfg, root, x, budget, engine),
+        }
+    }
+}
+
+/// One checker for every built-in policy: each policy's cascade,
+/// selected by the policy id a hotspot carries, run through one
+/// candidate loop over one query cache and prepared memo.
 #[derive(Debug, Clone)]
 pub struct PolicyChecker {
-    sql: Checker,
-    xss: XssChecker,
-    generic: Vec<GenericChecker>,
+    /// `(policy id, cascade)` in registry order.
+    cascades: Vec<(&'static str, PolicyCascade)>,
+    shared: Shared,
 }
 
 impl PolicyChecker {
@@ -205,48 +133,58 @@ impl PolicyChecker {
         Self::with_options(CheckOptions::default())
     }
 
-    /// Builds a checker for every built-in policy; `opts` applies to
-    /// the SQL cascade, and `opts.naive_engine` to all of them.
+    /// Builds a checker for every built-in policy. The SQL-specific
+    /// options (`max_contexts`, `cheap_first`, `prefilter`) shape the
+    /// SQL cascade; the engine options (`naive_engine`, `query_cache`,
+    /// `eager_witness`) apply to every cascade.
     pub fn with_options(opts: CheckOptions) -> Self {
-        let generic = strtaint_policy::builtin()
+        let cascades = strtaint_policy::builtin()
             .iter()
-            .filter_map(|p| match &p.kind {
-                PolicyKind::Cascade(c) => Some(GenericChecker::new(p, c, &opts)),
-                PolicyKind::SqlCiv | PolicyKind::Xss => None,
+            .map(|p| {
+                let cascade = match &p.kind {
+                    PolicyKind::SqlCiv => PolicyCascade::Sql(SqlCascade::new(&opts)),
+                    PolicyKind::Xss => PolicyCascade::Xss(XssCascade::new()),
+                    PolicyKind::Cascade(c) => PolicyCascade::Steps(StepCascade::new(c)),
+                };
+                (p.id, cascade)
             })
             .collect();
         PolicyChecker {
-            xss: XssChecker::with_engine_options(opts.naive_engine, opts.query_cache),
-            sql: Checker::with_options(opts),
-            generic,
+            cascades,
+            shared: Shared::new(&opts),
         }
     }
 
-    /// Stamps the config-fingerprint namespace on every per-policy
-    /// verdict cache (see [`Checker::set_query_scope`]).
+    /// Stamps the config-fingerprint namespace for cross-page verdict
+    /// memoization. Verdicts computed under one scope can never answer
+    /// queries made under another; drivers call this whenever the
+    /// effective analysis `Config` changes (mirroring the artifact
+    /// store, which keys evidence by the same fingerprint).
     pub fn set_query_scope(&self, scope: u64) {
-        self.sql.set_query_scope(scope);
-        self.xss.set_query_scope(scope);
-        for g in &self.generic {
-            g.set_query_scope(scope);
-        }
+        self.shared.set_query_scope(scope);
     }
 
-    /// The hand-built SQL checker — the exact object the single-policy
-    /// pipeline uses, so SQL-only runs stay byte-identical.
-    pub fn sql(&self) -> &Checker {
-        &self.sql
+    /// Exports one hotspot's canonical skeleton set (see
+    /// [`crate::skeletons`]). Shares the prepared memo with the checks
+    /// and witness splicing, so exporting after a check is a warm
+    /// lookup.
+    pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
+        self.shared.skeletons_for(cfg, root)
     }
 
-    /// The hand-built XSS checker.
-    pub fn xss(&self) -> &XssChecker {
-        &self.xss
-    }
-
-    /// Checks one hotspot under the named policy. Unknown ids fall
-    /// back to the SQL cascade (cannot happen for hotspots produced by
-    /// the analysis layer, which only tags registry ids; the fallback
-    /// keeps the driver total without a panic path).
+    /// Checks one hotspot under the named policy, sharing `cache` so
+    /// prepared grammars are reused across the hotspots of one page.
+    /// Unknown ids fall back to the SQL cascade (cannot happen for
+    /// hotspots produced by the analysis layer, which only tags
+    /// registry ids).
+    ///
+    /// A budget trip while checking a labeled nonterminal yields a
+    /// [`CheckKind::BudgetExhausted`] finding and a degradation record —
+    /// the nonterminal is *never* counted verified. This is the sound
+    /// direction: exhaustion can only add false positives.
+    ///
+    /// `cache` must be scoped to `cfg`: it is keyed by root [`NtId`]
+    /// only, and ids from different grammars collide.
     pub fn check_hotspot_cached(
         &self,
         policy: &str,
@@ -255,32 +193,57 @@ impl PolicyChecker {
         budget: &Budget,
         cache: &PreparedCache,
     ) -> HotspotReport {
-        if policy == strtaint_policy::XSS_POLICY {
-            return self.xss.check_echo_cached(cfg, root, budget, cache);
+        let (id, cascade) = self
+            .cascades
+            .iter()
+            .find(|(id, _)| *id == policy)
+            .or_else(|| {
+                self.cascades
+                    .iter()
+                    .find(|(id, _)| *id == strtaint_policy::SQL_POLICY)
+            })
+            .expect("the registry defines the sql policy");
+        let span = match cascade {
+            PolicyCascade::Xss(_) => "check:xss",
+            _ => "check",
+        };
+        let mut report = HotspotReport::default();
+        let candidates = maximal_labeled(cfg, root);
+        report.checked = candidates.len();
+        let mut engine = Engine::new(cache, &self.shared);
+        for &x in &candidates {
+            let _span = strtaint_obs::Span::enter_with(span, || cfg.name(x).to_owned());
+            match cascade.check_one(cfg, root, x, &candidates, budget, &mut engine) {
+                Ok(None) => report.verified += 1,
+                Ok(Some(finding)) => report.findings.push(finding),
+                Err(err) => {
+                    // The SQL cascade keeps its historical unprefixed site.
+                    let site = match cascade {
+                        PolicyCascade::Sql(_) => format!("check:{}", cfg.name(x)),
+                        _ => format!("{id}-check:{}", cfg.name(x)),
+                    };
+                    let action = DegradeAction::MarkedUnverified;
+                    let finding = Finding::new(cfg, x, CheckKind::BudgetExhausted, err.to_string());
+                    report.degradations.push(budget.degradation(err, site, action));
+                    report.findings.push(finding);
+                }
+            }
         }
-        if let Some(g) = self.generic.iter().find(|g| g.id == policy) {
-            return g.check_hotspot_cached(cfg, root, budget, cache);
+        report.engine = engine.stats;
+        for f in &mut report.findings {
+            f.cap_witness();
         }
-        self.sql.check_hotspot_cached(cfg, root, budget, cache)
-    }
-
-    /// Exports one hotspot's canonical skeleton set under the named
-    /// policy, dispatching exactly like [`Self::check_hotspot_cached`]
-    /// so the skeletons share the same per-policy prepared memo.
-    pub fn skeletons_for(&self, policy: &str, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        if policy == strtaint_policy::XSS_POLICY {
-            return self.xss.skeletons_for(cfg, root);
-        }
-        if let Some(g) = self.generic.iter().find(|g| g.id == policy) {
-            return g.skeletons_for(cfg, root);
-        }
-        self.sql.skeletons_for(cfg, root)
+        report
     }
 
     /// Checks every `(root, policy)` hotspot of one page, on up to
-    /// `workers` threads, returning reports in input order — the
-    /// multi-policy analogue of [`Checker::check_hotspots_with`], on
-    /// the same lock-free worker loop and shared prepared cache.
+    /// `workers` threads, returning reports in input order.
+    ///
+    /// Hotspots are independent given the immutable `cfg`; a shared
+    /// [`PreparedCache`] lets them reuse each other's prepared
+    /// grammars (sinks frequently share roots or labeled sources). A
+    /// worker panic propagates to the caller unchanged, so page-level
+    /// fault isolation behaves exactly as in the serial loop.
     pub fn check_hotspots_with(
         &self,
         cfg: &Cfg,
@@ -298,6 +261,63 @@ impl PolicyChecker {
 impl Default for PolicyChecker {
     fn default() -> Self {
         PolicyChecker::new()
+    }
+}
+
+/// The SQLCIV view of a [`PolicyChecker`]: every hotspot is checked by
+/// the `sql` cascade (C1–C5, paper §3.2), through the same loop, query
+/// cache and prepared memo the multi-policy pipeline uses.
+#[derive(Debug, Clone, Default)]
+pub struct Checker(PolicyChecker);
+
+impl Checker {
+    /// Builds a checker with default options.
+    pub fn new() -> Self {
+        Self::with_options(CheckOptions::default())
+    }
+
+    /// Builds a checker with explicit options.
+    pub fn with_options(opts: CheckOptions) -> Self {
+        Checker(PolicyChecker::with_options(opts))
+    }
+
+    /// See [`PolicyChecker::set_query_scope`].
+    pub fn set_query_scope(&self, scope: u64) {
+        self.0.set_query_scope(scope);
+    }
+
+    /// See [`PolicyChecker::skeletons_for`].
+    pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
+        self.0.skeletons_for(cfg, root)
+    }
+
+    /// Checks one hotspot: `root` must derive every query string the
+    /// hotspot can send.
+    pub fn check_hotspot(&self, cfg: &Cfg, root: NtId) -> HotspotReport {
+        self.check_hotspot_with(cfg, root, &Budget::unlimited())
+    }
+
+    /// Budgeted form of [`Checker::check_hotspot`] (budget discipline
+    /// as in [`PolicyChecker::check_hotspot_cached`]).
+    pub fn check_hotspot_with(&self, cfg: &Cfg, root: NtId, budget: &Budget) -> HotspotReport {
+        let cache = PreparedCache::new();
+        self.0
+            .check_hotspot_cached(strtaint_policy::SQL_POLICY, cfg, root, budget, &cache)
+    }
+
+    /// Checks every hotspot root of one page, on up to `workers`
+    /// threads, returning reports in input order (see
+    /// [`PolicyChecker::check_hotspots_with`]).
+    pub fn check_hotspots_with(
+        &self,
+        cfg: &Cfg,
+        roots: &[NtId],
+        budget: &Budget,
+        workers: usize,
+    ) -> Vec<HotspotReport> {
+        let sql = strtaint_policy::SQL_POLICY;
+        let items: Vec<(NtId, String)> = roots.iter().map(|&r| (r, sql.to_owned())).collect();
+        self.0.check_hotspots_with(cfg, &items, budget, workers)
     }
 }
 
@@ -404,10 +424,32 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_matches_dedicated_checkers() {
-        // SQL and XSS hotspots routed through the façade must produce
-        // the same reports as the dedicated checkers (same objects).
-        let pc = PolicyChecker::new();
+    fn shared_caches_never_answer_across_policies() {
+        // One checker's query cache and prepared memo serve every
+        // cascade. Checking the same grammar under every policy in
+        // turn must give each policy exactly the report a fresh
+        // checker gives it: the DFA fingerprint in every cache key
+        // keeps the policies apart.
+        let (g, root) = harness(b"<p>", &[b"a.png", b"<b>'; ../x"], b"</p>");
+        let shared = PolicyChecker::new();
+        let budget = Budget::unlimited();
+        for policy in ["sql", "xss", "shell", "path", "eval", "sql", "xss"] {
+            let cache = PreparedCache::new();
+            let warm = shared.check_hotspot_cached(policy, &g, root, &budget, &cache);
+            let cold = check(policy, &g, root);
+            assert_eq!(warm.verified, cold.verified, "{policy}");
+            assert_eq!(warm.findings.len(), cold.findings.len(), "{policy}");
+            for (w, c) in warm.findings.iter().zip(&cold.findings) {
+                assert_eq!(w.kind, c.kind, "{policy}");
+                assert_eq!(w.witness, c.witness, "{policy}");
+                assert_eq!(w.example_query, c.example_query, "{policy}");
+                assert_eq!(w.detail, c.detail, "{policy}");
+            }
+        }
+    }
+
+    #[test]
+    fn sql_view_matches_the_sql_policy() {
         let mut g = Cfg::new();
         let x = g.add_nonterminal("_GET[id]");
         g.set_taint(x, Taint::DIRECT);
@@ -417,19 +459,15 @@ mod tests {
         rhs.push(Symbol::N(x));
         rhs.extend(g.literal_symbols(b"'"));
         g.add_production(root, rhs);
-
-        let budget = Budget::unlimited();
-        let a = pc.check_hotspot_cached("sql", &g, root, &budget, &PreparedCache::new());
-        let b = pc.sql().check_hotspot_with(&g, root, &budget);
+        let a = check("sql", &g, root);
+        let b = Checker::new().check_hotspot(&g, root);
+        assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings.len(), b.findings.len());
         assert_eq!(a.findings[0].kind, b.findings[0].kind);
         assert_eq!(a.findings[0].witness, b.findings[0].witness);
-
-        let (h, hroot) = harness(b"<p>", &[b"<script>x</script>"], b"</p>");
-        let a = pc.check_hotspot_cached("xss", &h, hroot, &budget, &PreparedCache::new());
-        let b = pc.xss().check_echo_with(&h, hroot, &budget);
-        assert_eq!(a.findings.len(), b.findings.len());
-        assert_eq!(a.findings[0].detail, b.findings[0].detail);
+        // Unknown ids fall back to the SQL cascade.
+        let c = check("no-such-policy", &g, root);
+        assert_eq!(c.findings[0].kind, a.findings[0].kind);
     }
 
     #[test]

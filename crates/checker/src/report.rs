@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use strtaint_grammar::{Degradation, EngineStats, NtId, Taint};
+use strtaint_grammar::{Cfg, Degradation, EngineStats, NtId, Taint};
 
 // `CheckKind` moved to `strtaint-policy` (the registry names the kinds
 // a cascade emits); re-exported here so every existing consumer keeps
@@ -51,6 +51,22 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A `kind` finding against the labeled nonterminal `x` of `cfg`,
+    /// with no witness, example or location yet.
+    pub(crate) fn new(cfg: &Cfg, x: NtId, kind: CheckKind, detail: String) -> Finding {
+        Finding {
+            nonterminal: x,
+            name: cfg.name(x).to_owned(),
+            taint: cfg.taint(x),
+            kind,
+            witness: None,
+            witness_truncated: false,
+            example_query: None,
+            detail,
+            at: None,
+        }
+    }
+
     /// Truncates the witness to [`MAX_WITNESS_BYTES`], recording the
     /// truncation. Idempotent; called by every check driver just
     /// before the report leaves the checker.

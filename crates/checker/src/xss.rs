@@ -17,20 +17,14 @@
 //!   tokens are reported unless the language is a bare alphanumeric
 //!   word.
 
-use std::sync::Arc;
-
 use strtaint_automata::{ByteSet, Dfa, Nfa};
-use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
+use strtaint_grammar::budget::{Budget, BudgetExceeded};
 use strtaint_grammar::lang::shortest_string;
-use strtaint_grammar::prepared::PreparedCache;
 use strtaint_grammar::{Cfg, NtId};
 use strtaint_sql::VAR_MARKER;
 
-use crate::abstraction::maximal_labeled;
-use crate::engine::{run_parallel, Engine, Qdfa};
-use crate::pmemo::PreparedMemo;
-use crate::qcache::QueryCache;
-use crate::report::{CheckKind, Finding, HotspotReport};
+use crate::engine::{Engine, Qdfa};
+use crate::report::{CheckKind, Finding};
 
 /// HTML contexts a marker can occur in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +94,12 @@ fn marker_in_context(ctx: HtmlCtx) -> Dfa {
     Dfa::from_nfa(&n).minimize()
 }
 
-/// The XSS conformance checker (precompiled automata).
+/// The XSS cascade: precompiled HTML-context automata. The candidate
+/// loop, engine session and budget discipline around
+/// [`XssCascade::check_one`] belong to [`crate::PolicyChecker`]; all
+/// XSS queries are emptiness-only, so witness replay never arises.
 #[derive(Debug, Clone)]
-pub struct XssChecker {
+pub(crate) struct XssCascade {
     in_text: Qdfa,
     in_tag: Qdfa,
     in_attr_dq: Qdfa,
@@ -111,31 +108,10 @@ pub struct XssChecker {
     has_dq: Qdfa,
     has_sq: Qdfa,
     non_word: Qdfa,
-    naive_engine: bool,
-    /// Cross-page verdict cache (see `qcache`); all XSS queries are
-    /// emptiness-only, so witness-replay concerns never arise here.
-    qcache: Option<Arc<QueryCache>>,
-    /// Cross-page preparation memo (see `pmemo`), gated with `qcache`.
-    pmemo: Option<Arc<PreparedMemo>>,
 }
 
-impl XssChecker {
-    /// Builds the checker.
-    pub fn new() -> Self {
-        Self::with_naive_engine(false)
-    }
-
-    /// Builds the checker, optionally routing every intersection
-    /// through the naive reference engine (see
-    /// [`crate::CheckOptions::naive_engine`]).
-    pub fn with_naive_engine(naive_engine: bool) -> Self {
-        Self::with_engine_options(naive_engine, true)
-    }
-
-    /// Builds the checker with explicit engine routing: naive
-    /// reference path and/or cross-page verdict memoization (see
-    /// [`crate::CheckOptions::query_cache`]).
-    pub fn with_engine_options(naive_engine: bool, query_cache: bool) -> Self {
+impl XssCascade {
+    pub(crate) fn new() -> Self {
         let contains = |b: u8| {
             Dfa::from_nfa(
                 &Nfa::any_string()
@@ -144,7 +120,7 @@ impl XssChecker {
             )
             .minimize()
         };
-        XssChecker {
+        XssCascade {
             in_text: Qdfa::new(marker_in_context(HtmlCtx::Text)),
             in_tag: Qdfa::new(marker_in_context(HtmlCtx::Tag)),
             in_attr_dq: Qdfa::new(marker_in_context(HtmlCtx::AttrDq)),
@@ -158,109 +134,12 @@ impl XssChecker {
                     .match_dfa()
                     .complement(),
             ),
-            naive_engine,
-            qcache: (query_cache && !naive_engine).then(|| Arc::new(QueryCache::new())),
-            pmemo: (query_cache && !naive_engine).then(|| Arc::new(PreparedMemo::new())),
         }
     }
 
-    /// Stamps the config-fingerprint namespace for cross-page verdict
-    /// memoization (see [`crate::Checker::set_query_scope`]).
-    pub fn set_query_scope(&self, scope: u64) {
-        if let Some(qc) = &self.qcache {
-            qc.set_scope(scope);
-        }
-    }
-
-    /// Exports this sink's canonical output-skeleton set (see
-    /// [`crate::skeletons`]); the marker stands at the tainted
-    /// position of the emitted document.
-    pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        crate::skeletons::hotspot_skeletons(cfg, root, self.pmemo.as_deref())
-    }
-
-    /// Checks one `echo` sink whose emitted language is rooted at
-    /// `root`.
-    pub fn check_echo(&self, cfg: &Cfg, root: NtId) -> HotspotReport {
-        self.check_echo_with(cfg, root, &Budget::unlimited())
-    }
-
-    /// Like [`XssChecker::check_echo`] under a resource budget. A
-    /// budget trip marks the nonterminal unverified (a conservative
-    /// [`CheckKind::BudgetExhausted`] finding), never verified.
-    pub fn check_echo_with(&self, cfg: &Cfg, root: NtId, budget: &Budget) -> HotspotReport {
-        self.check_echo_cached(cfg, root, budget, &PreparedCache::new())
-    }
-
-    /// Like [`XssChecker::check_echo_with`], sharing `cache` across the
-    /// echo sinks of one page (cache scoping rules as in
-    /// [`crate::Checker::check_hotspot_cached`]).
-    pub fn check_echo_cached(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        budget: &Budget,
-        cache: &PreparedCache,
-    ) -> HotspotReport {
-        let mut report = HotspotReport::default();
-        let candidates = maximal_labeled(cfg, root);
-        report.checked = candidates.len();
-        let mut engine = Engine::new(
-            cache,
-            self.naive_engine,
-            self.qcache.as_deref(),
-            self.pmemo.as_deref(),
-            false,
-        );
-        for x in candidates {
-            let _span = strtaint_obs::Span::enter_with("check:xss", || cfg.name(x).to_owned());
-            match self.check_one(cfg, root, x, budget, &mut engine) {
-                Ok(None) => report.verified += 1,
-                Ok(Some(f)) => report.findings.push(f),
-                Err(err) => {
-                    report.degradations.push(budget.degradation(
-                        err,
-                        format!("xss-check:{}", cfg.name(x)),
-                        DegradeAction::MarkedUnverified,
-                    ));
-                    report.findings.push(Finding {
-                        nonterminal: x,
-                        name: cfg.name(x).to_owned(),
-                        taint: cfg.taint(x),
-                        kind: CheckKind::BudgetExhausted,
-                        witness: None,
-                        witness_truncated: false,
-                        example_query: None,
-                        detail: err.to_string(),
-                        at: None,
-                    });
-                }
-            }
-        }
-        report.engine = engine.stats;
-        for f in &mut report.findings {
-            f.cap_witness();
-        }
-        report
-    }
-
-    /// Checks every echo-sink root of one page, on up to `workers`
-    /// threads, returning reports in input order (see
-    /// [`crate::Checker::check_hotspots_with`]).
-    pub fn check_echoes_with(
-        &self,
-        cfg: &Cfg,
-        roots: &[NtId],
-        budget: &Budget,
-        workers: usize,
-    ) -> Vec<HotspotReport> {
-        let cache = PreparedCache::new();
-        run_parallel(roots, workers, |&root| {
-            self.check_echo_cached(cfg, root, budget, &cache)
-        })
-    }
-
-    fn check_one(
+    /// Checks the labeled nonterminal `x` of the `echo` sink `root`
+    /// against every HTML context it can be emitted in.
+    pub(crate) fn check_one(
         &self,
         cfg: &Cfg,
         root: NtId,
@@ -268,17 +147,10 @@ impl XssChecker {
         budget: &Budget,
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
-        let finding = |detail: &str, witness: Option<Vec<u8>>| {
+        let finding = |detail: &str| {
             Ok(Some(Finding {
-                nonterminal: x,
-                name: cfg.name(x).to_owned(),
-                taint: cfg.taint(x),
-                kind: CheckKind::NotDerivable,
-                witness,
-                witness_truncated: false,
-                example_query: None,
-                detail: format!("XSS: {detail}"),
-                at: None,
+                witness: shortest_string(cfg, x),
+                ..Finding::new(cfg, x, CheckKind::NotDerivable, format!("XSS: {detail}"))
             }))
         };
         // One preparation of the marked grammar serves all four context
@@ -294,48 +166,46 @@ impl XssChecker {
         if !engine.is_empty(&mut tm, &self.in_text, budget)?
             && !engine.is_empty(&mut tx, &self.has_lt, budget)?
         {
-            return finding("can open a tag in text context", shortest_string(cfg, x));
+            return finding("can open a tag in text context");
         }
         // Quoted attribute contexts: the closing quote escapes.
         if !engine.is_empty(&mut tm, &self.in_attr_dq, budget)?
             && !engine.is_empty(&mut tx, &self.has_dq, budget)?
         {
-            return finding(
-                "can close its double-quoted attribute",
-                shortest_string(cfg, x),
-            );
+            return finding("can close its double-quoted attribute");
         }
         if !engine.is_empty(&mut tm, &self.in_attr_sq, budget)?
             && !engine.is_empty(&mut tx, &self.has_sq, budget)?
         {
-            return finding(
-                "can close its single-quoted attribute",
-                shortest_string(cfg, x),
-            );
+            return finding("can close its single-quoted attribute");
         }
         // Raw tag-interior position: only bare words are tolerable.
         if !engine.is_empty(&mut tm, &self.in_tag, budget)?
             && !engine.is_empty(&mut tx, &self.non_word, budget)?
         {
-            return finding(
-                "controls tag-interior tokens",
-                shortest_string(cfg, x),
-            );
+            return finding("controls tag-interior tokens");
         }
         Ok(None)
-    }
-}
-
-impl Default for XssChecker {
-    fn default() -> Self {
-        XssChecker::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::HotspotReport;
+    use crate::PolicyChecker;
+    use strtaint_grammar::prepared::PreparedCache;
     use strtaint_grammar::{Symbol, Taint};
+
+    fn check(g: &Cfg, root: NtId) -> HotspotReport {
+        PolicyChecker::new().check_hotspot_cached(
+            strtaint_policy::XSS_POLICY,
+            g,
+            root,
+            &Budget::unlimited(),
+            &PreparedCache::new(),
+        )
+    }
 
     fn harness(pre: &[u8], strings: &[&[u8]], post: &[u8]) -> (Cfg, NtId) {
         let mut g = Cfg::new();
@@ -355,8 +225,7 @@ mod tests {
     #[test]
     fn raw_output_in_text_reported() {
         let (g, root) = harness(b"<p>Hello ", &[b"bob", b"<script>alert(1)</script>"], b"</p>");
-        let c = XssChecker::new();
-        let r = c.check_echo(&g, root);
+        let r = check(&g, root);
         assert!(!r.is_safe());
         assert!(r.findings[0].detail.contains("open a tag"));
     }
@@ -365,8 +234,7 @@ mod tests {
     fn escaped_output_in_text_verifies() {
         // htmlspecialchars output: no angle brackets survive.
         let (g, root) = harness(b"<p>", &[b"bob", b"a&lt;b&gt;c"], b"</p>");
-        let c = XssChecker::new();
-        assert!(c.check_echo(&g, root).is_safe());
+        assert!(check(&g, root).is_safe());
     }
 
     #[test]
@@ -376,8 +244,7 @@ mod tests {
             &[b"bob", br#"x" onmouseover="alert(1)"#],
             br#"">me</a>"#,
         );
-        let c = XssChecker::new();
-        let r = c.check_echo(&g, root);
+        let r = check(&g, root);
         assert!(!r.is_safe());
         assert!(r.findings[0].detail.contains("double-quoted attribute"));
     }
@@ -385,30 +252,26 @@ mod tests {
     #[test]
     fn quoted_attribute_with_safe_values_verifies() {
         let (g, root) = harness(br#"<a href=""#, &[b"a.php", b"b.php"], br#"">x</a>"#);
-        let c = XssChecker::new();
-        assert!(c.check_echo(&g, root).is_safe());
+        assert!(check(&g, root).is_safe());
     }
 
     #[test]
     fn tag_interior_word_is_tolerated() {
         let (g, root) = harness(b"<div class=", &[b"wide", b"narrow"], b">x</div>");
-        let c = XssChecker::new();
-        assert!(c.check_echo(&g, root).is_safe());
+        assert!(check(&g, root).is_safe());
     }
 
     #[test]
     fn tag_interior_payload_reported() {
         let (g, root) = harness(b"<div class=", &[b"x onload=alert(1)"], b">x</div>");
-        let c = XssChecker::new();
-        assert!(!c.check_echo(&g, root).is_safe());
+        assert!(!check(&g, root).is_safe());
     }
 
     #[test]
     fn untainted_output_trivially_safe() {
         let mut g = Cfg::new();
         let root = g.literal_nonterminal("html", b"<p>static</p>");
-        let c = XssChecker::new();
-        let r = c.check_echo(&g, root);
+        let r = check(&g, root);
         assert!(r.is_safe());
         assert_eq!(r.checked, 0);
     }

@@ -5,10 +5,10 @@
 //! strtaint serve --dir <PROJECT_DIR> [serve options]
 //!
 //! OPTIONS:
-//!   --xss           run the XSS checker instead of the SQLCIV checker
-//!   --policy LIST   comma-separated policy ids to enable (see
-//!                   --list-policies); sinks of every enabled policy
-//!                   are recognized and checked in one run
+//!   --policy LIST   comma-separated policy ids to enable (default
+//!                   sql; see --list-policies); sinks of every enabled
+//!                   policy are recognized and checked in one run —
+//!                   `--policy xss` checks `echo` output for XSS
 //!   --list-policies print the built-in policy registry (id, severity,
 //!                   name, description) and exit
 //!   --slice         enable the backward query-relevance slice (faster)
@@ -22,20 +22,6 @@
 //!                   "verified")
 //!   --fuel N        step budget per page (worklist pops, Earley items);
 //!                   exhaustion degrades exactly like --timeout
-//!   --no-summary-cache
-//!                   lower every file per page instead of sharing one
-//!                   AST→IR summary cache across entries (escape hatch
-//!                   for isolating cache bugs; results are identical)
-//!   --no-query-cache
-//!                   recompute every intersection query instead of
-//!                   replaying memoized verdicts from the cross-page
-//!                   query cache (escape hatch for isolating cache
-//!                   bugs; verdicts and witness bytes are identical)
-//!   --eager-witness
-//!                   extract every witness live instead of replaying
-//!                   witness bytes from the query cache; emptiness
-//!                   verdicts still memoize (escape hatch; results
-//!                   are identical)
 //!   --stats         print one table of engine and summary-cache
 //!                   counters (intersection queries, normalizations
 //!                   saved, realized triples, early exits, cache
@@ -71,14 +57,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use strtaint::{
-    analyze_page_cached, analyze_page_policies_cached, analyze_page_with, analyze_page_xss,
-    analyze_page_xss_cached, Checker, Config, EngineStats, PageReport, PolicyChecker,
-    SummaryCache, Vfs,
+    analyze_page_cached, Config, EngineStats, PageReport, PolicyChecker, SummaryCache, Vfs,
 };
 
-const USAGE: &str = "usage: strtaint [--xss] [--policy LIST] [--slice] [--json] [--sarif] \
+const USAGE: &str = "usage: strtaint [--policy LIST] [--slice] [--json] [--sarif] \
                      [--include SITE=FILE] [--timeout SECS] [--fuel N] \
-                     [--no-summary-cache] [--no-query-cache] [--eager-witness] \
                      [--stats] [--trace-json FILE] \
                      <dir> <entry.php|entry.tpl>...\n\
                      \x20      strtaint --list-policies\n\
@@ -87,14 +70,10 @@ const USAGE: &str = "usage: strtaint [--xss] [--policy LIST] [--slice] [--json] 
                      \x20      strtaint profile [--policy LIST] <dir> <entry.php>...";
 
 struct Options {
-    xss: bool,
     policies: Option<Vec<String>>,
     slice: bool,
     json: bool,
     sarif: bool,
-    no_summary_cache: bool,
-    no_query_cache: bool,
-    eager_witness: bool,
     stats: bool,
     trace_json: Option<String>,
     dir: String,
@@ -148,14 +127,10 @@ impl RunStats {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        xss: false,
         policies: None,
         slice: false,
         json: false,
         sarif: false,
-        no_summary_cache: false,
-        no_query_cache: false,
-        eager_witness: false,
         stats: false,
         trace_json: None,
         dir: String::new(),
@@ -168,7 +143,6 @@ fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--xss" => opts.xss = true,
             "--policy" => {
                 let v = args.next().ok_or("--policy requires a policy list")?;
                 let sel = strtaint::policy::parse_selection(&v)
@@ -192,9 +166,6 @@ fn parse_args() -> Result<Options, String> {
             "--slice" => opts.slice = true,
             "--json" => opts.json = true,
             "--sarif" => opts.sarif = true,
-            "--no-summary-cache" => opts.no_summary_cache = true,
-            "--no-query-cache" => opts.no_query_cache = true,
-            "--eager-witness" => opts.eager_witness = true,
             "--stats" => opts.stats = true,
             "--trace-json" => {
                 let v = args.next().ok_or("--trace-json requires FILE")?;
@@ -231,9 +202,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => positional.push(other.to_owned()),
         }
-    }
-    if opts.xss && opts.policies.is_some() {
-        return Err("--xss and --policy are mutually exclusive (use --policy xss)".to_owned());
     }
     if positional.len() < 2 {
         return Err(USAGE.to_owned());
@@ -319,41 +287,13 @@ fn main() -> ExitCode {
     }
     strtaint_obs::reset();
 
-    let check_opts = strtaint::CheckOptions {
-        query_cache: !opts.no_query_cache,
-        eager_witness: opts.eager_witness,
-        ..Default::default()
-    };
-    let checker = Checker::with_options(check_opts.clone());
-    let policy_checker = opts
-        .policies
-        .as_ref()
-        .map(|_| PolicyChecker::with_options(check_opts));
+    let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
 
     let mut reports = Vec::new();
     let mut any_findings = false;
     for entry in &opts.entries {
-        let result = if let Some(pc) = &policy_checker {
-            // --policy routes through the policy-driven pipeline; the
-            // summary-cache escape hatch applies by passing a fresh
-            // cache per page.
-            if opts.no_summary_cache {
-                analyze_page_policies_cached(&vfs, entry, &config, pc, &SummaryCache::new())
-            } else {
-                analyze_page_policies_cached(&vfs, entry, &config, pc, &summaries)
-            }
-        } else {
-            match (opts.xss, opts.no_summary_cache) {
-                (true, true) => analyze_page_xss(&vfs, entry, &config),
-                (true, false) => analyze_page_xss_cached(&vfs, entry, &config, &summaries),
-                (false, true) => analyze_page_with(&vfs, entry, &config, &checker),
-                (false, false) => {
-                    analyze_page_cached(&vfs, entry, &config, &checker, &summaries)
-                }
-            }
-        };
-        match result {
+        match analyze_page_cached(&vfs, entry, &config, &checker, &summaries) {
             Ok(r) => {
                 any_findings |= !r.is_verified();
                 reports.push(r);

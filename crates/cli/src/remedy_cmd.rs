@@ -214,11 +214,11 @@ pub fn cli_profile(args: &[String]) -> u8 {
         }
     };
     let config = config_of(&opts);
-    let checker = strtaint::PolicyChecker::with_options(strtaint::CheckOptions::default());
+    let checker = strtaint::PolicyChecker::new();
     let summaries = strtaint::SummaryCache::new();
     let mut reports = Vec::new();
     for entry in &opts.entries {
-        match strtaint::analyze_page_policies_cached(&vfs, entry, &config, &checker, &summaries) {
+        match strtaint::analyze_page_cached(&vfs, entry, &config, &checker, &summaries) {
             Ok(r) => reports.push(r),
             Err(e) => {
                 eprintln!("{entry}: {e}");

@@ -67,7 +67,7 @@ pub use strtaint_policy as policy;
 
 /// Worker-thread count for checking the hotspots of one page — the
 /// machine's available parallelism (hotspots are independent given the
-/// immutable grammar; see `Checker::check_hotspots_with`).
+/// immutable grammar; see `PolicyChecker::check_hotspots_with`).
 fn hotspot_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -76,7 +76,10 @@ fn hotspot_workers() -> usize {
 
 pub use report::{AppReport, PageReport};
 
-/// Analyzes one web page (top-level PHP file) and checks every hotspot.
+/// Analyzes one web page (top-level PHP or template file) and checks
+/// every sink of the **enabled policy set** (`Config::policies`): SQL
+/// hotspots, shell/path/eval sinks, and (when the `xss` policy is
+/// enabled) `echo` sinks, each by the cascade its policy defines.
 ///
 /// # Errors
 ///
@@ -87,31 +90,16 @@ pub fn analyze_page(
     entry: &str,
     config: &Config,
 ) -> Result<PageReport, AnalyzeError> {
-    analyze_page_with(vfs, entry, config, &Checker::new())
+    analyze_page_cached(vfs, entry, config, &PolicyChecker::new(), &SummaryCache::new())
 }
 
-/// Like [`analyze_page`], reusing a prebuilt [`Checker`] (its automata
-/// are page-independent).
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
-pub fn analyze_page_with(
-    vfs: &Vfs,
-    entry: &str,
-    config: &Config,
-    checker: &Checker,
-) -> Result<PageReport, AnalyzeError> {
-    let summaries = SummaryCache::new();
-    analyze_page_cached(vfs, entry, config, checker, &summaries)
-}
-
-/// Like [`analyze_page_with`], sharing a caller-owned [`SummaryCache`]
-/// so AST→IR lowering of files reached by many pages (shared includes)
-/// happens once per app instead of once per page. The app drivers
-/// ([`analyze_app`], [`analyze_app_parallel`]) use this internally; the
-/// reports are identical to the uncached path.
+/// Like [`analyze_page`], reusing a prebuilt [`PolicyChecker`] (its
+/// automata, query cache and prepared memo are page-independent) and
+/// sharing a caller-owned [`SummaryCache`], so AST→IR lowering of files
+/// reached by many pages (shared includes) happens once per app instead
+/// of once per page. The app drivers ([`analyze_app`],
+/// [`analyze_app_parallel`]) use this internally; the reports are
+/// identical to [`analyze_page`]'s.
 ///
 /// # Errors
 ///
@@ -121,7 +109,7 @@ pub fn analyze_page_cached(
     vfs: &Vfs,
     entry: &str,
     config: &Config,
-    checker: &Checker,
+    checker: &PolicyChecker,
     summaries: &SummaryCache,
 ) -> Result<PageReport, AnalyzeError> {
     // One budget covers both phases: the deadline clock starts here and
@@ -133,16 +121,22 @@ pub fn analyze_page_cached(
     let analysis_time = t0.elapsed();
 
     let t1 = Instant::now();
-    // All hotspots of the page are checked in one parallel batch
-    // sharing a prepared-grammar cache; reports come back in program
-    // order, identical to the serial loop. The cross-page query cache
-    // is namespaced by the config fingerprint so memoized verdicts
-    // never leak across configs (same rule the artifact store applies).
+    // Sink sites in program order, echo sinks after (they are collected
+    // separately by the analysis and only checked when `xss` is on).
+    let mut sites: Vec<Hotspot> = analysis.hotspots.clone();
+    if config.policies.iter().any(|p| p == policy::XSS_POLICY) {
+        sites.extend(analysis.echo_sinks.iter().cloned());
+    }
+    let items: Vec<(NtId, String)> = sites.iter().map(|h| (h.root, h.policy.clone())).collect();
+    // All sinks of the page are checked in one parallel batch sharing a
+    // prepared-grammar cache; reports come back in program order,
+    // identical to the serial loop. The cross-page query cache is
+    // namespaced by the config fingerprint so memoized verdicts never
+    // leak across configs (same rule the artifact store applies).
     checker.set_query_scope(config.fingerprint());
-    let roots: Vec<NtId> = analysis.hotspots.iter().map(|h| h.root).collect();
-    let reports = checker.check_hotspots_with(&analysis.cfg, &roots, &budget, hotspot_workers());
+    let reports = checker.check_hotspots_with(&analysis.cfg, &items, &budget, hotspot_workers());
     let mut hotspots = Vec::new();
-    for (h, mut r) in analysis.hotspots.iter().zip(reports) {
+    for (h, mut r) in sites.iter().zip(reports) {
         if let Some(span) = h.provenance.arg_span {
             for f in &mut r.findings {
                 f.at = Some((span.line, span.col));
@@ -158,168 +152,8 @@ pub fn analyze_page_cached(
     }
     let check_time = t1.elapsed();
 
-    // Grammar size restricted to the query grammars (Table 1 columns).
-    let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
-
-    Ok(PageReport {
-        entry: entry.to_owned(),
-        hotspots,
-        grammar_nonterminals,
-        grammar_productions,
-        analysis_time,
-        check_time,
-        warnings: analysis.warnings,
-        unmodeled: analysis.unmodeled.into_iter().collect(),
-        files_analyzed: analysis.files_analyzed,
-        inputs: analysis.inputs.into_iter().collect(),
-        degradations: analysis.degradations,
-        skipped: None,
-    })
-}
-
-/// Analyzes one web page against the **enabled policy set**
-/// (`Config::policies`): every sink the analysis recognized — SQL
-/// hotspots, shell/path/eval sinks, and (when the `xss` policy is
-/// enabled) `echo` sinks — is checked by the cascade its policy
-/// defines, all in one parallel batch. With the default policy set
-/// (`["sql"]`) this matches [`analyze_page`] finding for finding.
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
-pub fn analyze_page_policies(
-    vfs: &Vfs,
-    entry: &str,
-    config: &Config,
-) -> Result<PageReport, AnalyzeError> {
-    let summaries = SummaryCache::new();
-    analyze_page_policies_cached(vfs, entry, config, &PolicyChecker::new(), &summaries)
-}
-
-/// Like [`analyze_page_policies`], reusing a prebuilt [`PolicyChecker`]
-/// and a caller-owned [`SummaryCache`] across pages.
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
-pub fn analyze_page_policies_cached(
-    vfs: &Vfs,
-    entry: &str,
-    config: &Config,
-    checker: &PolicyChecker,
-    summaries: &SummaryCache,
-) -> Result<PageReport, AnalyzeError> {
-    let _span = strtaint_obs::Span::enter("page", entry);
-    let budget = config.page_budget();
-    let t0 = Instant::now();
-    let analysis = strtaint_analysis::analyze_cached(vfs, entry, config, &budget, summaries)?;
-    let analysis_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    // Sink sites in program order, echo sinks after (they are collected
-    // separately by the analysis and only checked when `xss` is on).
-    let mut sites: Vec<Hotspot> = analysis.hotspots.clone();
-    if config.policies.iter().any(|p| p == policy::XSS_POLICY) {
-        sites.extend(analysis.echo_sinks.iter().cloned());
-    }
-    let items: Vec<(NtId, String)> =
-        sites.iter().map(|h| (h.root, h.policy.clone())).collect();
-    // Namespace the cross-page query caches by config fingerprint
-    // (see `analyze_page_cached`).
-    checker.set_query_scope(config.fingerprint());
-    let reports = checker.check_hotspots_with(&analysis.cfg, &items, &budget, hotspot_workers());
-    let mut hotspots = Vec::new();
-    for (h, mut r) in sites.iter().zip(reports) {
-        if let Some(span) = h.provenance.arg_span {
-            for f in &mut r.findings {
-                f.at = Some((span.line, span.col));
-            }
-        }
-        let (skeletons, complete) = checker.skeletons_for(&h.policy, &analysis.cfg, h.root);
-        r.skeletons = skeletons;
-        r.skeletons_complete = complete;
-        hotspots.push((h.clone(), r));
-    }
-    let check_time = t1.elapsed();
-
+    // Grammar size restricted to the sink grammars (Table 1 columns).
     let roots: Vec<NtId> = items.iter().map(|&(root, _)| root).collect();
-    let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
-
-    Ok(PageReport {
-        entry: entry.to_owned(),
-        hotspots,
-        grammar_nonterminals,
-        grammar_productions,
-        analysis_time,
-        check_time,
-        warnings: analysis.warnings,
-        unmodeled: analysis.unmodeled.into_iter().collect(),
-        files_analyzed: analysis.files_analyzed,
-        inputs: analysis.inputs.into_iter().collect(),
-        degradations: analysis.degradations,
-        skipped: None,
-    })
-}
-
-/// Analyzes one web page for **cross-site scripting**: every `echo`
-/// sink's emitted HTML language is checked for tainted substrings that
-/// can introduce markup — the same technique as the SQLCIV analysis
-/// with an HTML-context automaton in place of the SQL machinery (the
-/// extension the paper names as future work, §7).
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
-pub fn analyze_page_xss(
-    vfs: &Vfs,
-    entry: &str,
-    config: &Config,
-) -> Result<PageReport, AnalyzeError> {
-    let summaries = SummaryCache::new();
-    analyze_page_xss_cached(vfs, entry, config, &summaries)
-}
-
-/// Like [`analyze_page_xss`], sharing a caller-owned [`SummaryCache`]
-/// across pages.
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
-pub fn analyze_page_xss_cached(
-    vfs: &Vfs,
-    entry: &str,
-    config: &Config,
-    summaries: &SummaryCache,
-) -> Result<PageReport, AnalyzeError> {
-    let _span = strtaint_obs::Span::enter("page", entry);
-    let budget = config.page_budget();
-    let t0 = Instant::now();
-    let analysis = strtaint_analysis::analyze_cached(vfs, entry, config, &budget, summaries)?;
-    let analysis_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let checker = strtaint_checker::XssChecker::new();
-    checker.set_query_scope(config.fingerprint());
-    let roots: Vec<NtId> = analysis.echo_sinks.iter().map(|h| h.root).collect();
-    let reports = checker.check_echoes_with(&analysis.cfg, &roots, &budget, hotspot_workers());
-    let mut hotspots = Vec::new();
-    for (h, mut r) in analysis.echo_sinks.iter().zip(reports) {
-        if let Some(span) = h.provenance.arg_span {
-            for f in &mut r.findings {
-                f.at = Some((span.line, span.col));
-            }
-        }
-        let (skeletons, complete) = checker.skeletons_for(&analysis.cfg, h.root);
-        r.skeletons = skeletons;
-        r.skeletons_complete = complete;
-        hotspots.push((h.clone(), r));
-    }
-    let check_time = t1.elapsed();
-
     let (grammar_nonterminals, grammar_productions) = query_grammar_size(&analysis.cfg, &roots);
 
     Ok(PageReport {
@@ -380,7 +214,7 @@ where
 /// with a synthetic report ([`PageReport::skipped_page`]); skipped
 /// pages are never counted verified.
 pub fn analyze_app(name: &str, vfs: &Vfs, entries: &[&str], config: &Config) -> AppReport {
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
     let pages = entries
         .iter()
@@ -433,7 +267,7 @@ pub fn analyze_app_parallel_cached(
     workers: usize,
     summaries: &SummaryCache,
 ) -> AppReport {
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let mut app = analyze_app_parallel_with(name, vfs, entries, workers, |vfs, entry| {
         analyze_page_cached(vfs, entry, config, &checker, summaries)
     });
@@ -635,7 +469,8 @@ $u = get_user($_GET['id']);
             vfs.add(p, "<?php $r = $DB->query(\"SELECT 1\");");
         }
         let config = Config::default();
-        let checker = Checker::new();
+        let checker = PolicyChecker::new();
+        let summaries = SummaryCache::new();
         let app = analyze_app_parallel_with(
             "demo",
             &vfs,
@@ -645,7 +480,7 @@ $u = get_user($_GET['id']);
                 if entry == "b.php" {
                     panic!("injected fault for {entry}");
                 }
-                analyze_page_with(vfs, entry, &config, &checker)
+                analyze_page_cached(vfs, entry, &config, &checker, &summaries)
             },
         );
         assert_eq!(app.pages.len(), 3);

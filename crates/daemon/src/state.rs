@@ -2,7 +2,7 @@
 //!
 //! One [`DaemonState`] lives for the whole process: the [`Vfs`], a
 //! content-hash index over it, the shared [`SummaryCache`] (AST→IR
-//! lowering), the prepared-grammar [`Checker`], the in-memory verdict
+//! lowering), the [`PolicyChecker`], the in-memory verdict
 //! map, and the optional on-disk [`ArtifactStore`]. Requests from any
 //! number of clients funnel into `&self` methods; interior locks are
 //! held only around map/tree access, never across an analysis, so a
@@ -23,8 +23,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use strtaint::{
-    analyze_page_cached, analyze_page_policies_cached, analyze_page_xss_cached, Config,
-    EngineStats, PageReport, PolicyChecker, SummaryCache, Vfs,
+    analyze_page_cached, Config, EngineStats, PageReport, PolicyChecker, SummaryCache, Vfs,
 };
 use strtaint_analysis::frontend::FrontendSet;
 use strtaint_analysis::summary::content_hash;
@@ -252,7 +251,8 @@ impl DaemonState {
     /// The per-request budget lives inside `config` (`timeout`/`fuel`):
     /// each page gets a fresh `Budget` from it, so one slow request
     /// degrades soundly inside its own envelope instead of starving
-    /// the process.
+    /// the process. `xss` is the wire form of the policy set `["xss"]`:
+    /// it replaces `config.policies` for this page.
     pub fn analyze_page(
         &self,
         entry: &str,
@@ -261,6 +261,19 @@ impl DaemonState {
     ) -> (Json, PageOutcome) {
         let t0 = Instant::now();
         let entry = normalize(entry);
+        // The verdict key and evidence follow the effective policy set:
+        // with only `xss` enabled, SQL sink methods are unmodeled calls,
+        // so the page differs from one analyzed under the request's set.
+        let xss_config;
+        let config = if xss {
+            xss_config = Config {
+                policies: vec![strtaint::policy::XSS_POLICY.to_owned()],
+                ..config.clone()
+            };
+            &xss_config
+        } else {
+            config
+        };
         let request_frontends;
         let (config_fp, frontends) = if std::ptr::eq(config, &self.config) {
             (self.config_fp, &self.frontends)
@@ -312,7 +325,7 @@ impl DaemonState {
         // it, which is exactly the consistency we want — a page is
         // analyzed against one tree snapshot.
         let vfs = self.vfs.read().unwrap_or_else(|p| p.into_inner());
-        let report = self.run_isolated(&vfs, &entry, xss, config);
+        let report = self.run_isolated(&vfs, &entry, config);
         let page = page_to_json(&report);
 
         let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
@@ -379,18 +392,8 @@ impl DaemonState {
 
     /// Runs one page analysis with panic isolation (a panic becomes a
     /// skipped-page report, exactly like the batch driver).
-    fn run_isolated(&self, vfs: &Vfs, entry: &str, xss: bool, config: &Config) -> PageReport {
-        let run = || {
-            if xss {
-                analyze_page_xss_cached(vfs, entry, config, &self.summaries)
-            } else if config.policies == [strtaint::policy::SQL_POLICY] {
-                // Default policy set: the dedicated SQLCIV path, so
-                // daemon responses stay byte-identical to the seed.
-                analyze_page_cached(vfs, entry, config, self.checker.sql(), &self.summaries)
-            } else {
-                analyze_page_policies_cached(vfs, entry, config, &self.checker, &self.summaries)
-            }
-        };
+    fn run_isolated(&self, vfs: &Vfs, entry: &str, config: &Config) -> PageReport {
+        let run = || analyze_page_cached(vfs, entry, config, &self.checker, &self.summaries);
         match std::panic::catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(report)) => report,
             Ok(Err(err)) => PageReport::skipped_page(entry, format!("page skipped: {err}")),

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use strtaint::report::PageReport;
 use strtaint::{
-    analyze_page_policies_cached, AnalyzeError, CheckOptions, Config, PolicyChecker, SummaryCache,
+    analyze_page_cached, AnalyzeError, Config, PolicyChecker, SummaryCache,
     Vfs,
 };
 
@@ -114,26 +114,22 @@ fn overlaps(a: &Edit, b: &Edit) -> bool {
 /// Returns [`AnalyzeError`] if any entry is missing or fails to parse
 /// (in either pass).
 pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutcome, AnalyzeError> {
-    let checker = PolicyChecker::with_options(CheckOptions::default());
+    let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
     let mut reports = Vec::new();
     for entry in entries {
-        reports.push(analyze_page_policies_cached(
-            vfs, entry, config, &checker, &summaries,
-        )?);
+        reports.push(analyze_page_cached(vfs, entry, config, &checker, &summaries)?);
     }
     let plans = plan_fixes(vfs, &reports);
     let (fixed_vfs, applied) = apply_plans(vfs, &plans);
 
     // Fresh checker and summary cache: the proof must not replay any
     // verdict derived from the unrepaired tree.
-    let checker2 = PolicyChecker::with_options(CheckOptions::default());
+    let checker2 = PolicyChecker::new();
     let summaries2 = SummaryCache::new();
     let mut reanalyzed = Vec::new();
     for entry in entries {
-        reanalyzed.push(analyze_page_policies_cached(
-            &fixed_vfs, entry, config, &checker2, &summaries2,
-        )?);
+        reanalyzed.push(analyze_page_cached(&fixed_vfs, entry, config, &checker2, &summaries2)?);
     }
 
     let discharged = plans

@@ -4,14 +4,22 @@
 //! ```text
 //! cargo run --release --example audit_app -- utopia      # corpus app
 //! cargo run --release --example audit_app -- /path/to/php/project index.php
+//! cargo run --release --example audit_app -- --policy xss utopia
 //! ```
 
-use strtaint::{analyze_app, analyze_page_xss, Config, Vfs};
+use strtaint::{analyze_app, Config, Vfs};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let xss = args.iter().any(|a| a == "--xss");
-    args.retain(|a| a != "--xss");
+    let mut config = Config::default();
+    if let Some(i) = args.iter().position(|a| a == "--policy") {
+        let spec = args.get(i + 1).cloned().unwrap_or_default();
+        config.policies = strtaint::policy::parse_selection(&spec).unwrap_or_else(|e| {
+            eprintln!("--policy: {e}");
+            std::process::exit(2);
+        });
+        args.drain(i..(i + 2).min(args.len()));
+    }
     let (name, vfs, entries): (String, Vfs, Vec<String>) = match args.as_slice() {
         [app] if !app.contains('/') => {
             let app = match app.as_str() {
@@ -32,24 +40,13 @@ fn main() {
             (dir.clone(), vfs, vec![entry.clone()])
         }
         _ => {
-            eprintln!("usage: audit_app <corpus-app> | audit_app <dir> <entry.php>");
+            eprintln!("usage: audit_app [--policy LIST] <corpus-app> | <dir> <entry.php>");
             std::process::exit(2);
         }
     };
 
     let entry_refs: Vec<&str> = entries.iter().map(String::as_str).collect();
-    if xss {
-        // XSS mode: per-page reports from the echo-sink checker.
-        let config = Config::default();
-        for e in &entry_refs {
-            match analyze_page_xss(&vfs, e, &config) {
-                Ok(r) => print!("{r}"),
-                Err(err) => eprintln!("{e}: {err}"),
-            }
-        }
-        return;
-    }
-    let report = analyze_app(&name, &vfs, &entry_refs, &Config::default());
+    let report = analyze_app(&name, &vfs, &entry_refs, &config);
     println!("{report}");
     for page in &report.pages {
         if page.is_verified() && page.warnings.is_empty() {

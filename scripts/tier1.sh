@@ -42,6 +42,12 @@ cargo test -q -p strtaint-grammar
 echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 
+echo "==> strbench binaries build against the public API"
+# The traced bench driver replays the pipeline through the crates'
+# public functions; an API change that breaks it must fail here, not
+# on the next bench run.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path strbench/Cargo.toml --bins
+
 echo "==> daemon round-trip (restart replay + corrupt-cache recovery)"
 cargo test -q -p strtaint-daemon
 cargo test -q --test daemon

@@ -494,7 +494,7 @@ fn artifact_stripped_of_skeleton_evidence_recomputes() {
 
 #[test]
 fn profile_is_byte_identical_cold_and_daemon_warm() {
-    use strtaint::{analyze_page_policies_cached, CheckOptions, PolicyChecker, SummaryCache};
+    use strtaint::{analyze_page_cached, CheckOptions, PolicyChecker, SummaryCache};
 
     let app = small_app();
     let cache = temp_cache("profile");
@@ -511,7 +511,7 @@ fn profile_is_byte_identical_cold_and_daemon_warm() {
         .entries
         .iter()
         .map(|e| {
-            analyze_page_policies_cached(&app.vfs, e, &config, &checker, &summaries).expect(e)
+            analyze_page_cached(&app.vfs, e, &config, &checker, &summaries).expect(e)
         })
         .collect();
     let cold = strtaint_remedy::render_profile(&strtaint_remedy::profile_pages(&reports));
@@ -575,4 +575,56 @@ fn profile_verb_routes_through_the_server_envelope() {
     );
     let profile = r.get("profile").and_then(Json::as_str).expect("profile text");
     assert!(profile.contains("strtaint-profile/1"));
+}
+
+/// `pages` serialized without wall-clock members (`*_ms`) and engine
+/// counters (`engine`): parallel hotspot workers race to prepare shared
+/// grammars, so the counters of two cold runs may differ by one.
+fn pages_without_timings(response: &Json) -> String {
+    fn strip(v: &Json) -> Json {
+        match v {
+            Json::Obj(members) => Json::Obj(
+                members
+                    .iter()
+                    .filter(|(k, _)| !k.ends_with("_ms") && k != "engine")
+                    .map(|(k, v)| (k.clone(), strip(v)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.iter().map(strip).collect()),
+            other => other.clone(),
+        }
+    }
+    let mut out = String::new();
+    strip(response.get("pages").expect("pages member")).write(&mut out);
+    out
+}
+
+#[test]
+fn xss_flag_answers_exactly_like_the_xss_policy() {
+    // `"xss":true` is the wire form of `"policies":["xss"]`: two fresh
+    // daemons over the same tree must render the same page objects, and
+    // the flag's verdicts replay on repeat like any other request.
+    let app = strtaint_corpus::apps::utopia::build();
+    let entries = "[\"news.php\",\"search.php\"]";
+    let boot = || DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+    let flag = format!("{{\"cmd\":\"analyze\",\"entries\":{entries},\"xss\":true}}");
+    let policy = format!("{{\"cmd\":\"analyze\",\"entries\":{entries},\"policies\":[\"xss\"]}}");
+
+    let by_flag = boot();
+    let r1 = request(&by_flag, &flag);
+    assert_eq!(num(&r1, "computed"), 2.0);
+    let r2 = request(&boot(), &policy);
+    assert_eq!(pages_without_timings(&r1), pages_without_timings(&r2));
+    let findings = r1
+        .get("pages")
+        .and_then(Json::as_arr)
+        .expect("pages")
+        .iter()
+        .filter(|p| p.get("verified").and_then(Json::as_bool) == Some(false))
+        .count();
+    assert_eq!(findings, 1, "news.php echoes a stored XSS, search.php escapes");
+
+    let again = request(&by_flag, &flag);
+    assert_eq!(num(&again, "replayed"), 2.0, "a repeat request replays");
+    assert_eq!(pages_bytes(&again), pages_bytes(&r1));
 }

@@ -20,8 +20,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use strtaint::{
-    analyze_page_policies, analyze_page_policies_cached, analyze_page_xss, render, Config,
-    PageReport, PolicyChecker, SummaryCache, Vfs,
+    analyze_page, analyze_page_cached, render, Config, PageReport, PolicyChecker, SummaryCache,
+    Vfs,
 };
 use strtaint_corpus::frontends::{mixed_app, pairs, vfs};
 use strtaint_daemon::json::{self, Json};
@@ -39,16 +39,18 @@ fn config_for(policy: &str) -> Config {
     }
 }
 
-/// Analyzes one pair member under its pair's policy; `"xss"` routes
-/// through the XSS checker like the CLI's `--xss` flag does.
+/// Analyzes one pair member under its pair's policy; `"xss"` runs the
+/// XSS policy alone, like the CLI's `--policy xss`.
 fn analyze(vfs: &Vfs, entry: &str, policy: &str) -> PageReport {
-    if policy == "xss" {
-        analyze_page_xss(vfs, entry, &Config::default())
-            .unwrap_or_else(|e| panic!("{entry}: {e}"))
+    let config = if policy == "xss" {
+        Config {
+            policies: vec![policy.to_owned()],
+            ..Config::default()
+        }
     } else {
-        analyze_page_policies(vfs, entry, &config_for(policy))
-            .unwrap_or_else(|e| panic!("{entry}: {e}"))
-    }
+        config_for(policy)
+    };
+    analyze_page(vfs, entry, &config).unwrap_or_else(|e| panic!("{entry}: {e}"))
 }
 
 fn rule_ids(report: &PageReport) -> Vec<&'static str> {
@@ -214,7 +216,7 @@ fn mixed_language_app_crosses_the_boundary_and_shares_summaries() {
 
     // PHP → template: taint enters in `index.php`, sinks in the
     // template partial it includes.
-    let r1 = analyze_page_policies_cached(&vfs, "index.php", &config, &checker, &summaries)
+    let r1 = analyze_page_cached(&vfs, "index.php", &config, &checker, &summaries)
         .expect("index.php analyzes");
     assert!(!r1.is_verified(), "cross-language taint must reach the sink\n{r1}");
     assert!(
@@ -223,7 +225,7 @@ fn mixed_language_app_crosses_the_boundary_and_shares_summaries() {
     );
 
     // The PHP-side whitelist sanitizes the same template sink.
-    let r2 = analyze_page_policies_cached(&vfs, "index2.php", &config, &checker, &summaries)
+    let r2 = analyze_page_cached(&vfs, "index2.php", &config, &checker, &summaries)
         .expect("index2.php analyzes");
     assert!(
         r2.is_verified(),
@@ -241,7 +243,7 @@ fn mixed_language_app_crosses_the_boundary_and_shares_summaries() {
 
     // Template → PHP: taint enters in `page.tpl`, sinks in the PHP
     // helper it includes.
-    let r3 = analyze_page_policies_cached(&vfs, "page.tpl", &config, &checker, &summaries)
+    let r3 = analyze_page_cached(&vfs, "page.tpl", &config, &checker, &summaries)
         .expect("page.tpl analyzes");
     assert!(
         !r3.is_verified(),
@@ -261,7 +263,7 @@ fn pure_php_trees_lower_each_file_exactly_once() {
     let run = |tag: &str| {
         for seed in strtaint_corpus::policies::seeds() {
             let config = config_for(seed.policy);
-            analyze_page_policies_cached(&vfs, seed.entry, &config, &checker, &summaries)
+            analyze_page_cached(&vfs, seed.entry, &config, &checker, &summaries)
                 .unwrap_or_else(|e| panic!("{tag}: {}: {e}", seed.entry));
         }
     };

@@ -5,8 +5,8 @@
 //! less lowering work (measured by the cache counters).
 
 use strtaint::{
-    analyze_app_parallel_cached, analyze_page_cached, analyze_page_with, Checker, Config,
-    PageReport, SummaryCache, Vfs,
+    analyze_app_parallel_cached, analyze_page_cached, Config, PageReport, PolicyChecker,
+    SummaryCache, Vfs,
 };
 use strtaint_corpus::synth::{synth_app, SynthConfig};
 
@@ -111,10 +111,11 @@ fn cold_and_warm_cache_grammars_identical() {
 fn shared_cache_reports_match_uncached_path() {
     let vfs = join_app();
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let cache = SummaryCache::new();
     for entry in ["p1.php", "p2.php"] {
-        let uncached = analyze_page_with(&vfs, entry, &config, &checker).unwrap();
+        let uncached =
+            analyze_page_cached(&vfs, entry, &config, &checker, &SummaryCache::new()).unwrap();
         let cached = analyze_page_cached(&vfs, entry, &config, &checker, &cache).unwrap();
         assert_eq!(
             fingerprint(&uncached),
@@ -131,7 +132,7 @@ fn shared_cache_reports_match_uncached_path() {
 fn include_and_function_summaries_reused_across_pages() {
     let vfs = join_app();
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let cache = SummaryCache::new();
     let first = analyze_page_cached(&vfs, "p1.php", &config, &checker, &cache).unwrap();
     let after_first = cache.misses();
@@ -152,7 +153,7 @@ fn warm_parallel_app_lowered_at_least_30_percent_less() {
     let app = synth_app(&SynthConfig::default());
     let entries = app.entry_refs();
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
 
     // Cold baseline: every page gets a private cache, so shared
     // includes are lowered once *per page*.

@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use strtaint::{analyze_page_cached, render, Checker, Config, PageReport, SummaryCache};
+use strtaint::{analyze_page_cached, render, Config, PageReport, PolicyChecker, SummaryCache};
 use strtaint_corpus::apps;
 use strtaint_daemon::verdict::page_to_json;
 use strtaint_obs as obs;
@@ -27,7 +27,7 @@ use strtaint_obs as obs;
 /// two runs of the same tree render identically.
 fn run_app(app: &strtaint_corpus::App) -> Vec<PageReport> {
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
     app.entries
         .iter()

@@ -9,7 +9,7 @@
 //! soundness bug, not a formatting nit.
 
 use strtaint::{
-    analyze_page_policies_cached, render, CheckOptions, Config, PageReport, PolicyChecker,
+    analyze_page_cached, render, CheckOptions, Config, PageReport, PolicyChecker,
     SummaryCache, Vfs,
 };
 use strtaint_analysis::analyze;
@@ -33,7 +33,7 @@ fn sarif_for(vfs: &Vfs, entries: &[&str], config: &Config, checker: &PolicyCheck
     let summaries = SummaryCache::new();
     let mut reports: Vec<PageReport> = Vec::new();
     for entry in entries {
-        if let Ok(r) = analyze_page_policies_cached(vfs, entry, config, checker, &summaries) {
+        if let Ok(r) = analyze_page_cached(vfs, entry, config, checker, &summaries) {
             reports.push(r);
         }
     }

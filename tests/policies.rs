@@ -3,19 +3,21 @@
 //! - Every seeded vulnerable corpus page reports a finding with its
 //!   class's rule id; every sanitized variant verifies clean.
 //! - The three new classes carry distinct SARIF rule ids.
-//! - With the default policy set (`["sql"]`) the policy-driven pipeline
-//!   is byte-identical to the dedicated SQLCIV path on the corpus —
-//!   text, findings, and SARIF.
+//! - With the default policy set (`["sql"]`) the page pipeline is
+//!   byte-identical on the corpus to reports assembled call by call from
+//!   `Checker::check_hotspots_with` + `skeletons_for` — the sequence
+//!   the traced bench driver replays — in findings, JSON and SARIF.
 //! - The cheap-first cascade reorder changes no verdict on the corpus.
 //! - The SARIF rule-id namespace is pinned by a golden file
 //!   (`tests/golden/rule_ids.txt`); adding or renaming a rule id is an
 //!   intentional, reviewed change.
 
 use std::collections::HashSet;
+use std::time::Duration;
 
 use strtaint::{
-    analyze_page_cached, analyze_page_policies, analyze_page_policies_cached, render,
-    CheckOptions, Checker, Config, PolicyChecker, SummaryCache,
+    analyze_page, analyze_page_cached, render, CheckOptions, Checker, Config, NtId, PageReport,
+    PolicyChecker, SummaryCache, Vfs,
 };
 use strtaint_corpus::policies::{seeds, vfs};
 
@@ -31,7 +33,7 @@ fn seeded_pages_match_ground_truth() {
     let vfs = vfs();
     for seed in seeds() {
         let config = config_with(&["sql", seed.policy]);
-        let report = analyze_page_policies(&vfs, seed.entry, &config)
+        let report = analyze_page(&vfs, seed.entry, &config)
             .unwrap_or_else(|e| panic!("{}: {e}", seed.entry));
         if seed.vulnerable {
             let rules: Vec<&str> = report
@@ -69,7 +71,7 @@ fn new_classes_have_distinct_sarif_rule_ids() {
     let mut reports = Vec::new();
     for seed in seeds().iter().filter(|s| s.vulnerable) {
         reports.push(
-            analyze_page_policies_cached(&vfs, seed.entry, &config, &checker, &summaries)
+            analyze_page_cached(&vfs, seed.entry, &config, &checker, &summaries)
                 .expect("seeded page analyzes"),
         );
     }
@@ -86,48 +88,92 @@ fn new_classes_have_distinct_sarif_rule_ids() {
     assert_eq!(classes.len(), 3, "one distinct rule id per class");
 }
 
+/// One page assembled call by call from the SQL checker's public
+/// surface, as the traced bench driver does: analysis, one parallel
+/// `check_hotspots_with` batch, then `skeletons_for` per hotspot.
+fn assembled_page(
+    vfs: &Vfs,
+    entry: &str,
+    config: &Config,
+    checker: &Checker,
+    summaries: &SummaryCache,
+) -> PageReport {
+    let budget = config.page_budget();
+    let analysis = strtaint_analysis::analyze_cached(vfs, entry, config, &budget, summaries)
+        .expect("page analyzes");
+    let roots: Vec<NtId> = analysis.hotspots.iter().map(|h| h.root).collect();
+    checker.set_query_scope(config.fingerprint());
+    let checked = checker.check_hotspots_with(&analysis.cfg, &roots, &budget, 2);
+    let mut hotspots = Vec::new();
+    for (h, mut r) in analysis.hotspots.iter().zip(checked) {
+        if let Some(span) = h.provenance.arg_span {
+            for f in &mut r.findings {
+                f.at = Some((span.line, span.col));
+            }
+        }
+        (r.skeletons, r.skeletons_complete) = checker.skeletons_for(&analysis.cfg, h.root);
+        hotspots.push((h.clone(), r));
+    }
+    let reached = analysis.cfg.reachable_from(&roots);
+    PageReport {
+        entry: entry.to_owned(),
+        hotspots,
+        grammar_nonterminals: reached.len(),
+        grammar_productions: reached.iter().map(|&id| analysis.cfg.productions(id).len()).sum(),
+        analysis_time: Duration::ZERO,
+        check_time: Duration::ZERO,
+        warnings: analysis.warnings,
+        unmodeled: analysis.unmodeled.into_iter().collect(),
+        files_analyzed: analysis.files_analyzed,
+        inputs: analysis.inputs.into_iter().collect(),
+        degradations: analysis.degradations,
+        skipped: None,
+    }
+}
+
 #[test]
 fn sql_only_policy_run_is_byte_identical_to_dedicated_path() {
-    // The refactor's core acceptance criterion: routing the default
-    // config through the policy layer must not change a single byte of
-    // output on the existing corpus.
-    let app = strtaint_corpus::apps::utopia::build();
-    let config = Config::default();
-    let checker = Checker::new();
-    let pchecker = PolicyChecker::new();
-    let s1 = SummaryCache::new();
-    let s2 = SummaryCache::new();
-    let mut dedicated = Vec::new();
-    let mut policy_driven = Vec::new();
-    for entry in &app.entries {
-        dedicated
-            .push(analyze_page_cached(&app.vfs, entry, &config, &checker, &s1).expect("page"));
-        policy_driven.push(
-            analyze_page_policies_cached(&app.vfs, entry, &config, &pchecker, &s2)
-                .expect("page"),
-        );
-    }
-    assert_eq!(
-        render::sarif(&dedicated),
-        render::sarif(&policy_driven),
-        "SARIF bytes must match"
-    );
-    // Text reports include wall-clock timings, so compare them with
-    // the timing fields held constant: everything else must agree.
-    for (d, p) in dedicated.iter().zip(&policy_driven) {
-        assert_eq!(d.is_verified(), p.is_verified(), "{}: verdict", d.entry);
+    // The default config through the one page pipeline must not differ
+    // by a byte from the SQL checker driven call by call — the program
+    // the traced bench ledger measures is the program the CLI runs.
+    for app in [strtaint_corpus::apps::utopia::build(), strtaint_corpus::apps::eve::build()] {
+        let config = Config::default();
+        let checker = Checker::new();
+        let pchecker = PolicyChecker::new();
+        let s1 = SummaryCache::new();
+        let s2 = SummaryCache::new();
+        let mut assembled = Vec::new();
+        let mut pipeline = Vec::new();
+        for entry in &app.entries {
+            assembled.push(assembled_page(&app.vfs, entry, &config, &checker, &s1));
+            let mut p = analyze_page_cached(&app.vfs, entry, &config, &pchecker, &s2).expect("page");
+            p.analysis_time = Duration::ZERO;
+            p.check_time = Duration::ZERO;
+            pipeline.push(p);
+        }
         assert_eq!(
-            d.findings().count(),
-            p.findings().count(),
-            "{}: finding count",
-            d.entry
+            render::sarif(&assembled),
+            render::sarif(&pipeline),
+            "{}: SARIF bytes must match",
+            app.name
         );
-        for ((hd, fd), (hp, fp)) in d.findings().zip(p.findings()) {
-            assert_eq!(hd.label, hp.label);
-            assert_eq!(fd.kind, fp.kind);
-            assert_eq!(fd.name, fp.name);
-            assert_eq!(fd.witness, fp.witness);
-            assert_eq!(fd.example_query, fp.example_query);
+        assert_eq!(
+            render::json_report(&assembled, None),
+            render::json_report(&pipeline, None),
+            "{}: JSON bytes must match",
+            app.name
+        );
+        for (d, p) in assembled.iter().zip(&pipeline) {
+            assert_eq!(d.is_verified(), p.is_verified(), "{}: verdict", d.entry);
+            assert_eq!(d.findings().count(), p.findings().count(), "{}", d.entry);
+            for ((hd, fd), (hp, fp)) in d.findings().zip(p.findings()) {
+                assert_eq!(hd.label, hp.label);
+                assert_eq!(fd.kind, fp.kind);
+                assert_eq!(fd.name, fp.name);
+                assert_eq!(fd.witness, fp.witness);
+                assert_eq!(fd.example_query, fp.example_query);
+                assert_eq!(fd.at, fp.at);
+            }
         }
     }
 }
@@ -136,8 +182,8 @@ fn sql_only_policy_run_is_byte_identical_to_dedicated_path() {
 fn cheap_first_preserves_corpus_verdicts() {
     let app = strtaint_corpus::apps::eve::build();
     let config = Config::default();
-    let fast = Checker::new();
-    let slow = Checker::with_options(CheckOptions {
+    let fast = PolicyChecker::new();
+    let slow = PolicyChecker::with_options(CheckOptions {
         cheap_first: false,
         ..CheckOptions::default()
     });

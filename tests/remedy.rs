@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use strtaint::report::PageReport;
-use strtaint::{analyze_page_policies_cached, CheckOptions, Config, PolicyChecker, SummaryCache};
+use strtaint::{analyze_page_cached, CheckOptions, Config, PolicyChecker, SummaryCache};
 use strtaint_analysis::{Hotspot, Provenance, Vfs};
 use strtaint_checker::{CheckKind, Finding, HotspotReport};
 use strtaint_corpus::{policies, remedy as remedy_corpus};
@@ -19,7 +19,7 @@ fn analyze_all(vfs: &Vfs, entries: &[String], config: &Config) -> Vec<PageReport
     let summaries = SummaryCache::new();
     entries
         .iter()
-        .map(|e| analyze_page_policies_cached(vfs, e, config, &checker, &summaries).expect(e))
+        .map(|e| analyze_page_cached(vfs, e, config, &checker, &summaries).expect(e))
         .collect()
 }
 

@@ -8,7 +8,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use strtaint::{
-    analyze_app_parallel_with, analyze_page, analyze_page_with, CheckKind, Checker, Config, Vfs,
+    analyze_app_parallel_with, analyze_page, analyze_page_cached, CheckKind, Config,
+    PolicyChecker, SummaryCache, Vfs,
 };
 
 /// A page chaining `n` `str_replace` calls over a tainted value into an
@@ -213,7 +214,8 @@ fn panicking_page_is_isolated_in_parallel_run() {
     vfs.add("boom.php", "<?php $r = $DB->query(\"SELECT 2\");");
     vfs.add("ok2.php", "<?php $r = $DB->query(\"SELECT 3\");");
     let config = Config::default();
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
+    let summaries = SummaryCache::new();
     let app = analyze_app_parallel_with(
         "faulty",
         &vfs,
@@ -223,7 +225,7 @@ fn panicking_page_is_isolated_in_parallel_run() {
             if entry == "boom.php" {
                 panic!("simulated analyzer fault");
             }
-            analyze_page_with(vfs, entry, &config, &checker)
+            analyze_page_cached(vfs, entry, &config, &checker, &summaries)
         },
     );
     assert_eq!(app.pages.len(), 3, "every page gets a report slot");
@@ -249,13 +251,14 @@ fn per_page_deadline_skips_only_slow_pages() {
     vfs.add("fast.php", "<?php $r = $DB->query(\"SELECT 1\");");
     vfs.add("slow.php", deep_replace_page(12));
     let config = config_with(Some(Duration::from_nanos(1)), None);
-    let checker = Checker::new();
+    let checker = PolicyChecker::new();
+    let summaries = SummaryCache::new();
     let app = analyze_app_parallel_with(
         "mixed",
         &vfs,
         &["fast.php", "slow.php"],
         2,
-        |vfs, entry| analyze_page_with(vfs, entry, &config, &checker),
+        |vfs, entry| analyze_page_cached(vfs, entry, &config, &checker, &summaries),
     );
     assert_eq!(app.pages.len(), 2);
     // The fast page charges so little fuel that the amortized deadline

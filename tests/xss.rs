@@ -1,12 +1,19 @@
 //! End-to-end cross-site-scripting analysis (the paper's §7 future
 //! work, built on the same grammar machinery).
 
-use strtaint::{analyze_page_xss, Config, Vfs};
+use strtaint::{analyze_page, Config, Vfs};
+
+fn xss_config() -> Config {
+    Config {
+        policies: vec![strtaint::policy::XSS_POLICY.to_owned()],
+        ..Config::default()
+    }
+}
 
 fn xss(src: &str) -> strtaint::PageReport {
     let mut vfs = Vfs::new();
     vfs.add("p.php", src);
-    analyze_page_xss(&vfs, "p.php", &Config::default()).unwrap()
+    analyze_page(&vfs, "p.php", &xss_config()).unwrap()
 }
 
 #[test]
@@ -106,8 +113,8 @@ echo "<p>Results for " . $_GET['q'] . "</p>";
 "#;
     let mut vfs = Vfs::new();
     vfs.add("p.php", src);
-    let sql = strtaint::analyze_page(&vfs, "p.php", &Config::default()).unwrap();
+    let sql = analyze_page(&vfs, "p.php", &Config::default()).unwrap();
     assert!(sql.is_verified(), "SQL side is safe");
-    let xss_report = analyze_page_xss(&vfs, "p.php", &Config::default()).unwrap();
+    let xss_report = analyze_page(&vfs, "p.php", &xss_config()).unwrap();
     assert!(!xss_report.is_verified(), "XSS side is not");
 }
