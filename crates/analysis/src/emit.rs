@@ -15,11 +15,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use strtaint_automata::{Dfa, Fst};
+use strtaint_automata::{ClassDfa, Dfa, Fst};
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction, Degradation};
-use strtaint_grammar::intersect::intersect_with;
 use strtaint_grammar::image::image_into;
-use strtaint_grammar::{Cfg, NtId, Symbol, Taint};
+use strtaint_grammar::{Cfg, NtId, PreparedGrammar, QueryMode, Symbol, Taint};
 
 use crate::builder::{Analysis, Hotspot, Provenance};
 use crate::config::Config;
@@ -30,6 +29,21 @@ use crate::relevance::Relevance;
 use crate::sinks::SinkTable;
 use crate::summary::SummaryCache;
 use crate::vfs::Vfs;
+
+/// The grammar of `L(cfg, nt) ∩ L(dfa)`, taint labels propagated
+/// (paper Fig. 7 `TAINTIF`), built by the prepared engine — the product
+/// a refinement or an include-layout resolution splices in. Charges
+/// `budget` per discovery, per worklist pop and per rebuilt triple.
+pub(crate) fn product_grammar(
+    cfg: &Cfg,
+    nt: NtId,
+    dfa: &Dfa,
+    budget: &Budget,
+) -> Result<(Cfg, NtId), BudgetExceeded> {
+    PreparedGrammar::new(cfg, nt)
+        .query(&ClassDfa::new(dfa), budget, QueryMode::Full)?
+        .grammar(budget)
+}
 
 /// Control flow outcome of a statement sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,7 +419,7 @@ impl<'a> Emitter<'a> {
             return nt;
         }
         let budget = self.budget.clone();
-        match intersect_with(&self.cfg, nt, dfa, &budget) {
+        match product_grammar(&self.cfg, nt, dfa, &budget) {
             Ok((g2, r2)) => self.cfg.import_from(&g2, r2),
             Err(err) => {
                 // Sound: the unrefined language is a superset of the

@@ -8,13 +8,12 @@ use std::rc::Rc;
 
 use strtaint_automata::{Dfa, Nfa};
 use strtaint_grammar::budget::DegradeAction;
-use strtaint_grammar::intersect::intersect_with;
 use strtaint_grammar::lang::bounded_language;
 use strtaint_php::ast::IncludeKind;
 use strtaint_php::Span;
 
 use crate::builder::{Hotspot, Provenance};
-use crate::emit::Emitter;
+use crate::emit::{product_grammar, Emitter};
 use crate::env::Env;
 use crate::ir::IrExpr;
 use crate::vfs::normalize;
@@ -76,7 +75,7 @@ impl Emitter<'_> {
                     // the directory tree as part of the specification.
                     let layout = self.layout_dfa();
                     let budget = self.budget.clone();
-                    match intersect_with(&self.cfg, nt, &layout, &budget) {
+                    match product_grammar(&self.cfg, nt, &layout, &budget) {
                         Ok((g2, r2)) => {
                             bounded_language(&g2, r2, self.config.max_include_fanout)
                         }

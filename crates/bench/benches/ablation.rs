@@ -4,8 +4,8 @@
 //!   intermediate grammar ("a sequence of these replacement expressions
 //!   leads to a blow up that is exponential in the number of
 //!   replacements" — the Tiger PHP News System effect). We sweep chain
-//!   length; the grammar-size curve for longer chains is recorded by
-//!   `examples/ablate.rs` and in EXPERIMENTS.md.
+//!   length; the grammar-size curve for longer chains is recorded in
+//!   EXPERIMENTS.md.
 //! - **Operand-size budget**: the `max_transducer_grammar` widening
 //!   knob that bounds the blow-up (the paper handled this by manually
 //!   removing two code sections from Tiger).

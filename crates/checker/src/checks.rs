@@ -28,21 +28,17 @@ use strtaint_sql::{lex_form, SqlGrammar, TokenKind, VarPosition};
 
 use crate::abstraction::marked_grammar;
 use crate::dfas;
-use crate::engine::{Engine, Qdfa, Target};
+use crate::engine::{Engine, Qdfa};
 use crate::prefilter::Prefilter;
 use crate::report::{CheckKind, Finding};
+
+/// Maximum number of query context strings enumerated for the
+/// derivability check (C5) before reporting `Unresolved`.
+const MAX_CONTEXTS: usize = 256;
 
 /// Tunables for the conformance checker.
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
-    /// Maximum number of query context strings enumerated for the
-    /// derivability check before reporting `Unresolved`.
-    pub max_contexts: usize,
-    /// Route every intersection through the naive reference engine
-    /// (re-trim + re-normalize per query) instead of the prepared one.
-    /// The cold baseline for benches and equivalence tests; verdicts
-    /// are identical either way.
-    pub naive_engine: bool,
     /// Run the sub-millisecond C3 prover (numeric-only language) ahead
     /// of the C1/C2 refuters and short-circuit on its verdict. Verdicts
     /// are unchanged — a numeric-only `L(X)` contains no quote byte, so
@@ -51,11 +47,13 @@ pub struct CheckOptions {
     /// the paper's published C1→C5 order for equivalence tests.
     pub cheap_first: bool,
     /// Memoize intersection verdicts across hotspots and pages (the
-    /// cross-page query cache; see the `qcache` module). Replay is
+    /// cross-page verdict cache; see the `qcache` module). Replay is
     /// observationally identical to recomputation — same verdicts,
     /// same canonical witness bytes, same fuel charges. Off recomputes
-    /// every query; the baseline for benches and the cache-parity
-    /// tests.
+    /// every query on the prepared engine; the baseline for benches
+    /// and the cache-parity tests. It controls the verdict cache only:
+    /// prepared grammars and skeletons are always shared through the
+    /// content-keyed preparation memo.
     pub query_cache: bool,
     /// Never replay witness bytes from the query cache: witness-mode
     /// queries bypass memoization and extract live. Emptiness-only
@@ -71,8 +69,6 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            max_contexts: 256,
-            naive_engine: false,
             cheap_first: true,
             query_cache: true,
             eager_witness: false,
@@ -97,20 +93,12 @@ pub(crate) struct SqlCascade {
     backquote: Qdfa,
     /// Aho–Corasick prefilter over the same fragments as `attack`.
     prefilter: Prefilter,
-    max_contexts: usize,
     cheap_first: bool,
     use_prefilter: bool,
 }
 
 impl SqlCascade {
     pub(crate) fn new(opts: &CheckOptions) -> Self {
-        use strtaint_automata::{Dfa, Nfa};
-        let backquote = Dfa::from_nfa(
-            &Nfa::any_string()
-                .concat(&Nfa::literal(b"`"))
-                .concat(&Nfa::any_string()),
-        )
-        .minimize();
         SqlCascade {
             sql: SqlGrammar::standard(),
             odd_quotes: Qdfa::new(dfas::odd_unescaped_quotes()),
@@ -119,9 +107,8 @@ impl SqlCascade {
             non_numeric: Qdfa::new(dfas::numeric_literal().complement()),
             keywords: Qdfa::new(dfas::sql_keywords()),
             attack: Qdfa::new(dfas::attack_fragments()),
-            backquote: Qdfa::new(backquote),
+            backquote: Qdfa::new(dfas::contains_byte(b'`')),
             prefilter: Prefilter::new(),
-            max_contexts: opts.max_contexts,
             cheap_first: opts.cheap_first,
             use_prefilter: opts.prefilter,
         }
@@ -164,7 +151,7 @@ impl SqlCascade {
         {
             let _c = strtaint_obs::Span::enter("check:C1", "");
             let (empty, witness) =
-                engine.is_empty_or_witness(&mut tx, &self.odd_quotes, budget, (cfg, x))?;
+                engine.is_empty_or_witness(&mut tx, &self.odd_quotes, budget)?;
             if !empty {
                 return finding(engine, CheckKind::OddQuotes, witness, String::new());
             }
@@ -173,11 +160,10 @@ impl SqlCascade {
         // C2: always in string-literal position?
         {
             let _c = strtaint_obs::Span::enter("check:C2", "");
-            let mut scratch = None;
-            let mut tm = engine.target_marked(cfg, root, x, &mut scratch);
+            let mut tm = engine.target_marked(cfg, root, x);
             if engine.is_empty(&mut tm, &self.marker_outside, budget)? {
                 let (empty, witness) =
-                    engine.is_empty_or_witness(&mut tx, &self.has_quote, budget, (cfg, x))?;
+                    engine.is_empty_or_witness(&mut tx, &self.has_quote, budget)?;
                 if !empty {
                     return finding(engine, CheckKind::EscapesLiteral, witness, String::new());
                 }
@@ -202,18 +188,13 @@ impl SqlCascade {
         // spellable alphabet falls through to the exact engine).
         {
             let _c = strtaint_obs::Span::enter("check:C4", "");
-            let prefiltered = self.use_prefilter
-                && match &tx {
-                    Target::Prepared { prep, .. } => {
-                        !self.prefilter.any_spellable(prep.alphabet())
-                    }
-                    Target::Naive { .. } => false,
-                };
+            let prefiltered =
+                self.use_prefilter && !self.prefilter.any_spellable(tx.alphabet());
             if prefiltered {
                 engine.stats.prefilter_skips += 1;
             } else {
                 let (empty, witness) =
-                    engine.is_empty_or_witness(&mut tx, &self.attack, budget, (cfg, x))?;
+                    engine.is_empty_or_witness(&mut tx, &self.attack, budget)?;
                 if !empty {
                     debug_assert!(
                         witness
@@ -238,7 +219,7 @@ impl SqlCascade {
             }
         }
         let (marked, mroot) = marked_grammar(cfg, root, x, &replacements);
-        let Some(contexts) = bounded_language(&marked, mroot, self.max_contexts) else {
+        let Some(contexts) = bounded_language(&marked, mroot, MAX_CONTEXTS) else {
             return finding(
                 engine,
                 CheckKind::Unresolved,
@@ -504,7 +485,7 @@ mod tests {
     #[test]
     fn parallel_hotspots_match_serial_and_count_engine_work() {
         // Two hotspots in one grammar, sharing the tainted source X —
-        // the shape the prepared cache exists for.
+        // the shape the preparation memo exists for.
         let mut g = Cfg::new();
         let x = g.add_nonterminal("_GET[id]");
         g.set_taint(x, Taint::DIRECT);
@@ -544,24 +525,13 @@ mod tests {
                 assert_eq!(sf.witness, pf.witness);
             }
         }
-        // The shared cache means the second hotspot reuses X's
+        // The shared memo means the second hotspot reuses X's
         // preparation: across all three reports some query must have
         // been served without a fresh normalization.
         let saved: u64 = parallel.iter().map(|r| r.engine.normalizations_saved).sum();
         assert!(saved > 0, "no prepared-grammar reuse recorded");
         let queries: u64 = parallel.iter().map(|r| r.engine.queries).sum();
         assert!(queries > 0);
-
-        // The naive engine produces the same verdicts.
-        let naive = Checker::with_options(CheckOptions {
-            naive_engine: true,
-            ..CheckOptions::default()
-        });
-        for (&r, s) in roots.iter().zip(&serial) {
-            let n = naive.check_hotspot_with(&g, r, &budget);
-            assert_eq!(n.findings.len(), s.findings.len());
-            assert_eq!(n.verified, s.verified);
-        }
     }
 
     #[test]

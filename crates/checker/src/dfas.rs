@@ -1,12 +1,12 @@
 //! Hand-built character-level automata for the policy checks
-//! (paper §3.2.1).
+//! (paper §3.2.1), and the HTML-context automata of the XSS cascade.
 //!
-//! The paper expresses these checks as Perl regexes over quotes and
+//! The paper expresses the SQL checks as Perl regexes over quotes and
 //! escapes; the published text of those regexes suffered in
 //! typesetting, so we construct the automata directly from the stated
-//! intent and verify them against the regex engine in tests. All
-//! automata track the two-bit state (quote parity, pending backslash
-//! escape).
+//! intent and verify them against the regex engine in tests. The
+//! quote automata track the two-bit state (quote parity, pending
+//! backslash escape).
 
 use strtaint_automata::{ByteSet, Dfa, Nfa};
 use strtaint_sql::VAR_MARKER;
@@ -174,6 +174,101 @@ pub fn attack_fragments() -> Dfa {
     let any = Nfa::any_string();
     let n = any.concat(&alts).concat(&any);
     Dfa::from_nfa(&n).minimize()
+}
+
+/// HTML contexts a marker can occur in (the XSS cascade's analogue of
+/// the SQL literal positions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HtmlCtx {
+    /// Between tags.
+    Text,
+    /// Inside `<...>` but outside attribute values.
+    Tag,
+    /// Inside a double-quoted attribute value.
+    AttrDq,
+    /// Inside a single-quoted attribute value.
+    AttrSq,
+}
+
+impl HtmlCtx {
+    /// Every context.
+    pub const ALL: [HtmlCtx; 4] = [HtmlCtx::Text, HtmlCtx::Tag, HtmlCtx::AttrDq, HtmlCtx::AttrSq];
+}
+
+/// Builds a DFA accepting strings in which some [`VAR_MARKER`] occurs
+/// in the given HTML context.
+pub fn marker_in_context(ctx: HtmlCtx) -> Dfa {
+    // States: 0 text, 1 tag, 2 attr-dq, 3 attr-sq, 4 hit (sink).
+    let mut n = Nfa::default();
+    let s: Vec<_> = (0..5).map(|_| n.add_state()).collect();
+    n.set_start(s[0]);
+    let lt = ByteSet::singleton(b'<');
+    let gt = ByteSet::singleton(b'>');
+    let dq = ByteSet::singleton(b'"');
+    let sq = ByteSet::singleton(b'\'');
+    let marker = ByteSet::singleton(VAR_MARKER);
+    let hit = s[4];
+    let target = |c: HtmlCtx| match c {
+        HtmlCtx::Text => s[0],
+        HtmlCtx::Tag => s[1],
+        HtmlCtx::AttrDq => s[2],
+        HtmlCtx::AttrSq => s[3],
+    };
+    // Text.
+    n.add_arc(s[0], lt, s[1]);
+    n.add_arc(
+        s[0],
+        lt.union(&marker).complement(),
+        s[0],
+    );
+    // Tag.
+    n.add_arc(s[1], gt, s[0]);
+    n.add_arc(s[1], dq, s[2]);
+    n.add_arc(s[1], sq, s[3]);
+    n.add_arc(
+        s[1],
+        gt.union(&dq).union(&sq).union(&marker).complement(),
+        s[1],
+    );
+    // Attr values.
+    n.add_arc(s[2], dq, s[1]);
+    n.add_arc(s[2], dq.union(&marker).complement(), s[2]);
+    n.add_arc(s[3], sq, s[1]);
+    n.add_arc(s[3], sq.union(&marker).complement(), s[3]);
+    // Marker transitions: hit from the requested context, self-loop in
+    // the others.
+    for c in HtmlCtx::ALL {
+        let st = target(c);
+        if c == ctx {
+            n.add_arc(st, marker, hit);
+        } else {
+            n.add_arc(st, marker, st);
+        }
+    }
+    n.add_arc(hit, ByteSet::FULL, hit);
+    n.set_accepting(hit, true);
+    Dfa::from_nfa(&n).minimize()
+}
+
+/// Strings containing the byte `b` anywhere — the XSS escape checks
+/// (`<` in text, the closing quote in an attribute value) and the SQL
+/// backquoted-identifier check.
+pub fn contains_byte(b: u8) -> Dfa {
+    Dfa::from_nfa(
+        &Nfa::any_string()
+            .concat(&Nfa::class(ByteSet::singleton(b)))
+            .concat(&Nfa::any_string()),
+    )
+    .minimize()
+}
+
+/// Strings that are *not* a bare word over `[A-Za-z0-9_-]` — what
+/// attacker-controlled tokens in HTML tag-interior position must avoid.
+pub fn non_word() -> Dfa {
+    strtaint_automata::Regex::new("^[A-Za-z0-9_-]*$")
+        .expect("static pattern")
+        .match_dfa()
+        .complement()
 }
 
 #[cfg(test)]

@@ -50,7 +50,6 @@ pub use checks::CheckOptions;
 pub use policy_driver::{Checker, PolicyChecker};
 pub use report::{CheckKind, Finding, HotspotReport, MAX_WITNESS_BYTES};
 pub use skeletons::skeleton_display;
-pub use strtaint_grammar::prepared::PreparedCache;
 pub use strtaint_grammar::stats::EngineStats;
 
 /// The engine-evidence version string stamped into persisted artifacts

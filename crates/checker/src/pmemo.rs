@@ -1,15 +1,13 @@
 //! Cross-page preparation memo: content-addressed sharing of
 //! [`PreparedGrammar`]s and canonical example-query skeletons.
 //!
-//! The query cache (see [`crate::qcache`]) collapses the *fixpoint*
-//! cost of re-checking a page, but a warm re-check still paid two
-//! setup walls on every pass:
+//! It is the checker's one preparation cache. Checking pays two setup
+//! walls that the verdict cache (see [`crate::qcache`]) does not
+//! collapse:
 //!
 //! 1. **Preparation** — `PreparedGrammar::new` (trim + binary
-//!    normalization + occurrence indexing) ran again for every
-//!    hotspot subgrammar and for every check-local marked grammar,
-//!    because the per-batch [`PreparedCache`](strtaint_grammar::prepared::PreparedCache)
-//!    is keyed by `NtId` and scoped to one `Cfg`.
+//!    normalization + occurrence indexing) of every hotspot subgrammar
+//!    and of every check-local marked grammar.
 //! 2. **Skeleton reconstruction** — the example-query splice needs the
 //!    canonical shortest string of the whole marked page grammar per
 //!    reporting hotspot.
@@ -42,10 +40,9 @@
 //! the naive engine).
 //!
 //! The memo is an optimization cache, never an oracle: entries are
-//! evicted FIFO past a bounded capacity and rebuilt on demand, and the
-//! whole memo is disabled together with the query cache
-//! (`CheckOptions::query_cache`), keeping one switch for the entire
-//! optimized check path.
+//! evicted FIFO past a bounded capacity and rebuilt on demand. It is
+//! always on; `CheckOptions::query_cache` switches only the verdict
+//! cache.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -230,7 +227,7 @@ impl<V: Clone> Store<V> {
 
     fn insert(&mut self, key: (u64, u64), value: V) -> V {
         // First writer wins, so racing workers converge on one shared
-        // entry exactly like `PreparedCache`.
+        // entry.
         if let Some(existing) = self.map.get(&key) {
             return existing.clone();
         }

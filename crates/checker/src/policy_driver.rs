@@ -20,7 +20,6 @@
 
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
 use strtaint_grammar::lang::shortest_string;
-use strtaint_grammar::prepared::PreparedCache;
 use strtaint_grammar::{Cfg, NtId};
 use strtaint_policy::{Cascade, CheckKind, PolicyKind, Residual, StepAction};
 
@@ -59,7 +58,7 @@ impl StepCascade {
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
         // One prepared grammar serves every step of the cascade and,
-        // via the shared cache, any other hotspot reaching `x`. An
+        // via the shared memo, any other hotspot reaching `x`. An
         // empty L(X) has nothing to check.
         let Some(mut tx) = engine.target(cfg, x) else {
             return Ok(None);
@@ -72,8 +71,7 @@ impl StepCascade {
                     }
                 }
                 StepAction::ReportIfNonEmpty { kind, detail } => {
-                    let (empty, witness) =
-                        engine.is_empty_or_witness(&mut tx, q, budget, (cfg, x))?;
+                    let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
                     if !empty {
                         let detail = (*detail).to_owned();
                         return Ok(Some(engine.finding(cfg, root, x, *kind, witness, detail)));
@@ -134,9 +132,9 @@ impl PolicyChecker {
     }
 
     /// Builds a checker for every built-in policy. The SQL-specific
-    /// options (`max_contexts`, `cheap_first`, `prefilter`) shape the
-    /// SQL cascade; the engine options (`naive_engine`, `query_cache`,
-    /// `eager_witness`) apply to every cascade.
+    /// options (`cheap_first`, `prefilter`) shape the SQL cascade; the
+    /// verdict-cache options (`query_cache`, `eager_witness`) apply to
+    /// every cascade.
     pub fn with_options(opts: CheckOptions) -> Self {
         let cascades = strtaint_policy::builtin()
             .iter()
@@ -172,26 +170,21 @@ impl PolicyChecker {
         self.shared.skeletons_for(cfg, root)
     }
 
-    /// Checks one hotspot under the named policy, sharing `cache` so
-    /// prepared grammars are reused across the hotspots of one page.
-    /// Unknown ids fall back to the SQL cascade (cannot happen for
-    /// hotspots produced by the analysis layer, which only tags
-    /// registry ids).
+    /// Checks one hotspot under the named policy, through the checker's
+    /// prepared memo and verdict cache. Unknown ids fall back to the
+    /// SQL cascade (cannot happen for hotspots produced by the analysis
+    /// layer, which only tags registry ids).
     ///
     /// A budget trip while checking a labeled nonterminal yields a
     /// [`CheckKind::BudgetExhausted`] finding and a degradation record —
     /// the nonterminal is *never* counted verified. This is the sound
     /// direction: exhaustion can only add false positives.
-    ///
-    /// `cache` must be scoped to `cfg`: it is keyed by root [`NtId`]
-    /// only, and ids from different grammars collide.
     pub fn check_hotspot_cached(
         &self,
         policy: &str,
         cfg: &Cfg,
         root: NtId,
         budget: &Budget,
-        cache: &PreparedCache,
     ) -> HotspotReport {
         let (id, cascade) = self
             .cascades
@@ -210,7 +203,7 @@ impl PolicyChecker {
         let mut report = HotspotReport::default();
         let candidates = maximal_labeled(cfg, root);
         report.checked = candidates.len();
-        let mut engine = Engine::new(cache, &self.shared);
+        let mut engine = Engine::new(&self.shared);
         for &x in &candidates {
             let _span = strtaint_obs::Span::enter_with(span, || cfg.name(x).to_owned());
             match cascade.check_one(cfg, root, x, &candidates, budget, &mut engine) {
@@ -239,9 +232,9 @@ impl PolicyChecker {
     /// Checks every `(root, policy)` hotspot of one page, on up to
     /// `workers` threads, returning reports in input order.
     ///
-    /// Hotspots are independent given the immutable `cfg`; a shared
-    /// [`PreparedCache`] lets them reuse each other's prepared
-    /// grammars (sinks frequently share roots or labeled sources). A
+    /// Hotspots are independent given the immutable `cfg`; the shared
+    /// prepared memo lets them reuse each other's prepared grammars
+    /// (sinks frequently share roots or labeled sources). A
     /// worker panic propagates to the caller unchanged, so page-level
     /// fault isolation behaves exactly as in the serial loop.
     pub fn check_hotspots_with(
@@ -251,9 +244,8 @@ impl PolicyChecker {
         budget: &Budget,
         workers: usize,
     ) -> Vec<HotspotReport> {
-        let cache = PreparedCache::new();
         run_parallel(items, workers, |(root, policy)| {
-            self.check_hotspot_cached(policy, cfg, *root, budget, &cache)
+            self.check_hotspot_cached(policy, cfg, *root, budget)
         })
     }
 }
@@ -300,9 +292,8 @@ impl Checker {
     /// Budgeted form of [`Checker::check_hotspot`] (budget discipline
     /// as in [`PolicyChecker::check_hotspot_cached`]).
     pub fn check_hotspot_with(&self, cfg: &Cfg, root: NtId, budget: &Budget) -> HotspotReport {
-        let cache = PreparedCache::new();
         self.0
-            .check_hotspot_cached(strtaint_policy::SQL_POLICY, cfg, root, budget, &cache)
+            .check_hotspot_cached(strtaint_policy::SQL_POLICY, cfg, root, budget)
     }
 
     /// Checks every hotspot root of one page, on up to `workers`
@@ -343,13 +334,7 @@ mod tests {
     }
 
     fn check(policy: &str, g: &Cfg, root: NtId) -> HotspotReport {
-        PolicyChecker::new().check_hotspot_cached(
-            policy,
-            g,
-            root,
-            &Budget::unlimited(),
-            &PreparedCache::new(),
-        )
+        PolicyChecker::new().check_hotspot_cached(policy, g, root, &Budget::unlimited())
     }
 
     #[test]
@@ -417,7 +402,7 @@ mod tests {
         let (g, root) = harness(b"ls ", &[b"a", b"b; id"], b"");
         let pc = PolicyChecker::new();
         let tiny = Budget::new(None, Some(1), None);
-        let r = pc.check_hotspot_cached("shell", &g, root, &tiny, &PreparedCache::new());
+        let r = pc.check_hotspot_cached("shell", &g, root, &tiny);
         assert!(!r.is_safe(), "exhausted budget must not verify: {r}");
         assert!(r.findings.iter().all(|f| f.kind == CheckKind::BudgetExhausted));
         assert!(!r.degradations.is_empty());
@@ -434,8 +419,7 @@ mod tests {
         let shared = PolicyChecker::new();
         let budget = Budget::unlimited();
         for policy in ["sql", "xss", "shell", "path", "eval", "sql", "xss"] {
-            let cache = PreparedCache::new();
-            let warm = shared.check_hotspot_cached(policy, &g, root, &budget, &cache);
+            let warm = shared.check_hotspot_cached(policy, &g, root, &budget);
             let cold = check(policy, &g, root);
             assert_eq!(warm.verified, cold.verified, "{policy}");
             assert_eq!(warm.findings.len(), cold.findings.len(), "{policy}");
@@ -496,7 +480,7 @@ mod tests {
         let budget = Budget::unlimited();
         let serial: Vec<_> = items
             .iter()
-            .map(|(r, p)| pc.check_hotspot_cached(p, &g, *r, &budget, &PreparedCache::new()))
+            .map(|(r, p)| pc.check_hotspot_cached(p, &g, *r, &budget))
             .collect();
         let parallel = pc.check_hotspots_with(&g, &items, &budget, 4);
         assert_eq!(serial.len(), parallel.len());

@@ -14,8 +14,8 @@ pub use strtaint_policy::CheckKind;
 /// Witnesses are canonical shortest strings, so they are usually tiny;
 /// pathological grammars can still pump very long minimal witnesses,
 /// and nobody reads past a couple hundred bytes of payload. Applied
-/// uniformly by every check driver — naive, prepared, and memoized
-/// paths cap identically (the query cache stores *uncapped* bytes;
+/// uniformly by every check driver — computed and replayed verdicts
+/// cap identically (the query cache stores *uncapped* bytes;
 /// truncation is a rendering concern) — and rendered honestly in SARIF
 /// via [`Finding::witness_truncated`].
 pub const MAX_WITNESS_BYTES: usize = 256;

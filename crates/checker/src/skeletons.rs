@@ -11,18 +11,17 @@
 //! runtime guard needs, and exactly the context evidence a fix planner
 //! needs to pick a quoted-position vs numeric-position sanitizer.
 //!
-//! Derivation is shared with witness splicing: with a `PreparedMemo`
-//! the skeleton is content-addressed, so exporting it after a check is
-//! a cache hit, and a daemon warm replay serves the identical bytes.
+//! Derivation is shared with witness splicing: the skeleton is
+//! content-addressed in the checker's `PreparedMemo`, so exporting it
+//! after a check is a memo hit, and a daemon warm replay serves the
+//! identical bytes.
 //! Hotspots whose grammar exceeds the reconstruction budget export an
 //! incomplete set (`complete == false`) rather than an unsound one.
-
-use std::collections::HashMap;
 
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
 
-use crate::abstraction::{marked_grammar, maximal_labeled};
+use crate::abstraction::maximal_labeled;
 use crate::pmemo::PreparedMemo;
 
 /// Reconstruction budget, aligned with witness splicing so a hotspot
@@ -39,7 +38,7 @@ const SKELETON_BUDGET: usize = 50_000;
 pub(crate) fn hotspot_skeletons(
     cfg: &Cfg,
     root: NtId,
-    memo: Option<&PreparedMemo>,
+    memo: &PreparedMemo,
 ) -> (Vec<Vec<u8>>, bool) {
     let _span = strtaint_obs::Span::enter("skeletons", "");
     // The size guard depends on `(cfg, root)` alone. Over budget, every
@@ -59,14 +58,7 @@ pub(crate) fn hotspot_skeletons(
     let mut out: Vec<Vec<u8>> = Vec::new();
     let mut complete = true;
     for &x in &candidates {
-        let skeleton = match memo {
-            Some(m) => m.skeleton_for(cfg, root, x),
-            None => {
-                let (marked, mroot) = marked_grammar(cfg, root, x, &HashMap::new());
-                shortest_string(&marked, mroot)
-            }
-        };
-        match skeleton {
+        match memo.skeleton_for(cfg, root, x) {
             Some(s) => out.push(s),
             None => complete = false,
         }
@@ -96,6 +88,7 @@ pub fn skeleton_display(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::marked_grammar;
     use strtaint_grammar::{Symbol, Taint};
 
     /// `query -> "SELECT * FROM t WHERE id='" X "'"`, X tainted.
@@ -113,10 +106,14 @@ mod tests {
         (g, root)
     }
 
+    fn skeletons(g: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
+        hotspot_skeletons(g, root, &PreparedMemo::new())
+    }
+
     #[test]
     fn tainted_hotspot_exports_marked_skeleton() {
         let (g, root) = harness();
-        let (sk, complete) = hotspot_skeletons(&g, root, None);
+        let (sk, complete) = skeletons(&g, root);
         assert!(complete);
         assert_eq!(sk.len(), 1);
         assert_eq!(
@@ -126,13 +123,17 @@ mod tests {
     }
 
     #[test]
-    fn memoized_and_direct_paths_agree() {
+    fn memoized_skeleton_matches_direct_construction() {
         let (g, root) = harness();
         let memo = PreparedMemo::new();
-        let (direct, _) = hotspot_skeletons(&g, root, None);
-        let (memoized, complete) = hotspot_skeletons(&g, root, Some(&memo));
+        let x = maximal_labeled(&g, root)[0];
+        let (marked, mroot) = marked_grammar(&g, root, x, &Default::default());
+        let direct = shortest_string(&marked, mroot).expect("finite skeleton");
+        let (cold, complete) = hotspot_skeletons(&g, root, &memo);
+        let (warm, _) = hotspot_skeletons(&g, root, &memo);
         assert!(complete);
-        assert_eq!(direct, memoized);
+        assert_eq!(cold, vec![direct]);
+        assert_eq!(cold, warm);
     }
 
     #[test]
@@ -141,14 +142,14 @@ mod tests {
         let root = g.add_nonterminal("query");
         g.add_literal_production(root, b"SELECT 1");
         g.add_literal_production(root, b"SELECT 1 FROM dual");
-        let (sk, complete) = hotspot_skeletons(&g, root, None);
+        let (sk, complete) = skeletons(&g, root);
         assert!(complete);
         assert_eq!(sk, vec![b"SELECT 1".to_vec()]);
     }
 
-    /// Over the size guard, neither path derives anything.
+    /// Over the size guard, nothing is derived, tainted or not.
     #[test]
-    fn oversize_hotspot_is_incomplete_on_both_paths() {
+    fn oversize_hotspot_is_incomplete() {
         let (mut g, root) = harness();
         let x = g
             .nonterminals()
@@ -157,16 +158,11 @@ mod tests {
         for k in 0..SKELETON_BUDGET {
             g.add_literal_production(x, k.to_string().as_bytes());
         }
-        let memo = PreparedMemo::new();
-        assert_eq!(hotspot_skeletons(&g, root, None), (Vec::new(), false));
-        assert_eq!(
-            hotspot_skeletons(&g, root, Some(&memo)),
-            (Vec::new(), false)
-        );
+        assert_eq!(skeletons(&g, root), (Vec::new(), false));
         let untainted = g.add_nonterminal("q");
         g.add_production(untainted, vec![Symbol::N(x)]);
         g.set_taint(x, Taint::NONE);
-        assert_eq!(hotspot_skeletons(&g, untainted, None), (Vec::new(), false));
+        assert_eq!(skeletons(&g, untainted), (Vec::new(), false));
     }
 
     #[test]
@@ -175,7 +171,7 @@ mod tests {
         let root = g.add_nonterminal("query");
         // root -> root: no finite string derivable.
         g.add_production(root, vec![Symbol::N(root)]);
-        let (sk, complete) = hotspot_skeletons(&g, root, None);
+        let (sk, complete) = skeletons(&g, root);
         assert!(sk.is_empty());
         assert!(!complete);
     }

@@ -17,82 +17,13 @@
 //!   tokens are reported unless the language is a bare alphanumeric
 //!   word.
 
-use strtaint_automata::{ByteSet, Dfa, Nfa};
 use strtaint_grammar::budget::{Budget, BudgetExceeded};
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
-use strtaint_sql::VAR_MARKER;
 
+use crate::dfas::{contains_byte, marker_in_context, non_word, HtmlCtx};
 use crate::engine::{Engine, Qdfa};
 use crate::report::{CheckKind, Finding};
-
-/// HTML contexts a marker can occur in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HtmlCtx {
-    /// Between tags.
-    Text,
-    /// Inside `<...>` but outside attribute values.
-    Tag,
-    /// Inside a double-quoted attribute value.
-    AttrDq,
-    /// Inside a single-quoted attribute value.
-    AttrSq,
-}
-
-/// Builds a DFA accepting strings in which some [`VAR_MARKER`] occurs
-/// in the given HTML context.
-fn marker_in_context(ctx: HtmlCtx) -> Dfa {
-    // States: 0 text, 1 tag, 2 attr-dq, 3 attr-sq, 4 hit (sink).
-    let mut n = Nfa::default();
-    let s: Vec<_> = (0..5).map(|_| n.add_state()).collect();
-    n.set_start(s[0]);
-    let lt = ByteSet::singleton(b'<');
-    let gt = ByteSet::singleton(b'>');
-    let dq = ByteSet::singleton(b'"');
-    let sq = ByteSet::singleton(b'\'');
-    let marker = ByteSet::singleton(VAR_MARKER);
-    let hit = s[4];
-    let target = |c: HtmlCtx| match c {
-        HtmlCtx::Text => s[0],
-        HtmlCtx::Tag => s[1],
-        HtmlCtx::AttrDq => s[2],
-        HtmlCtx::AttrSq => s[3],
-    };
-    // Text.
-    n.add_arc(s[0], lt, s[1]);
-    n.add_arc(
-        s[0],
-        lt.union(&marker).complement(),
-        s[0],
-    );
-    // Tag.
-    n.add_arc(s[1], gt, s[0]);
-    n.add_arc(s[1], dq, s[2]);
-    n.add_arc(s[1], sq, s[3]);
-    n.add_arc(
-        s[1],
-        gt.union(&dq).union(&sq).union(&marker).complement(),
-        s[1],
-    );
-    // Attr values.
-    n.add_arc(s[2], dq, s[1]);
-    n.add_arc(s[2], dq.union(&marker).complement(), s[2]);
-    n.add_arc(s[3], sq, s[1]);
-    n.add_arc(s[3], sq.union(&marker).complement(), s[3]);
-    // Marker transitions: hit from the requested context, self-loop in
-    // the others.
-    for c in [HtmlCtx::Text, HtmlCtx::Tag, HtmlCtx::AttrDq, HtmlCtx::AttrSq] {
-        let st = target(c);
-        if c == ctx {
-            n.add_arc(st, marker, hit);
-        } else {
-            n.add_arc(st, marker, st);
-        }
-    }
-    n.add_arc(hit, ByteSet::FULL, hit);
-    n.set_accepting(hit, true);
-    Dfa::from_nfa(&n).minimize()
-}
 
 /// The XSS cascade: precompiled HTML-context automata. The candidate
 /// loop, engine session and budget discipline around
@@ -112,28 +43,15 @@ pub(crate) struct XssCascade {
 
 impl XssCascade {
     pub(crate) fn new() -> Self {
-        let contains = |b: u8| {
-            Dfa::from_nfa(
-                &Nfa::any_string()
-                    .concat(&Nfa::class(ByteSet::singleton(b)))
-                    .concat(&Nfa::any_string()),
-            )
-            .minimize()
-        };
         XssCascade {
             in_text: Qdfa::new(marker_in_context(HtmlCtx::Text)),
             in_tag: Qdfa::new(marker_in_context(HtmlCtx::Tag)),
             in_attr_dq: Qdfa::new(marker_in_context(HtmlCtx::AttrDq)),
             in_attr_sq: Qdfa::new(marker_in_context(HtmlCtx::AttrSq)),
-            has_lt: Qdfa::new(contains(b'<')),
-            has_dq: Qdfa::new(contains(b'"')),
-            has_sq: Qdfa::new(contains(b'\'')),
-            non_word: Qdfa::new(
-                strtaint_automata::Regex::new("^[A-Za-z0-9_-]*$")
-                    .expect("static pattern")
-                    .match_dfa()
-                    .complement(),
-            ),
+            has_lt: Qdfa::new(contains_byte(b'<')),
+            has_dq: Qdfa::new(contains_byte(b'"')),
+            has_sq: Qdfa::new(contains_byte(b'\'')),
+            non_word: Qdfa::new(non_word()),
         }
     }
 
@@ -155,13 +73,12 @@ impl XssCascade {
         };
         // One preparation of the marked grammar serves all four context
         // queries; one preparation of (cfg, x) serves all four
-        // containment queries (shared with other sinks via the cache).
+        // containment queries (shared with other sinks via the memo).
         // An empty L(X) has nothing to check.
         let Some(mut tx) = engine.target(cfg, x) else {
             return Ok(None);
         };
-        let mut scratch = None;
-        let mut tm = engine.target_marked(cfg, root, x, &mut scratch);
+        let mut tm = engine.target_marked(cfg, root, x);
         // Text context: a `<` opens attacker markup.
         if !engine.is_empty(&mut tm, &self.in_text, budget)?
             && !engine.is_empty(&mut tx, &self.has_lt, budget)?
@@ -194,17 +111,11 @@ mod tests {
     use super::*;
     use crate::report::HotspotReport;
     use crate::PolicyChecker;
-    use strtaint_grammar::prepared::PreparedCache;
     use strtaint_grammar::{Symbol, Taint};
 
     fn check(g: &Cfg, root: NtId) -> HotspotReport {
-        PolicyChecker::new().check_hotspot_cached(
-            strtaint_policy::XSS_POLICY,
-            g,
-            root,
-            &Budget::unlimited(),
-            &PreparedCache::new(),
-        )
+        let xss = strtaint_policy::XSS_POLICY;
+        PolicyChecker::new().check_hotspot_cached(xss, g, root, &Budget::unlimited())
     }
 
     fn harness(pre: &[u8], strings: &[&[u8]], post: &[u8]) -> (Cfg, NtId) {

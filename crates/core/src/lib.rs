@@ -128,8 +128,8 @@ pub fn analyze_page_cached(
         sites.extend(analysis.echo_sinks.iter().cloned());
     }
     let items: Vec<(NtId, String)> = sites.iter().map(|h| (h.root, h.policy.clone())).collect();
-    // All sinks of the page are checked in one parallel batch sharing a
-    // prepared-grammar cache; reports come back in program order,
+    // All sinks of the page are checked in one parallel batch sharing
+    // the checker's prepared memo; reports come back in program order,
     // identical to the serial loop. The cross-page query cache is
     // namespaced by the config fingerprint so memoized verdicts never
     // leak across configs (same rule the artifact store applies).

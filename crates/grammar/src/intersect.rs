@@ -8,10 +8,11 @@
 //! the labels of `X`, which is exactly what Theorem 3.1 requires.
 //!
 //! This module is the *reference* engine: each call re-trims and
-//! re-normalizes the grammar and steps the DFA byte-by-byte. The hot
-//! path uses [`crate::prepared`], which amortizes that setup across
-//! queries and compresses DFAs by byte class; property tests assert the
-//! two agree.
+//! re-normalizes the grammar and steps the DFA byte-by-byte. No
+//! production code calls it — refinement, include resolution and the
+//! checker all use [`crate::prepared`], which amortizes that setup
+//! across queries and compresses DFAs by byte class. It stays as the
+//! model the tests check the prepared engine against.
 
 use std::collections::HashMap;
 

@@ -1,18 +1,22 @@
 //! The prepared intersection engine: pay grammar setup once, answer
-//! many CFG∩FSA queries.
+//! many CFG∩FSA queries. It is the one engine every production caller
+//! uses — condition refinement and include-layout resolution in the
+//! analysis, and every policy check.
 //!
 //! The policy-conformance phase (paper §3.2) asks a *pile* of emptiness
 //! questions about the same hotspot grammar: C1–C5 each intersect
 //! `L(G, root)` with a different fixed DFA, and a witness query follows
-//! any nonempty answer. [`crate::intersect`] re-trims and re-normalizes
-//! the whole grammar on every call; at hotspot scale that setup
-//! dominates. This module splits the work along its natural seam:
+//! any nonempty answer. Re-trimming and re-normalizing the whole
+//! grammar on every call, as the reference engine [`crate::intersect`]
+//! does, would dominate at hotspot scale. This module splits the work
+//! along its natural seam:
 //!
 //! - [`PreparedGrammar`] trims + binary-normalizes `(cfg, root)` once
 //!   and precomputes the production/occurrence indexes the Bar-Hillel
 //!   worklist needs. It is immutable and `Send + Sync`, so one
 //!   preparation serves every check of a hotspot and every hotspot
-//!   sharing a root — across threads ([`PreparedCache`]).
+//!   sharing a root, across threads (the checker's content-keyed
+//!   preparation memo shares it).
 //! - [`PreparedGrammar::query`] runs the fixpoint against a
 //!   [`ClassDfa`] (byte-equivalence-class compressed, so step tables
 //!   are indexed per class, not per raw byte) and returns a resumable
@@ -26,23 +30,22 @@
 //!   monotone: every triple already discovered stays realized, and
 //!   draining the worklist discovers exactly the triples the
 //!   from-scratch fixpoint would. `grammar` then reconstructs the
-//!   intersection grammar; `witness` reads the canonical witness off
-//!   the triples directly with the shortest-derivation kernel
-//!   (`shortest.rs`).
+//!   intersection grammar (a refinement's product, `TAINTIF`
+//!   included); `witness` reads the canonical witness off the triples
+//!   directly with the shortest-derivation kernel (`shortest.rs`).
 //!
 //! Realized end-state sets are kept **sorted** and probed with
-//! `binary_search` (debug assertions check orderedness), replacing the
-//! linear `contains` scans of the naive engine. Engine work is observable
-//! through [`EngineStats`](crate::stats::EngineStats), which reports
-//! surface on `HotspotReport`/`AppReport`.
+//! `binary_search` (debug assertions check orderedness). Engine work is
+//! observable through [`EngineStats`](crate::stats::EngineStats), which
+//! reports surface on `HotspotReport`/`AppReport`.
 //!
-//! The naive path in [`crate::intersect`] is retained as the reference
-//! implementation; equivalence is property-tested in
-//! `crates/grammar/tests/engine.rs`.
+//! The naive engine in [`crate::intersect`] has no production caller:
+//! it is the reference model this engine is tested against
+//! (`crates/grammar/tests/engine.rs`, and the suite's query-level
+//! differential over corpus hotspots).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
 
 use strtaint_automata::ClassDfa;
 
@@ -667,47 +670,6 @@ impl<'g, 'd> Intersection<'g, 'd> {
     }
 }
 
-/// A thread-safe cache of [`PreparedGrammar`]s keyed by root, scoped to
-/// one immutable [`Cfg`].
-///
-/// Hotspots on the same page frequently share a root (the same `$query`
-/// variable flowing into several sinks), and every C1–C5 check of one
-/// hotspot shares it by construction. **The cache is keyed by [`NtId`]
-/// only** — it must never be used across different `Cfg`s (e.g. the
-/// fresh marked grammars built per check), whose ids overlap.
-#[derive(Debug, Default)]
-pub struct PreparedCache {
-    map: RwLock<HashMap<u32, Arc<PreparedGrammar>>>,
-}
-
-impl PreparedCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the prepared grammar for `(g, root)`, preparing it on
-    /// first use. The boolean is `true` on a cache hit.
-    pub fn prepared(&self, g: &Cfg, root: NtId) -> (Arc<PreparedGrammar>, bool) {
-        // A poisoned lock only means another worker panicked mid-insert;
-        // the map itself is still a valid cache, so keep using it.
-        {
-            let map = self.map.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(p) = map.get(&root.0) {
-                return (Arc::clone(p), true);
-            }
-        }
-        let prepared = Arc::new(PreparedGrammar::new(g, root));
-        let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
-        // Another worker may have raced us here; keep the first entry so
-        // every caller shares one preparation.
-        let entry = map
-            .entry(root.0)
-            .or_insert_with(|| Arc::clone(&prepared));
-        (Arc::clone(entry), false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,17 +764,6 @@ mod tests {
         let capped = Budget::new(None, None, Some(2));
         let err = prep.query(&cd, &capped, QueryMode::Full).unwrap_err();
         assert_eq!(err.resource, Resource::GrammarSize);
-    }
-
-    #[test]
-    fn cache_shares_preparation_per_root() {
-        let (g, a) = paren_grammar();
-        let cache = PreparedCache::new();
-        let (p1, hit1) = cache.prepared(&g, a);
-        let (p2, hit2) = cache.prepared(&g, a);
-        assert!(!hit1);
-        assert!(hit2);
-        assert!(Arc::ptr_eq(&p1, &p2));
     }
 
     #[test]

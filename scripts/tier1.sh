@@ -12,8 +12,8 @@ cd "$(dirname "$0")/.."
 echo "==> module size lint (analysis + grammar + daemon + obs + policy + checker + remedy + tpl src <= 900 lines/file)"
 # The analysis crate is split into pipeline stages on purpose
 # (ir/lower/summary/emit); the grammar crate likewise separates the
-# naive reference engine (intersect) from the prepared engine
-# (prepared); the daemon separates json/store/verdict/state/protocol/
+# prepared engine (prepared) from the naive reference model the tests
+# check it against (intersect); the daemon separates json/store/verdict/state/protocol/
 # server; the obs crate separates span collection from the metrics
 # registry and the trace writer; the policy crate separates the kind
 # namespace from the registry; the checker separates the check
@@ -41,6 +41,12 @@ cargo test -q -p strtaint-grammar
 
 echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
+
+echo "==> bench crate builds (table1, the §5.3 curve benches, examples)"
+# Nothing else compiles the bench crate's benches and examples; a
+# change that breaks them must fail here, not when someone next runs
+# them.
+cargo build --release -p strtaint-bench --all-targets
 
 echo "==> strbench binaries build against the public API"
 # The traced bench driver replays the pipeline through the crates'

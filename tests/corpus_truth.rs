@@ -10,6 +10,16 @@ fn check(app: strtaint_corpus::App) -> (usize, usize) {
     check_report(&app, analyze_app(app.name, &app.vfs, &app.entry_refs(), &Config::default()))
 }
 
+/// Checks `app` against its findings profile and pins its Table 1
+/// grammar size `(|V|, |R|)` (EXPERIMENTS.md). Refinements splice
+/// product grammars into the page grammar, so the pin also guards the
+/// intersection engine that builds them.
+fn check_sized(app: strtaint_corpus::App, size: (usize, usize)) {
+    let report = analyze_app(app.name, &app.vfs, &app.entry_refs(), &Config::default());
+    assert_eq!(report.grammar_size(), size, "{} |V|, |R|", app.name);
+    check_report(&app, report);
+}
+
 fn check_report(app: &strtaint_corpus::App, report: strtaint::AppReport) -> (usize, usize) {
     let direct = report.direct_findings().len();
     let indirect = report.indirect_findings().len();
@@ -30,23 +40,24 @@ fn check_report(app: &strtaint_corpus::App, report: strtaint::AppReport) -> (usi
 
 #[test]
 fn eve_matches_table1() {
-    check(apps::eve::build());
+    check_sized(apps::eve::build(), (20, 1_322));
 }
 
 #[test]
 fn utopia_matches_table1() {
-    check(apps::utopia::build());
+    check_sized(apps::utopia::build(), (137, 8_901));
 }
 
 #[test]
 fn e107_matches_table1() {
-    check(apps::e107::build());
+    check_sized(apps::e107::build(), (71, 3_615));
 }
 
 #[test]
 fn warp_matches_table1() {
     let app = apps::warp::build();
     let report = analyze_app(app.name, &app.vfs, &app.entry_refs(), &Config::default());
+    assert_eq!(report.grammar_size(), (61, 773), "Warp |V|, |R|");
     assert!(report.distinct_findings().is_empty(), "Warp verifies clean");
     // Every page fully verified.
     for p in &report.pages {
