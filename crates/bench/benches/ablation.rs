@@ -4,8 +4,8 @@
 //!   intermediate grammar ("a sequence of these replacement expressions
 //!   leads to a blow up that is exponential in the number of
 //!   replacements" — the Tiger PHP News System effect). We sweep chain
-//!   length; the grammar-size curve for longer chains is recorded in
-//!   EXPERIMENTS.md.
+//!   length and print each length's query grammar size |R| beside its
+//!   time: the EXPERIMENTS.md §5.3 replacement-chain table.
 //! - **Operand-size budget**: the `max_transducer_grammar` widening
 //!   knob that bounds the blow-up (the paper handled this by manually
 //!   removing two code sections from Tiger).
@@ -34,15 +34,19 @@ fn bench_replace_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/replace_chain");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(6));
-    for chain in [0usize, 1, 2] {
+    for chain in [0usize, 1, 2, 3] {
         let app = chain_app(chain);
+        let mut productions = None;
         group.bench_with_input(BenchmarkId::from_parameter(chain), &app, |b, app| {
             b.iter(|| {
                 let r =
                     strtaint::analyze_app(app.name, &app.vfs, &app.entry_refs(), &config);
-                std::hint::black_box(r.grammar_size());
+                productions = Some(r.grammar_size().1);
             })
         });
+        if let Some(r) = productions {
+            println!("ablation/replace_chain/{chain}: query |R| = {r}");
+        }
     }
     group.finish();
 }

@@ -13,16 +13,24 @@
 //!   makes `write ∘ parse ∘ write = write`, which is what lets a
 //!   replayed verdict (parsed from disk, re-serialized) be
 //!   byte-identical to the freshly computed response it was saved from.
+//!   The same fixpoint lets a subtree be written once and held as bytes:
+//!   [`Json::preserialized`] renders a value's writer output, and a
+//!   [`Json::Raw`] node holding it is copied in unchanged. The
+//!   daemon holds every verdict's page that way, so a replay is a
+//!   reference-count bump and a byte copy, not a tree clone and a
+//!   re-serialization.
 //! - **Total parsing** — [`parse`] never panics on malformed input; a
 //!   corrupt artifact or a garbage request line becomes an `Err`, which
 //!   the store treats as a cache miss and the server as a protocol
 //!   error reply.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON value. Object members keep insertion order so serialization
-/// is deterministic.
-#[derive(Debug, Clone, PartialEq)]
+/// is deterministic. Equality is by value: a [`Json::Raw`] node equals
+/// the tree its bytes parse to.
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`.
     Null,
@@ -37,12 +45,27 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in member order.
     Obj(Vec<(String, Json)>),
+    /// A value already serialized by [`Json::write`], copied in
+    /// unchanged when written. Its bytes come from
+    /// [`Json::preserialized`]: other bytes would break the parse
+    /// fixpoint. Accessors see no members through it; parse the
+    /// bytes to read them.
+    Raw(Arc<str>),
 }
 
 impl Json {
     /// Convenience constructor for an object.
     pub fn obj(members: Vec<(&str, Json)>) -> Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// The value written once, as the shared bytes a [`Json::Raw`]
+    /// node holds: `Json::Raw(v.preserialized())` writes exactly as `v`
+    /// does.
+    pub fn preserialized(&self) -> Arc<str> {
+        let mut out = String::new();
+        self.write(&mut out);
+        out.into()
     }
 
     /// Member lookup (first match) on an object; `None` otherwise.
@@ -123,6 +146,25 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Raw(bytes) => out.push_str(bytes),
+        }
+    }
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            (Json::Raw(a), Json::Raw(b)) if a == b => true,
+            (Json::Raw(raw), value) | (value, Json::Raw(raw)) => {
+                parse(raw).is_ok_and(|parsed| parsed == *value)
+            }
+            _ => false,
         }
     }
 }
@@ -507,6 +549,90 @@ mod tests {
     fn depth_is_capped() {
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn raw_nodes_write_their_bytes_unchanged() {
+        let page = Json::obj(vec![
+            ("entry", Json::Str("a \"b\".php".into())),
+            ("ms", Json::Num(0.1 + 0.2)),
+            ("list", Json::Arr(vec![Json::Null, Json::Bool(true)])),
+        ]);
+        let raw = Json::Raw(page.preserialized());
+        assert_eq!(raw.to_string(), page.to_string());
+        // Nested inside an ordinary tree, beside plain members.
+        let tree = |p: Json| {
+            Json::obj(vec![("ok", Json::Bool(true)), ("pages", Json::Arr(vec![p]))])
+        };
+        let spliced = tree(raw).to_string();
+        assert_eq!(spliced, tree(page).to_string());
+        assert_eq!(parse(&spliced).expect("parses").to_string(), spliced);
+    }
+
+    #[test]
+    fn raw_nodes_are_opaque_to_accessors() {
+        let raw = Json::Raw(Json::obj(vec![("k", Json::Str("v".into()))]).preserialized());
+        assert!(raw.get("k").is_none());
+        assert!(raw.as_str().is_none());
+        assert_eq!(raw, Json::obj(vec![("k", Json::Str("v".into()))]), "equal by value");
+        assert_ne!(raw, Json::obj(vec![("k", Json::Null)]));
+    }
+
+    /// Arbitrary trees, each paired with a copy in which random subtrees
+    /// were replaced by [`Json::Raw`] nodes of their writer bytes.
+    struct TreeWithRaw;
+
+    const CHARS: [char; 10] = ['a', 'Z', '0', ' ', '"', '\\', '\n', '\u{1}', 'é', '😀'];
+
+    fn tree(rng: &mut proptest::TestRng, depth: usize) -> Json {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool()),
+            2 => Json::Num((rng.next_u64() as i64 >> 20) as f64 / [1.0, 10.0, 1e3][rng.below(3)]),
+            3 => Json::Str((0..rng.below(6)).map(|_| CHARS[rng.below(CHARS.len())]).collect()),
+            4 => Json::Arr((0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|i| (format!("k{i}"), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn rawify(v: &Json, rng: &mut proptest::TestRng) -> Json {
+        if rng.below(4) == 0 {
+            return Json::Raw(v.preserialized());
+        }
+        match v {
+            Json::Arr(items) => Json::Arr(items.iter().map(|i| rawify(i, rng)).collect()),
+            Json::Obj(members) => Json::Obj(
+                members.iter().map(|(k, m)| (k.clone(), rawify(m, rng))).collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    impl proptest::Strategy for TreeWithRaw {
+        type Value = (Json, Json);
+        fn generate(&self, rng: &mut proptest::TestRng) -> (Json, Json) {
+            let plain = tree(rng, 4);
+            let raw = rawify(&plain, rng);
+            (plain, raw)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn raw_subtrees_write_like_the_trees_they_replace(pair in TreeWithRaw) {
+            let (plain, raw) = pair;
+            let written = raw.to_string();
+            proptest::prop_assert_eq!(&written, &plain.to_string());
+            let reparsed = parse(&written).expect("writer output parses");
+            proptest::prop_assert_eq!(reparsed.to_string(), written);
+            proptest::prop_assert_eq!(&reparsed, &raw);
+        }
     }
 
     #[test]

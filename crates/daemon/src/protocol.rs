@@ -251,7 +251,7 @@ fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
     if xss && policies.is_some() {
         return error("\"xss\" and \"policies\" are mutually exclusive (use [\"xss\"])");
     }
-    let config = state.effective_config(timeout_ms, fuel, policies);
+    let config = state.request_config(timeout_ms, fuel, policies, xss);
 
     let mut pages = Vec::with_capacity(entries.len());
     let mut computed = 0u64;
@@ -260,12 +260,12 @@ fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
         // Each page runs with a fresh `Budget` derived from `config`
         // inside the engine; hotspots within a page fan out onto the
         // parallel hotspot pool as in batch mode.
-        let (page, outcome) = state.analyze_page(entry, xss, &config);
+        let (page, outcome) = state.analyze_resolved(entry, &config);
         match outcome {
             PageOutcome::Computed => computed += 1,
             PageOutcome::Replayed => replayed += 1,
         }
-        pages.push(page);
+        pages.push(Json::Raw(page));
     }
     Handled {
         response: ok(vec![
@@ -280,7 +280,7 @@ fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
 /// Handles `profile`: analyzes (or replays) each entry and renders the
 /// per-hotspot skeleton allowlists as the versioned guard-profile
 /// artifact. The profile is rebuilt from the page JSON — the exact
-/// rendering persisted verdict artifacts carry — and the
+/// bytes persisted verdict artifacts carry, parsed back — and the
 /// skeleton-string conversion happened once at render time, so a warm
 /// daemon's profile is byte-identical to a cold run's.
 fn handle_profile(state: &DaemonState, request: &Json) -> Handled {
@@ -294,12 +294,12 @@ fn handle_profile(state: &DaemonState, request: &Json) -> Handled {
         Ok(p) => p,
         Err(h) => return h,
     };
-    let config = state.effective_config(timeout_ms, fuel, policies);
+    let config = state.request_config(timeout_ms, fuel, policies, false);
 
     let mut pages = Vec::with_capacity(entries.len());
     for entry in &entries {
-        let (page, _) = state.analyze_page(entry, false, &config);
-        match profile_page_from_json(&page) {
+        let (page, _) = state.analyze_resolved(entry, &config);
+        match json::parse(&page).ok().and_then(|page| profile_page_from_json(&page)) {
             Some(p) => pages.push(p),
             // A skipped page (parse error, panic) has no trustworthy
             // hotspot evidence; an allowlist silently missing a page's
@@ -444,8 +444,9 @@ mod tests {
         DaemonState::new(vfs, Config::default(), None)
     }
 
+    /// The response as a client reads it: written, then parsed.
     fn roundtrip(state: &DaemonState, line: &str) -> Json {
-        handle_line(state, line).response
+        json::parse(&handle_line(state, line).response.to_string()).expect("response parses")
     }
 
     #[test]

@@ -61,16 +61,21 @@ where
             continue;
         }
         let handled = handle_line(state, &line);
-        let mut response = String::new();
-        handled.response.write(&mut response);
-        response.push('\n');
-        output.write_all(response.as_bytes())?;
-        output.flush()?;
+        write_response(&handled.response, &mut output)?;
         if handled.shutdown {
             return Ok(true);
         }
     }
     Ok(false)
+}
+
+/// Writes `response` as one line and flushes it.
+pub(crate) fn write_response(response: &Json, output: &mut impl Write) -> io::Result<()> {
+    let mut line = String::new();
+    response.write(&mut line);
+    line.push('\n');
+    output.write_all(line.as_bytes())?;
+    output.flush()
 }
 
 /// Pool and drain configuration for a [`ServerState`].
@@ -100,7 +105,11 @@ pub struct ServerState {
     workspaces: WorkspaceMap,
     pool: WorkerPool,
     registry: Registry,
+    /// Route and execute, per request (microseconds).
     pub(crate) request_us: Arc<Histogram>,
+    /// Serialize and write the response line, per request
+    /// (microseconds).
+    respond_us: Arc<Histogram>,
     drain: Duration,
     shutting_down: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
@@ -183,11 +192,13 @@ impl ServerState {
         let registry = Registry::new();
         let pool = WorkerPool::new(config.workers, config.queue_depth, &registry);
         let request_us = registry.histogram("daemon.request_us", DURATION_US_BOUNDS);
+        let respond_us = registry.histogram("daemon.respond_us", DURATION_US_BOUNDS);
         ServerState {
             workspaces,
             pool,
             registry,
             request_us,
+            respond_us,
             drain: config.drain,
             shutting_down: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
@@ -217,6 +228,15 @@ impl ServerState {
     /// request latency).
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+
+    /// Writes one response line, timed into `daemon.respond_us`: the
+    /// protocol time that `daemon.request_us` leaves out.
+    pub(crate) fn respond(&self, response: &Json, output: &mut impl Write) -> io::Result<()> {
+        let t0 = Instant::now();
+        let written = write_response(response, output);
+        self.respond_us.observe(elapsed_us(t0));
+        written
     }
 
     /// `true` once any client has requested shutdown.
@@ -341,8 +361,9 @@ impl ServerState {
 
     /// `metrics`: with a `workspace` field, that shard's registry;
     /// without one, the default shard's registry flat-merged with the
-    /// server registry (queue depth, shed, request latency) plus every
-    /// other workspace's metrics namespaced as `ws.<key>.<metric>`.
+    /// server registry (queue depth, shed, request and respond latency)
+    /// plus every other workspace's metrics namespaced as
+    /// `ws.<key>.<metric>`.
     fn server_metrics(&self, workspace: Option<&str>) -> Handled {
         if let Some(name) = workspace {
             return match self.workspaces.resolve(Some(name)) {
@@ -433,11 +454,7 @@ where
             continue;
         }
         let handled = server.handle_inline(&line);
-        let mut response = String::new();
-        handled.response.write(&mut response);
-        response.push('\n');
-        output.write_all(response.as_bytes())?;
-        output.flush()?;
+        server.respond(&handled.response, &mut output)?;
         if handled.shutdown {
             return Ok(true);
         }
@@ -799,6 +816,27 @@ mod tests {
             .expect("workspaces");
         assert_eq!(wss.len(), 2);
         assert!(lines[3].get("workers").and_then(Json::as_num).is_some());
+    }
+
+    #[test]
+    fn metrics_split_request_and_respond_time() {
+        let server = ServerState::single("ws0", state());
+        let input = "{\"cmd\":\"analyze\",\"entries\":[\"a.php\"]}\n{\"cmd\":\"metrics\"}\n";
+        let mut output = Vec::new();
+        serve_server_lines(&server, input.as_bytes(), &mut output).expect("serves");
+        let text = std::str::from_utf8(&output).expect("utf8");
+        let metrics = json::parse(text.lines().nth(1).expect("metrics line")).expect("parses");
+        let count = |name: &str| {
+            metrics
+                .get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_num)
+        };
+        // The metrics response is snapshotted before it is written, so
+        // both histograms hold the analyze request alone.
+        assert_eq!(count("daemon.request_us"), Some(1.0));
+        assert_eq!(count("daemon.respond_us"), Some(1.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and a line exceeding the protocol cap closes the connection with a
 //! structured error instead of buffering without bound.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -19,7 +19,7 @@ use crate::json::Json;
 use crate::pool::{ExpireReason, SubmitError};
 use crate::server::{
     deadline_response, elapsed_us, error_response, overloaded_response,
-    shutting_down_response, Routed, ServerState,
+    shutting_down_response, write_response, Routed, ServerState,
 };
 
 /// How often a connection wakes from a blocking read to check the
@@ -121,10 +121,7 @@ fn serve_conn(server: &ServerState, conn: std::os::unix::net::UnixStream) -> boo
         // A hostile client streaming one endless line: reject and
         // close rather than buffer it.
         if buf.len() > MAX_LINE_BYTES {
-            let mut out = String::new();
-            error_response("request too large").response.write(&mut out);
-            out.push('\n');
-            let _ = conn.write_all(out.as_bytes());
+            let _ = write_response(&error_response("request too large").response, &mut conn);
             return false;
         }
 
@@ -207,10 +204,7 @@ fn answer_line(
         }
     };
     server.request_us.observe(elapsed_us(t0));
-    let mut out = String::new();
-    response.write(&mut out);
-    out.push('\n');
-    if conn.write_all(out.as_bytes()).is_err() || conn.flush().is_err() {
+    if server.respond(&response, conn).is_err() {
         // Client dropped mid-write: close this connection quietly; the
         // server and every other client are unaffected.
         return LineOutcome::Close;

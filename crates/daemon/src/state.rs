@@ -8,6 +8,11 @@
 //! held only around map/tree access, never across an analysis, so a
 //! slow page computation cannot serialize other clients.
 //!
+//! A verdict holds its rendered page as the JSON writer's bytes, so a
+//! replay hands out a shared `Arc<str>` and the response copies it in;
+//! the warm edit path builds no page tree and writes no file besides
+//! the one recomputed page's artifact.
+//!
 //! Dirty-set invalidation is *pull-based*: verdicts are never eagerly
 //! expired. Each carries its freshness evidence (dependency content
 //! hashes + path-set digest + config fingerprint), and every `analyze`
@@ -16,6 +21,7 @@
 //! the hash index; the pages whose evidence no longer matches recompute
 //! on their next request, everything else replays.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +47,17 @@ pub enum PageOutcome {
     Computed,
     /// A stored verdict was replayed; zero engine work.
     Replayed,
+}
+
+/// A request's effective configuration, resolved once for all of its
+/// pages: the config (with `xss` applied), the replay fingerprint that
+/// keys its verdicts, and the frontend set their evidence is checked
+/// against. A request without overrides borrows the base resolution.
+pub(crate) struct PageConfig<'a> {
+    config: Cow<'a, Config>,
+    xss: bool,
+    config_fp: u64,
+    frontends: Cow<'a, FrontendSet>,
 }
 
 /// Lifetime counters surfaced by `status` and the `metrics` verb.
@@ -133,7 +150,7 @@ impl DaemonState {
         let counters = DaemonCounters::new(&registry);
         let replay_us = registry.histogram("daemon.replay_us", DURATION_US_BOUNDS);
         let compute_us = registry.histogram("daemon.compute_us", DURATION_US_BOUNDS);
-        let state = DaemonState {
+        DaemonState {
             vfs: RwLock::new(vfs),
             hashes: RwLock::new(hashes),
             tree: AtomicU64::new(tree),
@@ -149,9 +166,7 @@ impl DaemonState {
             replay_us,
             compute_us,
             counters,
-        };
-        state.persist_manifest();
-        state
+        }
     }
 
     /// The store, if this daemon persists artifacts.
@@ -173,16 +188,6 @@ impl DaemonState {
     pub fn tree_size(&self) -> (usize, usize) {
         let vfs = self.vfs.read().unwrap_or_else(|p| p.into_inner());
         (vfs.len(), vfs.total_lines())
-    }
-
-    fn persist_manifest(&self) {
-        if let Some(store) = &self.store {
-            let hashes = self.hashes.read().unwrap_or_else(|p| p.into_inner());
-            let mut files: Vec<(String, u64)> =
-                hashes.iter().map(|(p, h)| (p.clone(), *h)).collect();
-            files.sort();
-            store.put_manifest(&files, self.config_fp);
-        }
     }
 
     /// Applies one tree delta (`Some` = upsert, `None` = remove).
@@ -208,10 +213,6 @@ impl DaemonState {
                     self.tree.store(tree_digest(vfs.paths()), Ordering::Relaxed);
                 }
             }
-        }
-        drop(vfs);
-        if changed {
-            self.persist_manifest();
         }
         changed
     }
@@ -246,7 +247,8 @@ impl DaemonState {
     }
 
     /// Analyzes (or replays) one page under the given effective config,
-    /// returning the rendered page object and where it came from.
+    /// returning the rendered page object and where it came from. The
+    /// page is a [`Json::Raw`] node holding the writer's bytes.
     ///
     /// The per-request budget lives inside `config` (`timeout`/`fuel`):
     /// each page gets a fresh `Budget` from it, so one slow request
@@ -259,38 +261,74 @@ impl DaemonState {
         xss: bool,
         config: &Config,
     ) -> (Json, PageOutcome) {
-        let t0 = Instant::now();
-        let entry = normalize(entry);
+        let config = self.resolve(Cow::Borrowed(config), xss);
+        let (page, outcome) = self.analyze_resolved(entry, &config);
+        (Json::Raw(page), outcome)
+    }
+
+    /// Resolves `config`, with `xss` applied, for a run of pages. The
+    /// base config reuses the fingerprint and frontend set computed at
+    /// start-up.
+    fn resolve<'a>(&'a self, config: Cow<'a, Config>, xss: bool) -> PageConfig<'a> {
         // The verdict key and evidence follow the effective policy set:
         // with only `xss` enabled, SQL sink methods are unmodeled calls,
         // so the page differs from one analyzed under the request's set.
-        let xss_config;
         let config = if xss {
-            xss_config = Config {
+            Cow::Owned(Config {
                 policies: vec![strtaint::policy::XSS_POLICY.to_owned()],
-                ..config.clone()
-            };
-            &xss_config
+                ..config.into_owned()
+            })
         } else {
             config
         };
-        let request_frontends;
-        let (config_fp, frontends) = if std::ptr::eq(config, &self.config) {
-            (self.config_fp, &self.frontends)
-        } else {
-            request_frontends = FrontendSet::from_config(config);
-            (config.replay_fingerprint(), &request_frontends)
-        };
+        if std::ptr::eq(config.as_ref(), &self.config) {
+            return PageConfig {
+                config,
+                xss,
+                config_fp: self.config_fp,
+                frontends: Cow::Borrowed(&self.frontends),
+            };
+        }
+        PageConfig {
+            config_fp: config.replay_fingerprint(),
+            frontends: Cow::Owned(FrontendSet::from_config(&config)),
+            config,
+            xss,
+        }
+    }
+
+    /// A request's effective config (see [`DaemonState::effective_config`]),
+    /// resolved once for all of its pages.
+    pub(crate) fn request_config(
+        &self,
+        timeout_ms: Option<f64>,
+        fuel: Option<f64>,
+        policies: Option<Vec<String>>,
+        xss: bool,
+    ) -> PageConfig<'_> {
+        self.resolve(self.overridden(timeout_ms, fuel, policies), xss)
+    }
+
+    /// [`DaemonState::analyze_page`] under a resolved config, returning
+    /// the page as the writer's bytes.
+    pub(crate) fn analyze_resolved(
+        &self,
+        entry: &str,
+        pc: &PageConfig<'_>,
+    ) -> (Arc<str>, PageOutcome) {
+        let t0 = Instant::now();
+        let entry = normalize(entry);
+        let (config, xss, config_fp) = (pc.config.as_ref(), pc.xss, pc.config_fp);
         let key = verdict_key(&entry, xss, config_fp);
 
         // 1. Resident verdict, still fresh → replay.
         {
             let verdicts = self.verdicts.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(v) = verdicts.get(&key) {
-                if self.is_fresh(v, config_fp, frontends) {
+                if self.is_fresh(v, config_fp, &pc.frontends) {
                     self.counters.pages_replayed.inc();
                     self.replay_us.observe(elapsed_us(t0));
-                    return (v.page.clone(), PageOutcome::Replayed);
+                    return (Arc::clone(&v.page), PageOutcome::Replayed);
                 }
             }
         }
@@ -302,16 +340,16 @@ impl DaemonState {
                     Some(v)
                         if v.entry == entry
                             && v.xss == xss
-                            && self.is_fresh(&v, config_fp, frontends) =>
+                            && self.is_fresh(&v, config_fp, &pc.frontends) =>
                     {
-                        let v = Arc::new(v);
+                        let page = Arc::clone(&v.page);
                         self.verdicts
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .insert(key, Arc::clone(&v));
+                            .insert(key, Arc::new(v));
                         self.counters.pages_replayed.inc();
                         self.replay_us.observe(elapsed_us(t0));
-                        return (v.page.clone(), PageOutcome::Replayed);
+                        return (page, PageOutcome::Replayed);
                     }
                     // Parsable but stale or ill-formed: drop it; the
                     // recompute below overwrites the slot.
@@ -326,7 +364,7 @@ impl DaemonState {
         // analyzed against one tree snapshot.
         let vfs = self.vfs.read().unwrap_or_else(|p| p.into_inner());
         let report = self.run_isolated(&vfs, &entry, config);
-        let page = page_to_json(&report);
+        let page = page_to_json(&report).preserialized();
 
         let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
         engine.merge(&report.engine_stats());
@@ -342,7 +380,7 @@ impl DaemonState {
             let frontend_evidence = deps
                 .iter()
                 .map(|(path, _)| {
-                    let f = frontends.for_path(path);
+                    let f = pc.frontends.for_path(path);
                     (path.clone(), f.id().to_owned(), f.fingerprint())
                 })
                 .collect();
@@ -354,7 +392,7 @@ impl DaemonState {
                 tree: self.tree.load(Ordering::Relaxed),
                 deps,
                 frontends: frontend_evidence,
-                page: page.clone(),
+                page: Arc::clone(&page),
             });
             if let Some(store) = &self.store {
                 store.put_verdict(key, verdict.to_artifact_body());
@@ -412,23 +450,35 @@ impl DaemonState {
         fuel: Option<f64>,
         policies: Option<Vec<String>>,
     ) -> Config {
+        self.overridden(timeout_ms, fuel, policies).into_owned()
+    }
+
+    /// The base config with the request's valid overrides applied;
+    /// borrowed when there are none.
+    fn overridden(
+        &self,
+        timeout_ms: Option<f64>,
+        fuel: Option<f64>,
+        policies: Option<Vec<String>>,
+    ) -> Cow<'_, Config> {
+        let timeout_ms = timeout_ms.filter(|ms| ms.is_finite() && *ms > 0.0);
+        let fuel = fuel.filter(|fuel| fuel.is_finite() && *fuel >= 1.0);
+        if timeout_ms.is_none() && fuel.is_none() && policies.is_none() {
+            return Cow::Borrowed(&self.config);
+        }
         let mut config = self.config.clone();
         if let Some(ms) = timeout_ms {
-            if ms.is_finite() && ms > 0.0 {
-                config.timeout = Some(std::time::Duration::from_secs_f64(ms / 1e3));
-            }
+            config.timeout = Some(std::time::Duration::from_secs_f64(ms / 1e3));
         }
         if let Some(fuel) = fuel {
-            if fuel.is_finite() && fuel >= 1.0 {
-                config.fuel = Some(fuel as u64);
-            }
+            config.fuel = Some(fuel as u64);
         }
         if let Some(p) = policies {
             // A different policy set is a different config fingerprint,
             // so stored verdicts never cross-contaminate.
             config.policies = p;
         }
-        config
+        Cow::Owned(config)
     }
 
     /// The base config (no request overrides).
@@ -517,6 +567,11 @@ mod tests {
         vfs
     }
 
+    /// A page as a client reads it: its bytes parsed back into a tree.
+    fn fields(page: &Json) -> Json {
+        crate::json::parse(&page.to_string()).expect("page bytes parse")
+    }
+
     const SAFE: &str = "<?php $r = $DB->query(\"SELECT 1\");";
     const VULN: &str =
         "<?php $id = $_GET['id']; $r = $DB->query(\"SELECT * FROM t WHERE id='$id'\");";
@@ -554,7 +609,7 @@ mod tests {
         let (pb, ob) = state.analyze_page("b.php", false, &cfg);
         assert_eq!(oa, PageOutcome::Replayed, "untouched page replays");
         assert_eq!(ob, PageOutcome::Computed, "edited page recomputes");
-        assert_eq!(pb.get("verified").and_then(Json::as_bool), Some(false));
+        assert_eq!(fields(&pb).get("verified").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
@@ -605,7 +660,7 @@ mod tests {
         let (p1, o1) = state.analyze_page("a.php", false, &base);
         assert_eq!(o1, PageOutcome::Computed);
         // Under the default ["sql"] set the system() call is no sink.
-        assert_eq!(p1.get("verified").and_then(Json::as_bool), Some(true));
+        assert_eq!(fields(&p1).get("verified").and_then(Json::as_bool), Some(true));
 
         let shell =
             state.effective_config(None, None, Some(vec!["sql".into(), "shell".into()]));
@@ -615,7 +670,7 @@ mod tests {
             PageOutcome::Computed,
             "a different policy set is a different config fingerprint"
         );
-        assert_eq!(p2.get("verified").and_then(Json::as_bool), Some(false));
+        assert_eq!(fields(&p2).get("verified").and_then(Json::as_bool), Some(false));
 
         // Both verdicts stay resident under their own keys.
         let (_, o3) = state.analyze_page("a.php", false, &base);
@@ -644,9 +699,29 @@ mod tests {
         let cfg = state.base_config().clone();
         let (p, o) = state.analyze_page("missing.php", false, &cfg);
         assert_eq!(o, PageOutcome::Computed);
+        let p = fields(&p);
         assert!(p.get("skipped").and_then(Json::as_str).is_some());
         assert_eq!(p.get("verified").and_then(Json::as_bool), Some(false));
         let (_, o2) = state.analyze_page("missing.php", false, &cfg);
         assert_eq!(o2, PageOutcome::Computed, "failures are retried, not replayed");
+    }
+
+    #[test]
+    fn request_without_overrides_reuses_the_base_resolution() {
+        let state = DaemonState::new(vfs_with(&[("a.php", SAFE)]), Config::default(), None);
+        let base = state.request_config(None, None, None, false);
+        assert!(std::ptr::eq(base.config.as_ref(), state.base_config()));
+        assert!(matches!(base.frontends, Cow::Borrowed(_)));
+        assert_eq!(base.config_fp, state.config_fp);
+        // Ignored (invalid) overrides are no overrides.
+        let ignored = state.request_config(Some(-1.0), Some(0.5), None, false);
+        assert!(matches!(ignored.frontends, Cow::Borrowed(_)));
+
+        let tight = state.request_config(None, Some(5.0), None, false);
+        assert!(matches!(tight.frontends, Cow::Owned(_)));
+        assert_ne!(tight.config_fp, state.config_fp);
+        let xss = state.request_config(None, None, None, true);
+        assert_ne!(xss.config_fp, state.config_fp);
+        assert_eq!(xss.config.policies, vec![strtaint::policy::XSS_POLICY.to_owned()]);
     }
 }

@@ -1,13 +1,13 @@
 //! The on-disk artifact store (`.strtaint-cache/`).
 //!
 //! The store persists what the daemon would otherwise lose on exit:
-//! per-page **check verdicts** (so a cold start over an unchanged tree
-//! replays results instead of re-running Bar-Hillel queries) and the
-//! **file manifest** (the `path → content hash` index of the tree the
-//! verdicts were computed against, which doubles as the persisted view
-//! of the summary-cache key set — the IR summaries themselves are
-//! re-derived in milliseconds and are deliberately *not* serialized;
-//! see DESIGN.md §5d).
+//! per-page **check verdicts**, so a cold start over an unchanged tree
+//! replays results instead of re-running Bar-Hillel queries. Nothing
+//! else is stored: the IR summaries are re-derived in milliseconds and
+//! are deliberately *not* serialized, and the live tree's content
+//! hashes are rebuilt from the files at start-up (DESIGN.md §5d). Each
+//! artifact carries its page as the JSON writer's bytes, so writing one
+//! copies the page in and never re-renders it.
 //!
 //! Three invariants, in order of importance:
 //!
@@ -16,10 +16,13 @@
 //!    hashes must all match the live state or the entry is dropped and
 //!    the analysis re-runs. A corrupt or stale cache can cost time,
 //!    never change a verdict.
-//! 2. **Atomic writes.** Artifacts are written to a unique temp file
-//!    in the same directory and `rename`d into place, so a crash
-//!    mid-write leaves either the old artifact or none — never a torn
-//!    one (and a torn one would fail validation anyway).
+//! 2. **Old artifact or none, never a torn one.** Artifacts are written
+//!    to a unique temp file in the same directory, the old artifact is
+//!    unlinked, and the temp file is `rename`d into place. A crash
+//!    mid-write leaves the old artifact or none (and a torn one would
+//!    fail validation anyway). Unlinking first means the `rename` never
+//!    replaces a file, so no write pays the data flush that ext4 forces
+//!    on replace-by-rename (`auto_da_alloc`).
 //! 3. **Versioned.** [`FORMAT_VERSION`] gates the file syntax; the
 //!    engine version string gates everything semantic (grammar
 //!    construction, checker logic, hasher identity). Either mismatch
@@ -148,6 +151,8 @@ impl ArtifactStore {
             .checked_sub(TEMP_GRACE)
             .unwrap_or(SystemTime::UNIX_EPOCH);
         store.gc_stale_temp_files(cutoff);
+        // Older builds kept a write-only file index beside the verdicts.
+        let _ = fs::remove_file(root.join("manifest.json"));
         Ok(store)
     }
 
@@ -195,18 +200,16 @@ impl ArtifactStore {
         self.root.join("verdicts").join(format!("{}.json", json::hex64(key)))
     }
 
-    fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.json")
-    }
-
-    /// Atomically writes `value` to `path` (same-directory temp +
-    /// rename). Failures are reported, not fatal: the store is a cache.
+    /// Atomically writes `value` to `path`: same-directory temp file,
+    /// unlink of the old artifact, then `rename` (invariant 2).
+    /// Failures are reported, not fatal: the store is a cache.
     fn write_atomic(&self, path: &Path, value: &Json) -> io::Result<()> {
         let mut body = String::new();
         value.write(&mut body);
         body.push('\n');
         let tmp = path.with_extension(format!("tmp.{}", self.salt));
         fs::write(&tmp, body.as_bytes())?;
+        let _ = fs::remove_file(path);
         match fs::rename(&tmp, path) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -301,56 +304,6 @@ impl ArtifactStore {
             self.drop_artifact(&path);
         }
     }
-
-    /// Persists the file manifest: the `(path, content hash)` index of
-    /// the tree, i.e. the summary-cache key set at save time.
-    pub fn put_manifest(&self, files: &[(String, u64)], config_fp: u64) {
-        let entries: Vec<Json> = files
-            .iter()
-            .map(|(path, hash)| {
-                Json::obj(vec![
-                    ("path", Json::Str(path.clone())),
-                    ("hash", Json::Str(json::hex64(*hash))),
-                ])
-            })
-            .collect();
-        let value = Self::with_headers(
-            "manifest",
-            vec![
-                ("config_fp".to_owned(), Json::Str(json::hex64(config_fp))),
-                ("files".to_owned(), Json::Arr(entries)),
-            ],
-        );
-        let _ = self.write_atomic(&self.manifest_path(), &value);
-    }
-
-    /// Loads the file manifest, if present and well-formed: the
-    /// `(path, hash)` list plus the config fingerprint it was saved
-    /// under.
-    pub fn get_manifest(&self) -> Option<(Vec<(String, u64)>, u64)> {
-        let path = self.manifest_path();
-        if !path.exists() {
-            return None;
-        }
-        let v = self.load_validated(&path)?;
-        let valid = (|| {
-            if v.get("kind")?.as_str()? != "manifest" {
-                return None;
-            }
-            let config_fp = json::parse_hex64(v.get("config_fp")?.as_str()?)?;
-            let mut files = Vec::new();
-            for entry in v.get("files")?.as_arr()? {
-                let path = entry.get("path")?.as_str()?.to_owned();
-                let hash = json::parse_hex64(entry.get("hash")?.as_str()?)?;
-                files.push((path, hash));
-            }
-            Some((files, config_fp))
-        })();
-        if valid.is_none() {
-            self.drop_artifact(&path);
-        }
-        valid
-    }
 }
 
 #[cfg(test)]
@@ -424,7 +377,7 @@ mod tests {
     fn stale_temp_files_are_collected_fresh_ones_kept() {
         let (dir, store) = temp_store("tempgc");
         // Litter from a "crashed" writer, in both store directories.
-        let stale_root = dir.join("manifest.tmp.99999");
+        let stale_root = dir.join("index.tmp.99999");
         let stale_verdict = dir.join("verdicts").join("abcd.tmp.99999");
         fs::write(&stale_root, b"torn").expect("write");
         fs::write(&stale_verdict, b"torn").expect("write");
@@ -466,13 +419,19 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrip() {
-        let (dir, store) = temp_store("manifest");
-        assert!(store.get_manifest().is_none());
-        store.put_manifest(&[("a.php".to_owned(), 42), ("b.php".to_owned(), 7)], 99);
-        let (files, fp) = store.get_manifest().expect("manifest loads");
-        assert_eq!(fp, 99);
-        assert_eq!(files, vec![("a.php".to_owned(), 42), ("b.php".to_owned(), 7)]);
+    fn overwrite_leaves_the_new_bytes_and_no_temp_litter() {
+        let (dir, store) = temp_store("overwrite");
+        store.put_verdict(4, vec![("entry".to_owned(), Json::Str("old.php".to_owned()))]);
+        store.put_verdict(4, vec![("entry".to_owned(), Json::Str("new.php".to_owned()))]);
+        let v = store.get_verdict(4).expect("overwritten verdict loads");
+        assert_eq!(v.get("entry").and_then(Json::as_str), Some("new.php"));
+        assert_eq!(store.stats.stored.load(Ordering::Relaxed), 2);
+        let names: Vec<String> = fs::read_dir(dir.join("verdicts"))
+            .expect("verdicts dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![format!("{}.json", json::hex64(4))], "no *.tmp.* litter");
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -2,10 +2,15 @@
 //! envelope the store persists around it.
 //!
 //! The page JSON produced by [`page_to_json`] is the *single* rendering
-//! used both for fresh responses and for replayed ones — a replay
-//! re-serializes the parsed artifact, and the JSON writer is a fixpoint
-//! of `parse` (see [`crate::json`]), so a warm daemon's response is
-//! byte-identical to the cold response the artifact was saved from.
+//! used both for fresh responses and for replayed ones. It is written
+//! once, when the page is computed, and a [`Verdict`] holds those
+//! writer bytes: the response, the resident verdict and the stored
+//! artifact share one `Arc<str>`, and a replay copies the bytes into
+//! the response. An adopted artifact keeps the writer bytes of its
+//! parsed page, which equal the bytes it was saved from because the
+//! JSON writer is a fixpoint of `parse` (see [`crate::json`]). So a
+//! warm daemon's response is byte-identical to the cold response the
+//! artifact was saved from.
 //!
 //! Replay soundness (DESIGN.md §5d): a stored verdict may substitute
 //! for a fresh analysis only when *all* of the following match the
@@ -20,6 +25,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use strtaint::{PageReport, Taint};
 
@@ -248,8 +254,9 @@ pub struct Verdict {
     /// dependencies dispatch differently. Pre-frontend artifacts lack
     /// this member and are dropped rather than replayed.
     pub frontends: Vec<(String, String, u64)>,
-    /// The rendered page object (the protocol's `pages[i]`).
-    pub page: Json,
+    /// The rendered page object (the protocol's `pages[i]`), as the
+    /// JSON writer's bytes ([`Json::preserialized`]).
+    pub page: Arc<str>,
 }
 
 impl Verdict {
@@ -287,13 +294,13 @@ impl Verdict {
             ("tree".to_owned(), Json::Str(hex64(self.tree))),
             ("deps".to_owned(), Json::Arr(deps)),
             ("frontends".to_owned(), Json::Arr(frontends)),
-            ("page".to_owned(), self.page.clone()),
+            ("page".to_owned(), Json::Raw(Arc::clone(&self.page))),
         ]
     }
 
-    /// Reconstructs a verdict from a loaded artifact. `None` on any
-    /// missing or ill-typed member (a corrupt-but-parsable artifact —
-    /// the caller drops it).
+    /// Reconstructs a verdict from a loaded artifact, keeping the writer
+    /// bytes of its page. `None` on any missing or ill-typed member (a
+    /// corrupt-but-parsable artifact — the caller drops it).
     pub fn from_artifact(v: &Json) -> Option<Verdict> {
         let entry = v.get("entry")?.as_str()?.to_owned();
         let xss = v.get("xss")?.as_bool()?;
@@ -319,7 +326,7 @@ impl Verdict {
             let fp = parse_hex64(fe.get("fp")?.as_str()?)?;
             frontends.push((path, id, fp));
         }
-        let page = v.get("page")?.clone();
+        let page = v.get("page")?;
         // The page object must at least identify the same entry — a
         // artifact whose body disagrees with its own header is invalid.
         if page.get("entry")?.as_str()? != entry {
@@ -342,7 +349,7 @@ impl Verdict {
             tree,
             deps,
             frontends,
-            page,
+            page: page.preserialized(),
         })
     }
 }
@@ -366,6 +373,11 @@ mod tests {
         let d3 = tree_digest(["a.php", "b.php"].into_iter());
         assert_ne!(d1, d2);
         assert_eq!(d1, d3);
+    }
+
+    /// An artifact body as the store reads it back: written, then parsed.
+    fn stored(body: Vec<(String, Json)>) -> Json {
+        crate::json::parse(&Json::Obj(body).to_string()).expect("artifact parses")
     }
 
     /// A minimal valid page object: one hotspot carrying the full
@@ -397,17 +409,16 @@ mod tests {
                 ("a.php".into(), "php".into(), 7),
                 ("lib.tpl".into(), "tpl".into(), 9),
             ],
-            page: page_with_evidence("a.php"),
+            page: page_with_evidence("a.php").preserialized(),
         };
-        let body = v.to_artifact_body();
-        let artifact = Json::Obj(body);
-        let back = Verdict::from_artifact(&artifact).expect("roundtrips");
+        let back = Verdict::from_artifact(&stored(v.to_artifact_body())).expect("roundtrips");
         assert_eq!(back.entry, "a.php");
         assert_eq!(back.policies, v.policies);
         assert_eq!(back.config_fp, 11);
         assert_eq!(back.tree, 22);
         assert_eq!(back.deps, v.deps);
         assert_eq!(back.frontends, v.frontends);
+        assert_eq!(back.page, v.page, "the page keeps its writer bytes");
     }
 
     #[test]
@@ -423,14 +434,14 @@ mod tests {
             tree: 0,
             deps: vec![],
             frontends: vec![("a.php".into(), "php".into(), 7)],
-            page: page_with_evidence("a.php"),
+            page: page_with_evidence("a.php").preserialized(),
         };
         let body: Vec<(String, Json)> = v
             .to_artifact_body()
             .into_iter()
             .filter(|(k, _)| k != "frontends")
             .collect();
-        assert!(Verdict::from_artifact(&Json::Obj(body)).is_none());
+        assert!(Verdict::from_artifact(&stored(body)).is_none());
     }
 
     #[test]
@@ -445,14 +456,14 @@ mod tests {
             tree: 0,
             deps: vec![],
             frontends: vec![],
-            page: page_with_evidence("a.php"),
+            page: page_with_evidence("a.php").preserialized(),
         };
         let body: Vec<(String, Json)> = v
             .to_artifact_body()
             .into_iter()
             .filter(|(k, _)| k != "policies")
             .collect();
-        assert!(Verdict::from_artifact(&Json::Obj(body)).is_none());
+        assert!(Verdict::from_artifact(&stored(body)).is_none());
     }
 
     #[test]
@@ -494,11 +505,10 @@ mod tests {
                 tree: 0,
                 deps: vec![],
                 frontends: vec![],
-                page: stripped,
+                page: stripped.preserialized(),
             };
-            let artifact = Json::Obj(v.to_artifact_body());
             assert!(
-                Verdict::from_artifact(&artifact).is_none(),
+                Verdict::from_artifact(&stored(v.to_artifact_body())).is_none(),
                 "hotspot missing {missing:?} must be rejected"
             );
         }
@@ -514,9 +524,8 @@ mod tests {
             tree: 0,
             deps: vec![],
             frontends: vec![],
-            page: page_with_evidence("OTHER.php"),
+            page: page_with_evidence("OTHER.php").preserialized(),
         };
-        let artifact = Json::Obj(v.to_artifact_body());
-        assert!(Verdict::from_artifact(&artifact).is_none());
+        assert!(Verdict::from_artifact(&stored(v.to_artifact_body())).is_none());
     }
 }

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use strtaint_corpus::synth::{synth_app, SynthConfig};
-use strtaint_daemon::json::Json;
+use strtaint_daemon::json::{self, Json};
 use strtaint_daemon::protocol::handle_line;
 use strtaint_daemon::{ArtifactStore, DaemonState};
 use strtaint_corpus::App;
@@ -41,15 +41,17 @@ fn boot(app: &App, cache: &PathBuf) -> DaemonState {
     DaemonState::new(app.vfs.clone(), strtaint::Config::default(), Some(store))
 }
 
+/// Handles one request in process and returns the response as a client
+/// reads it: written to the wire, then parsed.
 fn request(state: &DaemonState, line: &str) -> Json {
-    let handled = handle_line(state, line);
+    let wire = handle_line(state, line).response.to_string();
+    let response = json::parse(&wire).expect("response parses");
     assert_eq!(
-        handled.response.get("ok").and_then(Json::as_bool),
+        response.get("ok").and_then(Json::as_bool),
         Some(true),
-        "request failed: {}",
-        handled.response.to_string()
+        "request failed: {wire}"
     );
-    handled.response
+    response
 }
 
 fn analyze_all(state: &DaemonState, app: &App) -> Json {
@@ -627,4 +629,67 @@ fn xss_flag_answers_exactly_like_the_xss_policy() {
     let again = request(&by_flag, &flag);
     assert_eq!(num(&again, "replayed"), 2.0, "a repeat request replays");
     assert_eq!(pages_bytes(&again), pages_bytes(&r1));
+}
+
+/// One `batch` op as the benchmark's fleet edit sends it: append a
+/// comment to `page`, then analyze every entry. Returns the analyze
+/// result.
+fn edit_batch(state: &DaemonState, app: &App, page: &str, contents: &str) -> Json {
+    let entries: Vec<String> = app.entries.iter().map(|e| format!("\"{e}\"")).collect();
+    let r = request(
+        state,
+        &format!(
+            "{{\"cmd\":\"batch\",\"ops\":[{{\"cmd\":\"invalidate\",\"path\":\"{page}\",\"contents\":{}}},\
+             {{\"cmd\":\"analyze\",\"entries\":[{}]}}]}}",
+            Json::Str(contents.to_owned()),
+            entries.join(",")
+        ),
+    );
+    let results = r.get("results").and_then(Json::as_arr).expect("results");
+    assert_eq!(results[0].get("changed").and_then(Json::as_bool), Some(true));
+    results[1].clone()
+}
+
+#[test]
+fn edit_batches_answer_like_a_fresh_daemon_over_the_edited_tree() {
+    let app = small_app();
+    let cache = temp_cache("edit-batches");
+    let state = boot(&app, &cache);
+    analyze_all(&state, &app);
+
+    let mut edited = app.vfs.clone();
+    for (n, page) in app.entries.iter().cycle().take(3).enumerate() {
+        let mut contents = String::from_utf8(edited.get(page).expect("page").to_vec())
+            .expect("utf8 page");
+        contents.push_str(&format!("\n// edit {n}\n"));
+        edited.add(page.as_str(), contents.as_str());
+        let warm = edit_batch(&state, &app, page, &contents);
+        assert_eq!(num(&warm, "computed"), 1.0, "only the edited page recomputes");
+
+        let fresh = DaemonState::new(edited.clone(), strtaint::Config::default(), None);
+        assert_eq!(
+            pages_without_timings(&warm),
+            pages_without_timings(&analyze_all(&fresh, &app)),
+            "edit {n}: warm pages equal a fresh analyze-all"
+        );
+    }
+    assert!(
+        !cache.join("manifest.json").exists(),
+        "the store holds verdicts only"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn leftover_manifest_is_removed_at_open() {
+    let app = small_app();
+    let cache = temp_cache("leftover-manifest");
+    std::fs::create_dir_all(&cache).expect("cache dir");
+    let leftover = cache.join("manifest.json");
+    std::fs::write(&leftover, b"{\"format\":1,\"kind\":\"manifest\"}\n").expect("plant");
+    let state = boot(&app, &cache);
+    assert!(!leftover.exists(), "an older build's manifest is deleted at open");
+    analyze_all(&state, &app);
+    assert!(!leftover.exists());
+    let _ = std::fs::remove_dir_all(&cache);
 }

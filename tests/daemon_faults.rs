@@ -127,6 +127,11 @@ fn worker_killed_mid_request_yields_structured_error_and_daemon_survives() {
     let _ = std::fs::remove_file(&socket);
 }
 
+/// A response as a client reads it: written to the wire, then parsed.
+fn wire(response: &Json) -> Json {
+    strtaint_daemon::json::parse(&response.to_string()).expect("response parses")
+}
+
 #[test]
 fn corrupt_cache_entry_degrades_to_clean_recompute_with_identical_verdict() {
     let app = small_app();
@@ -145,7 +150,7 @@ fn corrupt_cache_entry_degrades_to_clean_recompute_with_identical_verdict() {
         strtaint::Config::default(),
         Some(ArtifactStore::open(&cache).expect("open")),
     );
-    let r1 = handle_line(&first, &analyze).response;
+    let r1 = wire(&handle_line(&first, &analyze).response);
     assert_eq!(r1.get("ok").and_then(Json::as_bool), Some(true));
     drop(first);
 
@@ -154,7 +159,7 @@ fn corrupt_cache_entry_degrades_to_clean_recompute_with_identical_verdict() {
     let store = ArtifactStore::open(&cache).expect("reopen");
     store.fault.arm_corrupt_reads(u64::MAX);
     let second = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), Some(store));
-    let r2 = handle_line(&second, &analyze).response;
+    let r2 = wire(&handle_line(&second, &analyze).response);
     assert_eq!(r2.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(
         r2.get("computed").and_then(Json::as_num),

@@ -292,11 +292,16 @@ fn soak_interleaved_fleet_traffic_has_no_cross_workspace_leakage() {
                 strtaint::Config::default(),
                 None,
             );
-            let reference_view = strtaint_daemon::protocol::handle_line(
-                &reference,
-                &format!("{{\"cmd\":\"analyze\",\"entries\":[{}]}}", entries.join(",")),
+            // Read as a client would: written to the wire, then parsed.
+            let reference_view = strtaint_daemon::json::parse(
+                &strtaint_daemon::protocol::handle_line(
+                    &reference,
+                    &format!("{{\"cmd\":\"analyze\",\"entries\":[{}]}}", entries.join(",")),
+                )
+                .response
+                .to_string(),
             )
-            .response;
+            .expect("response parses");
             assert_eq!(
                 canonical_pages(&daemon_view),
                 canonical_pages(&reference_view),

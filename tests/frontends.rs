@@ -295,15 +295,17 @@ fn boot(vfs: &Vfs, config: Config, cache: &PathBuf) -> DaemonState {
     DaemonState::new(vfs.clone(), config, Some(store))
 }
 
+/// Handles one request in process and returns the response as a client
+/// reads it: written to the wire, then parsed.
 fn request(state: &DaemonState, line: &str) -> Json {
-    let handled = handle_line(state, line);
+    let wire = handle_line(state, line).response.to_string();
+    let response = json::parse(&wire).expect("response parses");
     assert_eq!(
-        handled.response.get("ok").and_then(Json::as_bool),
+        response.get("ok").and_then(Json::as_bool),
         Some(true),
-        "request failed: {}",
-        handled.response.to_string()
+        "request failed: {wire}"
     );
-    handled.response
+    response
 }
 
 fn analyze_entries(state: &DaemonState, entries: &[&str]) -> Json {
