@@ -12,12 +12,14 @@
 //!   content-keyed prepared memo (shared across pages and worker
 //!   threads), answers queries on the prepared engine — replaying them
 //!   from the verdict cache when `CheckOptions::query_cache` is on —
-//!   and accumulates [`EngineStats`];
-//! - [`run_parallel`]: the lock-free worker loop that fans hotspot
-//!   checks of one page across threads — hotspots are independent given
-//!   the immutable `Cfg`, and the memo is thread-safe, so workers
-//!   share preparations.
+//!   accumulates [`EngineStats`], and fingerprints the hotspot's
+//!   subgrammar at most once for all of its marked-grammar, splice and
+//!   skeleton lookups;
+//! - [`fan_out`]: the lock-free worker loop that fans independent jobs
+//!   across threads — the hotspots of a lone page here, the pages of a
+//!   run in `strtaint-core`.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,9 +30,9 @@ use strtaint_grammar::stats::EngineStats;
 use strtaint_grammar::{Cfg, NtId};
 
 use crate::checks::CheckOptions;
-use crate::pmemo::PreparedMemo;
+use crate::pmemo::{PreparedMemo, Subgrammar};
 use crate::qcache::{Mode, QueryCache, QueryKey, Verdict};
-use crate::report::{CheckKind, Finding, HotspotReport};
+use crate::report::{CheckKind, Finding};
 
 /// A check automaton in byte-class-compressed form.
 #[derive(Debug, Clone)]
@@ -136,19 +138,19 @@ impl Shared {
             qc.set_scope(scope);
         }
     }
-
-    /// Exports one hotspot's canonical skeleton set through the shared
-    /// memo (see [`crate::skeletons`]).
-    pub(crate) fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        crate::skeletons::hotspot_skeletons(cfg, root, &self.pmemo)
-    }
 }
 
 /// Per-hotspot query session: answers intersections on the prepared
 /// engine through the checker's memo and cache, and counts engine work.
+/// One session serves exactly one hotspot `(cfg, root)`: every method
+/// taking a `root` must be passed that same root.
 pub(crate) struct Engine<'a> {
     shared: &'a Shared,
     pub(crate) stats: EngineStats,
+    /// The key of the hotspot's subgrammar, computed on first use and
+    /// shared by every marked target, splice and skeleton of the
+    /// session.
+    hotspot: OnceCell<Subgrammar>,
 }
 
 /// Production-count guard above which witness-grammar reconstruction is
@@ -160,7 +162,31 @@ impl<'a> Engine<'a> {
         Engine {
             shared,
             stats: EngineStats::default(),
+            hotspot: OnceCell::new(),
         }
+    }
+
+    /// The key of the session's hotspot subgrammar (one traversal per
+    /// session).
+    fn hotspot(&self, cfg: &Cfg, root: NtId) -> &Subgrammar {
+        self.hotspot.get_or_init(|| Subgrammar::of(cfg, root))
+    }
+
+    /// Whether the hotspot subgrammar has at most `cap` productions.
+    /// A capped count answers it until the key exists, so an oversized
+    /// hotspot never pays the full fingerprint traversal here.
+    pub(crate) fn within(&self, cfg: &Cfg, root: NtId, cap: usize) -> bool {
+        match self.hotspot.get() {
+            Some(sub) => sub.count <= cap,
+            None => cfg.count_reachable_productions(root, cap) <= cap,
+        }
+    }
+
+    /// The canonical marked skeleton of `x` under the hotspot (see
+    /// [`PreparedMemo::skeleton_for`]); callers apply the size guard.
+    pub(crate) fn skeleton(&self, cfg: &Cfg, root: NtId, x: NtId) -> Option<Vec<u8>> {
+        let sub = self.hotspot(cfg, root);
+        self.shared.pmemo.skeleton_for(cfg, root, sub, x)
     }
 
     /// A `kind` finding against `x` carrying `witness` and, when there
@@ -178,7 +204,7 @@ impl<'a> Engine<'a> {
     ) -> Finding {
         let example_query = witness
             .as_deref()
-            .and_then(|w| splice_example(cfg, root, x, w, &self.shared.pmemo));
+            .and_then(|w| splice_example(cfg, root, x, w, self));
         Finding {
             witness,
             example_query,
@@ -230,7 +256,8 @@ impl<'a> Engine<'a> {
     /// A warm memo hit never constructs the marked grammar at all (see
     /// [`PreparedMemo::marked_prepared`]).
     pub(crate) fn target_marked(&mut self, cfg: &Cfg, root: NtId, x: NtId) -> Target {
-        let (prep, hit) = self.shared.pmemo.marked_prepared(cfg, root, x);
+        let sub = self.hotspot(cfg, root);
+        let (prep, hit) = self.shared.pmemo.marked_prepared(cfg, root, sub, x);
         if !hit {
             self.stats.normalizations += 1;
         }
@@ -429,13 +456,13 @@ fn splice_example(
     root: NtId,
     x: NtId,
     witness: &[u8],
-    memo: &PreparedMemo,
+    engine: &Engine<'_>,
 ) -> Option<Vec<u8>> {
     const BUDGET: usize = 50_000;
-    if cfg.count_reachable_productions(root, BUDGET) > BUDGET {
+    if !engine.within(cfg, root, BUDGET) {
         return None;
     }
-    let skeleton = memo.skeleton_for(cfg, root, x)?;
+    let skeleton = engine.skeleton(cfg, root, x)?;
     let mut out = Vec::with_capacity(skeleton.len() + witness.len());
     for b in skeleton {
         if b == strtaint_sql::VAR_MARKER {
@@ -447,37 +474,41 @@ fn splice_example(
     Some(out)
 }
 
-/// Checks `items[i]` with `check` on up to `workers` threads and
-/// returns the reports in input order.
+/// Runs `job` over every item on up to `workers` scoped threads and
+/// returns the results in item order.
 ///
-/// Lock-free work distribution (shared atomic index, per-worker result
-/// buffers, sorted merge) mirroring `analyze_app_parallel_with` in
-/// `strtaint-core`. A worker panic is re-raised on the calling thread
-/// so page-level fault isolation sees it exactly as a serial panic.
-pub(crate) fn run_parallel<T, F>(items: &[T], workers: usize, check: F) -> Vec<HotspotReport>
+/// Lock-free work distribution: a shared atomic index, per-worker
+/// result buffers, and a merge in item order after the join. No lock
+/// is held across a job, so a job fault can never poison shared state.
+/// A worker panic is re-raised on the calling thread, so callers see it
+/// exactly as a serial panic; callers that must survive one catch it
+/// inside `job`. With one worker (or one item) the jobs run inline on
+/// the calling thread.
+pub fn fan_out<T, R, F>(items: &[T], workers: usize, job: F) -> Vec<R>
 where
     T: Sync,
-    F: Fn(&T) -> HotspotReport + Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
 {
     let workers = workers.max(1).min(items.len());
     if workers <= 1 {
-        return items.iter().map(&check).collect();
+        return items.iter().map(&job).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, HotspotReport)> = Vec::with_capacity(items.len());
+    let mut merged: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next = &next;
-                let check = &check;
+                let job = &job;
                 scope.spawn(move || {
-                    let mut local: Vec<(usize, HotspotReport)> = Vec::new();
+                    let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        local.push((i, check(&items[i])));
+                        local.push((i, job(&items[i])));
                     }
                     local
                 })

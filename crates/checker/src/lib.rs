@@ -47,7 +47,8 @@ pub mod skeletons;
 mod xss;
 
 pub use checks::CheckOptions;
-pub use policy_driver::{Checker, PolicyChecker};
+pub use engine::fan_out;
+pub use policy_driver::{Checker, Evidence, PolicyChecker};
 pub use report::{CheckKind, Finding, HotspotReport, MAX_WITNESS_BYTES};
 pub use skeletons::skeleton_display;
 pub use strtaint_grammar::stats::EngineStats;

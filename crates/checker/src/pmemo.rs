@@ -25,7 +25,7 @@
 //!
 //! # Soundness of sharing
 //!
-//! [`subgrammar_fingerprint`] hashes everything `PreparedGrammar::new`
+//! [`Subgrammar`] hashes everything `PreparedGrammar::new`
 //! and `shortest_string` can observe: the production structure of the
 //! subgrammar reachable from the root (with nonterminals renumbered in
 //! deterministic discovery order, so absolute `NtId`s don't matter),
@@ -99,89 +99,99 @@ impl Fnv2 {
     }
 }
 
-/// Structural fingerprint of the subgrammar of `g` reachable from
-/// `root`: production shapes, terminal bytes, nonterminal names, and
-/// taint labels, with nonterminals renumbered in deterministic
-/// discovery order. Equal fingerprints mean — up to collision —
-/// content-identical subgrammars, for which preparation and canonical
-/// reconstruction produce observationally identical results.
-#[cfg(test)]
-fn subgrammar_fingerprint(g: &Cfg, root: NtId) -> (u64, u64) {
-    fingerprint_with_locals(g, root).0
-}
-
-/// Production count of the subgrammar of `g` reachable from `root`
-/// (exact, uncapped). Matches `Cfg::count_reachable_productions` on
-/// reachable sets, so `count > cap` answers the same guards.
-#[cfg(test)]
-fn subgrammar_production_count(g: &Cfg, root: NtId) -> usize {
-    fingerprint_with_locals(g, root).2
-}
-
 /// Sentinel in the dense local-id table for "not reachable from the
 /// root" (never a real local id: there are at most `u32::MAX - 1`
 /// nonterminals).
 const UNDISCOVERED: u32 = u32::MAX;
 
-/// [`subgrammar_fingerprint`] plus the discovery-order renumbering it
-/// used — `locals[x.index()]` is the content-stable position of `x`
-/// within the subgrammar ([`UNDISCOVERED`] if unreachable), the second
-/// half of derived keys ([`derive_key`]) — plus the subgrammar's
-/// reachable production count. The count falls out of the traversal
-/// for free and lets callers answer the witness-reconstruction guard
-/// (`count_reachable_productions(root, cap) > cap`) without a second
-/// full walk.
-fn fingerprint_with_locals(g: &Cfg, root: NtId) -> ((u64, u64), Vec<u32>, usize) {
-    let _span = strtaint_obs::Span::enter("pmemo:fp", "");
-    // Discovery order: depth-first from the root, productions in
-    // declaration order, right-hand sides left to right. The local id
-    // of a nonterminal is its position in this order, so two
-    // structurally identical subgrammars at different absolute NtIds
-    // renumber identically.
-    let mut local = vec![UNDISCOVERED; g.num_nonterminals()];
-    let mut order: Vec<NtId> = Vec::new();
-    let mut stack = vec![root];
-    local[root.index()] = 0;
-    order.push(root);
-    while let Some(nt) = stack.pop() {
-        for rhs in g.productions(nt) {
-            for sym in rhs {
-                if let Symbol::N(x) = sym {
-                    if local[x.index()] == UNDISCOVERED {
-                        local[x.index()] = order.len() as u32;
-                        order.push(*x);
-                        stack.push(*x);
+/// The content key of the subgrammar of a `Cfg` reachable from one
+/// root, computed by one traversal: a structural fingerprint
+/// (production shapes, terminal bytes, nonterminal names, and taint
+/// labels, with nonterminals renumbered in deterministic discovery
+/// order), the renumbering itself, and the reachable production count.
+/// Equal fingerprints mean — up to collision — content-identical
+/// subgrammars, for which preparation and canonical reconstruction
+/// produce observationally identical results.
+///
+/// `locals[x.index()]` is the content-stable position of `x` within
+/// the subgrammar ([`UNDISCOVERED`] if unreachable), the second half
+/// of derived keys ([`derive_key`]). The count is exact and uncapped;
+/// it matches `Cfg::count_reachable_productions` on reachable sets, so
+/// `count > cap` answers the reconstruction guards without a second
+/// walk. A checker session computes one per hotspot and hands it to
+/// every marked-grammar, splice and skeleton lookup of that hotspot.
+pub(crate) struct Subgrammar {
+    fp: (u64, u64),
+    locals: Vec<u32>,
+    pub(crate) count: usize,
+}
+
+impl Subgrammar {
+    pub(crate) fn of(g: &Cfg, root: NtId) -> Self {
+        let _span = strtaint_obs::Span::enter("pmemo:fp", "");
+        // Discovery order: depth-first from the root, productions in
+        // declaration order, right-hand sides left to right. The local
+        // id of a nonterminal is its position in this order, so two
+        // structurally identical subgrammars at different absolute
+        // NtIds renumber identically.
+        let mut local = vec![UNDISCOVERED; g.num_nonterminals()];
+        let mut order: Vec<NtId> = Vec::new();
+        let mut stack = vec![root];
+        local[root.index()] = 0;
+        order.push(root);
+        while let Some(nt) = stack.pop() {
+            for rhs in g.productions(nt) {
+                for sym in rhs {
+                    if let Symbol::N(x) = sym {
+                        if local[x.index()] == UNDISCOVERED {
+                            local[x.index()] = order.len() as u32;
+                            order.push(*x);
+                            stack.push(*x);
+                        }
                     }
                 }
             }
         }
-    }
 
-    let mut h = Fnv2::new();
-    let mut count = 0usize;
-    h.word(order.len() as u64);
-    for &nt in &order {
-        h.bytes(g.name(nt).as_bytes());
-        let t = g.taint(nt);
-        h.word(u64::from(
-            u8::from(t.is_direct()) | (u8::from(t.is_indirect()) << 1),
-        ));
-        let prods = g.productions(nt);
-        count += prods.len();
-        h.word(prods.len() as u64);
-        for rhs in prods {
-            h.word(rhs.len() as u64);
-            for sym in rhs {
-                // Injective symbol encoding: terminals fit in the low
-                // byte, nonterminal references set bit 32.
-                match sym {
-                    Symbol::T(b) => h.word(u64::from(*b)),
-                    Symbol::N(x) => h.word((1 << 32) | u64::from(local[x.index()])),
+        let mut h = Fnv2::new();
+        let mut count = 0usize;
+        h.word(order.len() as u64);
+        for &nt in &order {
+            h.bytes(g.name(nt).as_bytes());
+            let t = g.taint(nt);
+            h.word(u64::from(
+                u8::from(t.is_direct()) | (u8::from(t.is_indirect()) << 1),
+            ));
+            let prods = g.productions(nt);
+            count += prods.len();
+            h.word(prods.len() as u64);
+            for rhs in prods {
+                h.word(rhs.len() as u64);
+                for sym in rhs {
+                    // Injective symbol encoding: terminals fit in the
+                    // low byte, nonterminal references set bit 32.
+                    match sym {
+                        Symbol::T(b) => h.word(u64::from(*b)),
+                        Symbol::N(x) => h.word((1 << 32) | u64::from(local[x.index()])),
+                    }
                 }
             }
         }
+        Subgrammar {
+            fp: (h.a, h.b),
+            locals: local,
+            count,
+        }
     }
-    ((h.a, h.b), local, count)
+
+    /// The content-stable position of `x`, `None` when `x` is not
+    /// reachable from the root.
+    fn local(&self, x: NtId) -> Option<u32> {
+        self.locals
+            .get(x.index())
+            .copied()
+            .filter(|&v| v != UNDISCOVERED)
+    }
 }
 
 /// Tag for keys of plain `(g, root)` preparations.
@@ -272,8 +282,8 @@ impl PreparedMemo {
     /// production total, a free byproduct of the key traversal that
     /// answers the witness-reconstruction guard without another walk.
     pub(crate) fn prepared(&self, g: &Cfg, root: NtId) -> (Arc<PreparedGrammar>, bool, usize) {
-        let (fp, _, count) = fingerprint_with_locals(g, root);
-        let key = derive_key(fp, u32::MAX, TAG_PLAIN);
+        let sub = Subgrammar::of(g, root);
+        let (key, count) = (derive_key(sub.fp, u32::MAX, TAG_PLAIN), sub.count);
         if let Ok(store) = self.prepared.lock() {
             if let Some(p) = store.get(&key) {
                 return (p, true, count);
@@ -292,18 +302,23 @@ impl PreparedMemo {
     /// context grammar both cascades query — sharing prior work across
     /// content-identical pages. On a hit the marked grammar is never
     /// even constructed: the key is derived from the page subgrammar
-    /// fingerprint and `x`'s content-stable position, which fully
-    /// determine `marked_grammar`'s (replacement-free) output.
-    pub(crate) fn marked_prepared(&self, g: &Cfg, root: NtId, x: NtId) -> (Arc<PreparedGrammar>, bool) {
-        let (fp, locals, _) = fingerprint_with_locals(g, root);
-        let lx = locals.get(x.index()).copied().filter(|&v| v != UNDISCOVERED);
-        let Some(lx) = lx else {
+    /// fingerprint (`sub`, the key of `(g, root)`) and `x`'s
+    /// content-stable position, which fully determine
+    /// `marked_grammar`'s (replacement-free) output.
+    pub(crate) fn marked_prepared(
+        &self,
+        g: &Cfg,
+        root: NtId,
+        sub: &Subgrammar,
+        x: NtId,
+    ) -> (Arc<PreparedGrammar>, bool) {
+        let Some(lx) = sub.local(x) else {
             // `x` unreachable from `root`: the marked grammar is not
             // content-addressable from this key, so build it directly.
             let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
             return (Arc::new(PreparedGrammar::new(&marked, mroot)), false);
         };
-        let key = derive_key(fp, lx, TAG_MARKED);
+        let key = derive_key(sub.fp, lx, TAG_MARKED);
         if let Ok(store) = self.prepared.lock() {
             if let Some(p) = store.get(&key) {
                 return (p, true);
@@ -324,16 +339,20 @@ impl PreparedMemo {
     /// as in [`PreparedMemo::marked_prepared`]. A miss reads the string
     /// off the memoized marked preparation when there is one (C2 has
     /// usually prepared it), and otherwise derives it without filling
-    /// the store of heavy preparations. Callers apply the size guard
-    /// first.
-    pub(crate) fn skeleton_for(&self, g: &Cfg, root: NtId, x: NtId) -> Option<Vec<u8>> {
-        let (fp, locals, _) = fingerprint_with_locals(g, root);
-        let lx = locals.get(x.index()).copied().filter(|&v| v != UNDISCOVERED);
-        let Some(lx) = lx else {
+    /// the store of heavy preparations. `sub` is the key of
+    /// `(g, root)`; callers apply the size guard first.
+    pub(crate) fn skeleton_for(
+        &self,
+        g: &Cfg,
+        root: NtId,
+        sub: &Subgrammar,
+        x: NtId,
+    ) -> Option<Vec<u8>> {
+        let Some(lx) = sub.local(x) else {
             let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
             return shortest_string(&marked, mroot);
         };
-        let key = derive_key(fp, lx, TAG_SKELETON);
+        let key = derive_key(sub.fp, lx, TAG_SKELETON);
         if let Ok(store) = self.skeletons.lock() {
             if let Some(s) = store.get(&key) {
                 return s;
@@ -343,7 +362,7 @@ impl PreparedMemo {
             .prepared
             .lock()
             .ok()
-            .and_then(|store| store.get(&derive_key(fp, lx, TAG_MARKED)));
+            .and_then(|store| store.get(&derive_key(sub.fp, lx, TAG_MARKED)));
         let skeleton = match marked {
             Some(prep) => prep.shortest_string(),
             None => {
@@ -384,10 +403,7 @@ mod tests {
             g2.add_nonterminal(format!("pad{i}"));
         }
         let r2 = g2.import_from(&g1, r1);
-        assert_eq!(
-            subgrammar_fingerprint(&g1, r1),
-            subgrammar_fingerprint(&g2, r2)
-        );
+        assert_eq!(Subgrammar::of(&g1, r1).fp, Subgrammar::of(&g2, r2).fp);
     }
 
     #[test]
@@ -395,8 +411,8 @@ mod tests {
         let (g1, r1) = sample("");
         let (g2, r2) = sample("renamed");
         assert_ne!(
-            subgrammar_fingerprint(&g1, r1),
-            subgrammar_fingerprint(&g2, r2),
+            Subgrammar::of(&g1, r1).fp,
+            Subgrammar::of(&g2, r2).fp,
             "name change must change the fingerprint"
         );
         let (mut g3, r3) = sample("");
@@ -404,8 +420,8 @@ mod tests {
         g3.add_literal_production(extra, b"2");
         g3.add_production(r3, vec![Symbol::N(extra)]);
         assert_ne!(
-            subgrammar_fingerprint(&g1, r1),
-            subgrammar_fingerprint(&g3, r3),
+            Subgrammar::of(&g1, r1).fp,
+            Subgrammar::of(&g3, r3).fp,
             "structure change must change the fingerprint"
         );
     }
@@ -429,8 +445,9 @@ mod tests {
             .nonterminals()
             .find(|&n| g.name(n) == "x")
             .expect("sample tainted nonterminal");
-        let (m1, hit1) = memo.marked_prepared(&g, root, x);
-        let (m2, hit2) = memo.marked_prepared(&g, root, x);
+        let sub = Subgrammar::of(&g, root);
+        let (m1, hit1) = memo.marked_prepared(&g, root, &sub, x);
+        let (m2, hit2) = memo.marked_prepared(&g, root, &sub, x);
         assert!(!hit1);
         assert!(hit2, "second call must hit without reconstructing");
         assert!(Arc::ptr_eq(&m1, &m2));
@@ -439,8 +456,8 @@ mod tests {
         let direct = PreparedGrammar::new(&marked, mroot);
         assert_eq!(m1.fingerprint(), direct.fingerprint());
 
-        let s1 = memo.skeleton_for(&g, root, x);
-        let s2 = memo.skeleton_for(&g, root, x);
+        let s1 = memo.skeleton_for(&g, root, &sub, x);
+        let s2 = memo.skeleton_for(&g, root, &sub, x);
         assert_eq!(s1, s2);
         assert_eq!(s1, shortest_string(&marked, mroot));
     }
@@ -453,30 +470,31 @@ mod tests {
             .nonterminals()
             .find(|&n| g.name(n) == "x")
             .expect("sample tainted nonterminal");
-        let skeleton = memo.skeleton_for(&g, root, x);
+        let sub = Subgrammar::of(&g, root);
+        let skeleton = memo.skeleton_for(&g, root, &sub, x);
         let mut want = b"SELECT ".to_vec();
         want.push(strtaint_sql::VAR_MARKER);
         assert_eq!(skeleton, Some(want));
         // The miss derived the skeleton without storing a preparation.
-        let (prep, hit) = memo.marked_prepared(&g, root, x);
+        let (prep, hit) = memo.marked_prepared(&g, root, &sub, x);
         assert!(!hit);
         // Once C2 has prepared the marked grammar, a skeleton miss on a
         // fresh skeleton store reads the same bytes off it.
         assert_eq!(prep.shortest_string(), skeleton);
         let warm = PreparedMemo::new();
-        warm.marked_prepared(&g, root, x);
-        assert_eq!(warm.skeleton_for(&g, root, x), skeleton);
+        warm.marked_prepared(&g, root, &sub, x);
+        assert_eq!(warm.skeleton_for(&g, root, &sub, x), skeleton);
     }
 
     #[test]
     fn traversal_count_matches_cfg_count() {
         let (g, root) = sample("");
-        let n = subgrammar_production_count(&g, root);
+        let n = Subgrammar::of(&g, root).count;
         assert_eq!(n, g.count_reachable_productions(root, usize::MAX - 1));
         // An unreachable extra production must not count.
         let mut g2 = g;
         let stray = g2.add_nonterminal("stray");
         g2.add_literal_production(stray, b"zzz");
-        assert_eq!(n, subgrammar_production_count(&g2, root));
+        assert_eq!(n, Subgrammar::of(&g2, root).count);
     }
 }

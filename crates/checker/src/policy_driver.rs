@@ -25,8 +25,9 @@ use strtaint_policy::{Cascade, CheckKind, PolicyKind, Residual, StepAction};
 
 use crate::abstraction::maximal_labeled;
 use crate::checks::{CheckOptions, SqlCascade};
-use crate::engine::{run_parallel, Engine, Qdfa, Shared};
+use crate::engine::{fan_out, Engine, Qdfa, Shared};
 use crate::report::{Finding, HotspotReport};
+use crate::skeletons::hotspot_skeletons;
 use crate::xss::XssCascade;
 
 /// A data-defined policy compiled for the intersection engine: every
@@ -115,6 +116,22 @@ impl PolicyCascade {
     }
 }
 
+/// What a hotspot check exports beyond its verdict.
+///
+/// Skeleton evidence is read only by fix planning, guard profiles and
+/// the daemon's persisted verdicts; `--json` and `--sarif` never render
+/// it. It is not part of analysis identity (no `Config` field, no
+/// fingerprint input): it is a stage the reader asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Evidence {
+    /// Findings, witnesses and degradations only. Reports carry empty
+    /// `skeletons` with `skeletons_complete == false`.
+    Verdicts,
+    /// Verdicts plus each hotspot's query skeletons, exported in the
+    /// same job as its check.
+    Skeletons,
+}
+
 /// One checker for every built-in policy: each policy's cascade,
 /// selected by the policy id a hotspot carries, run through one
 /// candidate loop over one query cache and prepared memo.
@@ -167,7 +184,7 @@ impl PolicyChecker {
     /// and witness splicing, so exporting after a check is a warm
     /// lookup.
     pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        self.shared.skeletons_for(cfg, root)
+        hotspot_skeletons(cfg, root, &Engine::new(&self.shared))
     }
 
     /// Checks one hotspot under the named policy, through the checker's
@@ -185,6 +202,20 @@ impl PolicyChecker {
         cfg: &Cfg,
         root: NtId,
         budget: &Budget,
+    ) -> HotspotReport {
+        self.check_job(policy, cfg, root, budget, Evidence::Verdicts)
+    }
+
+    /// One hotspot's job: its check and, when `evidence` asks for them,
+    /// its skeletons, in one engine session (one fingerprint of the
+    /// hotspot subgrammar serves both).
+    fn check_job(
+        &self,
+        policy: &str,
+        cfg: &Cfg,
+        root: NtId,
+        budget: &Budget,
+        evidence: Evidence,
     ) -> HotspotReport {
         let (id, cascade) = self
             .cascades
@@ -222,15 +253,20 @@ impl PolicyChecker {
                 }
             }
         }
-        report.engine = engine.stats;
         for f in &mut report.findings {
             f.cap_witness();
         }
+        if evidence == Evidence::Skeletons {
+            (report.skeletons, report.skeletons_complete) = hotspot_skeletons(cfg, root, &engine);
+        }
+        report.engine = engine.stats;
         report
     }
 
     /// Checks every `(root, policy)` hotspot of one page, on up to
-    /// `workers` threads, returning reports in input order.
+    /// `workers` threads, returning reports in input order; with
+    /// [`Evidence::Skeletons`] each hotspot's job also exports its
+    /// skeletons.
     ///
     /// Hotspots are independent given the immutable `cfg`; the shared
     /// prepared memo lets them reuse each other's prepared grammars
@@ -243,9 +279,10 @@ impl PolicyChecker {
         items: &[(NtId, String)],
         budget: &Budget,
         workers: usize,
+        evidence: Evidence,
     ) -> Vec<HotspotReport> {
-        run_parallel(items, workers, |(root, policy)| {
-            self.check_hotspot_cached(policy, cfg, *root, budget)
+        fan_out(items, workers, |(root, policy)| {
+            self.check_job(policy, cfg, *root, budget, evidence)
         })
     }
 }
@@ -308,7 +345,8 @@ impl Checker {
     ) -> Vec<HotspotReport> {
         let sql = strtaint_policy::SQL_POLICY;
         let items: Vec<(NtId, String)> = roots.iter().map(|&r| (r, sql.to_owned())).collect();
-        self.0.check_hotspots_with(cfg, &items, budget, workers)
+        self.0
+            .check_hotspots_with(cfg, &items, budget, workers, Evidence::Verdicts)
     }
 }
 
@@ -482,7 +520,7 @@ mod tests {
             .iter()
             .map(|(r, p)| pc.check_hotspot_cached(p, &g, *r, &budget))
             .collect();
-        let parallel = pc.check_hotspots_with(&g, &items, &budget, 4);
+        let parallel = pc.check_hotspots_with(&g, &items, &budget, 4, Evidence::Verdicts);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.findings.len(), p.findings.len());

@@ -114,13 +114,14 @@ pub struct HotspotReport {
     /// Canonical query skeletons for this hotspot: the (length, lex)-
     /// minimal string per maximal labeled nonterminal with
     /// `VAR_MARKER` at the tainted position (sorted, deduplicated).
-    /// Attached by the analysis driver via the checker's
-    /// `skeletons_for` API; empty when export was not requested.
+    /// Exported in the hotspot's check job when the caller requests
+    /// [`Evidence::Skeletons`](crate::Evidence::Skeletons); empty when
+    /// export was not requested.
     pub skeletons: Vec<Vec<u8>>,
     /// Whether `skeletons` covers every labeled nonterminal of the
     /// hotspot; `false` when any candidate exceeded the reconstruction
     /// budget (a guard profile built from an incomplete set must say
-    /// so rather than over-block).
+    /// so rather than over-block) and when export was not requested.
     pub skeletons_complete: bool,
 }
 

@@ -13,8 +13,9 @@
 //!
 //! Derivation is shared with witness splicing: the skeleton is
 //! content-addressed in the checker's `PreparedMemo`, so exporting it
-//! after a check is a memo hit, and a daemon warm replay serves the
-//! identical bytes.
+//! in the same job as the check is a memo hit that reuses the check's
+//! hotspot fingerprint, and a daemon warm replay serves the identical
+//! bytes.
 //! Hotspots whose grammar exceeds the reconstruction budget export an
 //! incomplete set (`complete == false`) rather than an unsound one.
 
@@ -22,7 +23,7 @@ use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
 
 use crate::abstraction::maximal_labeled;
-use crate::pmemo::PreparedMemo;
+use crate::engine::Engine;
 
 /// Reconstruction budget, aligned with witness splicing so a hotspot
 /// that can render an `example_query` can always render its skeleton.
@@ -38,14 +39,14 @@ const SKELETON_BUDGET: usize = 50_000;
 pub(crate) fn hotspot_skeletons(
     cfg: &Cfg,
     root: NtId,
-    memo: &PreparedMemo,
+    engine: &Engine<'_>,
 ) -> (Vec<Vec<u8>>, bool) {
     let _span = strtaint_obs::Span::enter("skeletons", "");
     // The size guard depends on `(cfg, root)` alone. Over budget, every
     // candidate — and the untainted fallback — yields no skeleton, so
-    // one capped walk decides the whole hotspot before any
-    // per-candidate work.
-    if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
+    // one guard decides the whole hotspot before any per-candidate
+    // work.
+    if !engine.within(cfg, root, SKELETON_BUDGET) {
         return (Vec::new(), false);
     }
     let candidates = maximal_labeled(cfg, root);
@@ -58,7 +59,7 @@ pub(crate) fn hotspot_skeletons(
     let mut out: Vec<Vec<u8>> = Vec::new();
     let mut complete = true;
     for &x in &candidates {
-        match memo.skeleton_for(cfg, root, x) {
+        match engine.skeleton(cfg, root, x) {
             Some(s) => out.push(s),
             None => complete = false,
         }
@@ -89,6 +90,12 @@ pub fn skeleton_display(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::abstraction::marked_grammar;
+    use crate::checks::CheckOptions;
+    use crate::engine::Shared;
+
+    fn shared() -> Shared {
+        Shared::new(&CheckOptions::default())
+    }
     use strtaint_grammar::{Symbol, Taint};
 
     /// `query -> "SELECT * FROM t WHERE id='" X "'"`, X tainted.
@@ -107,7 +114,7 @@ mod tests {
     }
 
     fn skeletons(g: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        hotspot_skeletons(g, root, &PreparedMemo::new())
+        hotspot_skeletons(g, root, &Engine::new(&shared()))
     }
 
     #[test]
@@ -125,12 +132,12 @@ mod tests {
     #[test]
     fn memoized_skeleton_matches_direct_construction() {
         let (g, root) = harness();
-        let memo = PreparedMemo::new();
+        let shared = shared();
         let x = maximal_labeled(&g, root)[0];
         let (marked, mroot) = marked_grammar(&g, root, x, &Default::default());
         let direct = shortest_string(&marked, mroot).expect("finite skeleton");
-        let (cold, complete) = hotspot_skeletons(&g, root, &memo);
-        let (warm, _) = hotspot_skeletons(&g, root, &memo);
+        let (cold, complete) = hotspot_skeletons(&g, root, &Engine::new(&shared));
+        let (warm, _) = hotspot_skeletons(&g, root, &Engine::new(&shared));
         assert!(complete);
         assert_eq!(cold, vec![direct]);
         assert_eq!(cold, warm);

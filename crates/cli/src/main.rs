@@ -57,7 +57,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use strtaint::{
-    analyze_page_cached, Config, EngineStats, PageReport, PolicyChecker, SummaryCache, Vfs,
+    analyze_pages, AnalyzeError, Config, EngineStats, Evidence, PageReport, PolicyChecker,
+    SummaryCache, Vfs,
 };
 
 const USAGE: &str = "usage: strtaint [--policy LIST] [--slice] [--json] [--sarif] \
@@ -227,6 +228,19 @@ fn emit_sarif(reports: &[PageReport]) {
     print!("{}", strtaint::render::sarif(reports));
 }
 
+/// The page driver's results as reports, or the first failing entry
+/// in entry order as `"<entry>: <error>"`.
+fn first_error(
+    entries: &[String],
+    results: Vec<Result<PageReport, AnalyzeError>>,
+) -> Result<Vec<PageReport>, String> {
+    entries
+        .iter()
+        .zip(results)
+        .map(|(entry, r)| r.map_err(|e| format!("{entry}: {e}")))
+        .collect()
+}
+
 mod remedy_cmd;
 
 fn main() -> ExitCode {
@@ -290,20 +304,23 @@ fn main() -> ExitCode {
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
 
-    let mut reports = Vec::new();
-    let mut any_findings = false;
-    for entry in &opts.entries {
-        match analyze_page_cached(&vfs, entry, &config, &checker, &summaries) {
-            Ok(r) => {
-                any_findings |= !r.is_verified();
-                reports.push(r);
-            }
-            Err(e) => {
-                eprintln!("{entry}: {e}");
-                return ExitCode::from(2);
-            }
+    // Neither --json nor --sarif renders skeletons: verdicts only.
+    let results = analyze_pages(
+        &vfs,
+        &opts.entries,
+        &config,
+        &checker,
+        &summaries,
+        Evidence::Verdicts,
+    );
+    let reports = match first_error(&opts.entries, results) {
+        Ok(reports) => reports,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
         }
-    }
+    };
+    let any_findings = reports.iter().any(|r| !r.is_verified());
 
     let run_stats = opts.stats.then(|| {
         let mut engine = EngineStats::default();

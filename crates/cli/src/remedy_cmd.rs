@@ -216,16 +216,21 @@ pub fn cli_profile(args: &[String]) -> u8 {
     let config = config_of(&opts);
     let checker = strtaint::PolicyChecker::new();
     let summaries = strtaint::SummaryCache::new();
-    let mut reports = Vec::new();
-    for entry in &opts.entries {
-        match strtaint::analyze_page_cached(&vfs, entry, &config, &checker, &summaries) {
-            Ok(r) => reports.push(r),
-            Err(e) => {
-                eprintln!("{entry}: {e}");
-                return 2;
-            }
+    let results = strtaint::analyze_pages(
+        &vfs,
+        &opts.entries,
+        &config,
+        &checker,
+        &summaries,
+        strtaint::Evidence::Skeletons,
+    );
+    let reports = match crate::first_error(&opts.entries, results) {
+        Ok(reports) => reports,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return 2;
         }
-    }
+    };
     print!("{}", render_profile(&profile_pages(&reports)));
     0
 }

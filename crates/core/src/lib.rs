@@ -58,20 +58,34 @@ pub mod report;
 
 use std::time::Instant;
 
+use strtaint_checker::fan_out;
+
 pub use strtaint_analysis::{AnalyzeError, Config, Hotspot, Provenance, SummaryCache, Vfs};
 pub use strtaint_checker::{
-    CheckKind, CheckOptions, Checker, EngineStats, Finding, HotspotReport, PolicyChecker,
+    CheckKind, CheckOptions, Checker, EngineStats, Evidence, Finding, HotspotReport, PolicyChecker,
 };
 pub use strtaint_grammar::{Budget, Cfg, DegradeAction, Degradation, NtId, Resource, Taint};
 pub use strtaint_policy as policy;
 
-/// Worker-thread count for checking the hotspots of one page — the
-/// machine's available parallelism (hotspots are independent given the
-/// immutable grammar; see `PolicyChecker::check_hotspots_with`).
-fn hotspot_workers() -> usize {
+/// Worker threads for one level of fan-out: the machine's available
+/// parallelism.
+fn parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Hotspot workers for each page of a run over `pages` entries: the
+/// one-level fan-out rule. A run over several pages fans out pages, so
+/// each page checks its hotspots on its own worker; a lone page fans
+/// out its hotspots instead. Nesting both levels would multiply the
+/// threads and the working sets in flight for no extra cores.
+fn hotspot_workers(pages: usize) -> usize {
+    if pages > 1 {
+        1
+    } else {
+        parallelism()
+    }
 }
 
 pub use report::{AppReport, PageReport};
@@ -97,9 +111,10 @@ pub fn analyze_page(
 /// automata, query cache and prepared memo are page-independent) and
 /// sharing a caller-owned [`SummaryCache`], so AST→IR lowering of files
 /// reached by many pages (shared includes) happens once per app instead
-/// of once per page. The app drivers ([`analyze_app`],
-/// [`analyze_app_parallel`]) use this internally; the reports are
-/// identical to [`analyze_page`]'s.
+/// of once per page. This is the lone-page entry the daemon uses: it
+/// fans the page's hotspots out across threads and exports their
+/// skeleton evidence ([`Evidence::Skeletons`]). Multi-page callers use
+/// the page driver, [`analyze_pages`].
 ///
 /// # Errors
 ///
@@ -111,6 +126,62 @@ pub fn analyze_page_cached(
     config: &Config,
     checker: &PolicyChecker,
     summaries: &SummaryCache,
+) -> Result<PageReport, AnalyzeError> {
+    page(
+        vfs,
+        entry,
+        config,
+        checker,
+        summaries,
+        Evidence::Skeletons,
+        hotspot_workers(1),
+    )
+}
+
+/// The page driver: analyzes every entry with one level of fan-out
+/// and returns one result per entry, in entry order.
+///
+/// Pages are independent (the paper's §5.3 remark), so several entries
+/// run as [`fan_out`] jobs on the machine's available parallelism,
+/// sharing one [`PolicyChecker`] and one [`SummaryCache`], and each
+/// page checks its hotspots on its own worker; a lone entry runs inline
+/// and fans out its hotspots instead. The rule reads only the number
+/// of entries. `evidence` selects whether the hotspot jobs also export
+/// skeletons. Reports are identical to those of a serial loop over
+/// the entries, timings aside. A panic in any page is re-raised on the
+/// calling thread after the other workers finish.
+pub fn analyze_pages<E: AsRef<str> + Sync>(
+    vfs: &Vfs,
+    entries: &[E],
+    config: &Config,
+    checker: &PolicyChecker,
+    summaries: &SummaryCache,
+    evidence: Evidence,
+) -> Vec<Result<PageReport, AnalyzeError>> {
+    let hotspot_workers = hotspot_workers(entries.len());
+    fan_out(entries, parallelism(), |entry| {
+        page(
+            vfs,
+            entry.as_ref(),
+            config,
+            checker,
+            summaries,
+            evidence,
+            hotspot_workers,
+        )
+    })
+}
+
+/// Analyzes and checks one page, its hotspots on `hotspot_workers`
+/// threads.
+fn page(
+    vfs: &Vfs,
+    entry: &str,
+    config: &Config,
+    checker: &PolicyChecker,
+    summaries: &SummaryCache,
+    evidence: Evidence,
+    hotspot_workers: usize,
 ) -> Result<PageReport, AnalyzeError> {
     // One budget covers both phases: the deadline clock starts here and
     // the fuel pool is shared between analysis and checking.
@@ -128,13 +199,14 @@ pub fn analyze_page_cached(
         sites.extend(analysis.echo_sinks.iter().cloned());
     }
     let items: Vec<(NtId, String)> = sites.iter().map(|h| (h.root, h.policy.clone())).collect();
-    // All sinks of the page are checked in one parallel batch sharing
-    // the checker's prepared memo; reports come back in program order,
+    // All sinks of the page are checked in one batch sharing the
+    // checker's prepared memo; reports come back in program order,
     // identical to the serial loop. The cross-page query cache is
     // namespaced by the config fingerprint so memoized verdicts never
     // leak across configs (same rule the artifact store applies).
     checker.set_query_scope(config.fingerprint());
-    let reports = checker.check_hotspots_with(&analysis.cfg, &items, &budget, hotspot_workers());
+    let reports =
+        checker.check_hotspots_with(&analysis.cfg, &items, &budget, hotspot_workers, evidence);
     let mut hotspots = Vec::new();
     for (h, mut r) in sites.iter().zip(reports) {
         if let Some(span) = h.provenance.arg_span {
@@ -142,12 +214,6 @@ pub fn analyze_page_cached(
                 f.at = Some((span.line, span.col));
             }
         }
-        // Skeleton evidence rides on every report (fix planning and
-        // guard profiles consume it downstream); the prepared memo
-        // makes this a warm lookup after the check above.
-        let (skeletons, complete) = checker.skeletons_for(&analysis.cfg, h.root);
-        r.skeletons = skeletons;
-        r.skeletons_complete = complete;
         hotspots.push((h.clone(), r));
     }
     let check_time = t1.elapsed();
@@ -208,7 +274,10 @@ where
 }
 
 /// Analyzes a whole application: each entry is a page's top-level file
-/// (the paper analyzes every page of each subject).
+/// (the paper analyzes every page of each subject). Pages run one at a
+/// time, each fanning out its hotspots; reports carry verdicts only
+/// ([`Evidence::Verdicts`]). This serial loop is the reference the
+/// page driver ([`analyze_app_parallel`]) is tested against.
 ///
 /// Pages that fail to parse — or whose analysis panics — are skipped
 /// with a synthetic report ([`PageReport::skipped_page`]); skipped
@@ -216,12 +285,24 @@ where
 pub fn analyze_app(name: &str, vfs: &Vfs, entries: &[&str], config: &Config) -> AppReport {
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
+    let hotspot_workers = hotspot_workers(1);
     let pages = entries
         .iter()
         .map(|&e| {
-            isolated(e, std::panic::AssertUnwindSafe(|| {
-                analyze_page_cached(vfs, e, config, &checker, &summaries)
-            }))
+            isolated(
+                e,
+                std::panic::AssertUnwindSafe(|| {
+                    page(
+                        vfs,
+                        e,
+                        config,
+                        &checker,
+                        &summaries,
+                        Evidence::Verdicts,
+                        hotspot_workers,
+                    )
+                }),
+            )
         })
         .collect();
     AppReport {
@@ -234,15 +315,14 @@ pub fn analyze_app(name: &str, vfs: &Vfs, entries: &[&str], config: &Config) -> 
     }
 }
 
-/// Like [`analyze_app`], analyzing pages on worker threads — the
+/// Like [`analyze_app`], analyzing pages on `workers` threads — the
 /// "concurrent executions of the analyzer" speedup the paper suggests
-/// in §5.3 (pages are independent; each re-analyzes its includes).
+/// in §5.3 (pages are independent). With several entries each page
+/// checks its hotspots on its own worker (see [`analyze_pages`]).
 ///
 /// Fault isolation: each page runs under `catch_unwind`, so a panic in
 /// one page yields a skipped [`PageReport`] for that page while every
-/// other page completes normally. No lock is held across page analyses
-/// (workers buffer results locally), so a worker fault can never poison
-/// shared state.
+/// other page completes normally.
 pub fn analyze_app_parallel(
     name: &str,
     vfs: &Vfs,
@@ -268,8 +348,17 @@ pub fn analyze_app_parallel_cached(
     summaries: &SummaryCache,
 ) -> AppReport {
     let checker = PolicyChecker::new();
+    let hotspot_workers = hotspot_workers(entries.len());
     let mut app = analyze_app_parallel_with(name, vfs, entries, workers, |vfs, entry| {
-        analyze_page_cached(vfs, entry, config, &checker, summaries)
+        page(
+            vfs,
+            entry,
+            config,
+            &checker,
+            summaries,
+            Evidence::Verdicts,
+            hotspot_workers,
+        )
     });
     app.summary_hits = summaries.hits();
     app.summary_misses = summaries.misses();
@@ -278,7 +367,8 @@ pub fn analyze_app_parallel_cached(
 
 /// The engine behind [`analyze_app_parallel`], generic over the
 /// per-page analysis so callers (and fault-injection tests) can
-/// substitute their own. `analyze` runs under `catch_unwind`; a panic
+/// substitute their own. Pages run as [`fan_out`] jobs on up to
+/// `workers` threads; `analyze` runs under `catch_unwind`, and a panic
 /// or error produces a skipped page report in that page's slot.
 pub fn analyze_app_parallel_with<F>(
     name: &str,
@@ -290,56 +380,9 @@ pub fn analyze_app_parallel_with<F>(
 where
     F: Fn(&Vfs, &str) -> Result<PageReport, AnalyzeError> + Sync,
 {
-    let workers = workers.max(1).min(entries.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let analyze = &analyze;
-
-    // Workers buffer (index, report) pairs locally; results are merged
-    // after joining. No shared mutable state, hence nothing to poison.
-    let mut produced: Vec<(usize, PageReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= entries.len() {
-                            break;
-                        }
-                        let page = isolated(
-                            entries[i],
-                            std::panic::AssertUnwindSafe(|| analyze(vfs, entries[i])),
-                        );
-                        local.push((i, page));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A worker death is unreachable in practice (pages are
-            // caught individually), but must not take down the run:
-            // its pages fall through to the skipped-page backfill.
-            .flat_map(|h| h.join().unwrap_or_default())
-            .collect()
+    let pages = fan_out(entries, workers, |&entry| {
+        isolated(entry, std::panic::AssertUnwindSafe(|| analyze(vfs, entry)))
     });
-
-    produced.sort_by_key(|&(i, _)| i);
-    let mut pages: Vec<PageReport> = Vec::with_capacity(entries.len());
-    let mut produced = produced.into_iter().peekable();
-    for (i, &entry) in entries.iter().enumerate() {
-        match produced.peek() {
-            Some(&(j, _)) if j == i => {
-                pages.push(produced.next().map(|(_, p)| p).expect("peeked entry exists"));
-            }
-            _ => pages.push(PageReport::skipped_page(
-                entry,
-                "page skipped: worker thread terminated abnormally".to_owned(),
-            )),
-        }
-    }
-
     AppReport {
         name: name.to_owned(),
         files: vfs.len(),

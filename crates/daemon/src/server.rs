@@ -107,6 +107,9 @@ pub struct ServerState {
     registry: Registry,
     /// Route and execute, per request (microseconds).
     pub(crate) request_us: Arc<Histogram>,
+    /// Parse the request line into its JSON tree, per request
+    /// (microseconds; part of `request_us`).
+    parse_us: Arc<Histogram>,
     /// Serialize and write the response line, per request
     /// (microseconds).
     respond_us: Arc<Histogram>,
@@ -192,12 +195,14 @@ impl ServerState {
         let registry = Registry::new();
         let pool = WorkerPool::new(config.workers, config.queue_depth, &registry);
         let request_us = registry.histogram("daemon.request_us", DURATION_US_BOUNDS);
+        let parse_us = registry.histogram("daemon.parse_us", DURATION_US_BOUNDS);
         let respond_us = registry.histogram("daemon.respond_us", DURATION_US_BOUNDS);
         ServerState {
             workspaces,
             pool,
             registry,
             request_us,
+            parse_us,
             respond_us,
             drain: config.drain,
             shutting_down: AtomicBool::new(false),
@@ -274,7 +279,10 @@ impl ServerState {
     /// returned for the caller to execute (pool on the socket path,
     /// inline on stdio).
     pub fn route(&self, line: &str) -> Routed {
-        let (request, cmd) = match parse_request(line) {
+        let t0 = Instant::now();
+        let parsed = parse_request(line);
+        self.parse_us.observe(elapsed_us(t0));
+        let (request, cmd) = match parsed {
             Ok(parsed) => parsed,
             Err(handled) => return Routed::Ready(handled),
         };
@@ -361,8 +369,8 @@ impl ServerState {
 
     /// `metrics`: with a `workspace` field, that shard's registry;
     /// without one, the default shard's registry flat-merged with the
-    /// server registry (queue depth, shed, request and respond latency)
-    /// plus every other workspace's metrics namespaced as
+    /// server registry (queue depth, shed, request, parse and respond
+    /// latency) plus every other workspace's metrics namespaced as
     /// `ws.<key>.<metric>`.
     fn server_metrics(&self, workspace: Option<&str>) -> Handled {
         if let Some(name) = workspace {
@@ -819,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_split_request_and_respond_time() {
+    fn metrics_split_request_parse_and_respond_time() {
         let server = ServerState::single("ws0", state());
         let input = "{\"cmd\":\"analyze\",\"entries\":[\"a.php\"]}\n{\"cmd\":\"metrics\"}\n";
         let mut output = Vec::new();
@@ -834,9 +842,11 @@ mod tests {
                 .and_then(Json::as_num)
         };
         // The metrics response is snapshotted before it is written, so
-        // both histograms hold the analyze request alone.
+        // both histograms hold the analyze request alone; the metrics
+        // line itself was parsed before the snapshot.
         assert_eq!(count("daemon.request_us"), Some(1.0));
         assert_eq!(count("daemon.respond_us"), Some(1.0));
+        assert_eq!(count("daemon.parse_us"), Some(2.0));
     }
 
     #[test]

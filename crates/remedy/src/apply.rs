@@ -11,10 +11,7 @@
 use std::collections::HashMap;
 
 use strtaint::report::PageReport;
-use strtaint::{
-    analyze_page_cached, AnalyzeError, Config, PolicyChecker, SummaryCache,
-    Vfs,
-};
+use strtaint::{analyze_pages, AnalyzeError, Config, Evidence, PolicyChecker, SummaryCache, Vfs};
 
 use crate::plan::{plan_fixes, Edit, FixPlan};
 
@@ -109,17 +106,27 @@ fn overlaps(a: &Edit, b: &Edit) -> bool {
 /// finding, apply the unambiguous plans to a clone of the tree, and
 /// re-analyze that clone to prove each finding discharged.
 ///
+/// Both passes run on the page driver ([`analyze_pages`]). The
+/// planner reads skeleton evidence, so the accusing pass exports it;
+/// the proof reads only findings.
+///
 /// # Errors
 ///
-/// Returns [`AnalyzeError`] if any entry is missing or fails to parse
-/// (in either pass).
+/// Returns [`AnalyzeError`] for the first entry, in entry order, that
+/// is missing or fails to parse (in either pass).
 pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutcome, AnalyzeError> {
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
-    let mut reports = Vec::new();
-    for entry in entries {
-        reports.push(analyze_page_cached(vfs, entry, config, &checker, &summaries)?);
-    }
+    let reports = analyze_pages(
+        vfs,
+        entries,
+        config,
+        &checker,
+        &summaries,
+        Evidence::Skeletons,
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let plans = plan_fixes(vfs, &reports);
     let (fixed_vfs, applied) = apply_plans(vfs, &plans);
 
@@ -127,10 +134,16 @@ pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutc
     // verdict derived from the unrepaired tree.
     let checker2 = PolicyChecker::new();
     let summaries2 = SummaryCache::new();
-    let mut reanalyzed = Vec::new();
-    for entry in entries {
-        reanalyzed.push(analyze_page_cached(&fixed_vfs, entry, config, &checker2, &summaries2)?);
-    }
+    let reanalyzed = analyze_pages(
+        &fixed_vfs,
+        entries,
+        config,
+        &checker2,
+        &summaries2,
+        Evidence::Verdicts,
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let discharged = plans
         .iter()

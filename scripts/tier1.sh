@@ -42,6 +42,9 @@ cargo test -q -p strtaint-grammar
 echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 
+echo "==> CLI process contract (parse error: first failing entry, exit 2, empty stdout)"
+cargo test -q -p strtaint-cli
+
 echo "==> bench crate builds (table1, the §5.3 curve benches, examples)"
 # Nothing else compiles the bench crate's benches and examples; a
 # change that breaks them must fail here, not when someone next runs

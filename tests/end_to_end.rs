@@ -430,30 +430,112 @@ $DB->query("SELECT * FROM u WHERE name='$n'");
     assert!(r.is_verified(), "{r}");
 }
 
+/// The JSON and SARIF bytes of a run's pages, with the per-page
+/// timings (the only members that may differ run to run) zeroed.
+fn rendered(mut pages: Vec<strtaint::PageReport>) -> (String, String) {
+    for p in &mut pages {
+        p.analysis_time = std::time::Duration::ZERO;
+        p.check_time = std::time::Duration::ZERO;
+    }
+    (
+        strtaint::render::json_report(&pages, None),
+        strtaint::render::sarif(&pages),
+    )
+}
+
 #[test]
 fn parallel_app_analysis_matches_sequential() {
+    // The serial loop and the page driver — through the app API and
+    // through the CLI's `analyze_pages` — render byte-identical JSON
+    // and SARIF on every corpus app (Tiger included) and on the
+    // 30-page, 3-sink synthetic app, whose pages share includes,
+    // queries and preparations across workers.
+    use strtaint_corpus::synth::{synth_app, SynthConfig};
+    let synth = synth_app(&SynthConfig {
+        pages: 30,
+        sinks_per_page: 3,
+        replace_chain: 1,
+        ..SynthConfig::default()
+    });
+    let config = Config::default();
+    for app in strtaint_corpus::apps::all().into_iter().chain([synth]) {
+        let entries = app.entry_refs();
+        let seq = strtaint::analyze_app(app.name, &app.vfs, &entries, &config);
+        let par = strtaint::analyze_app_parallel(app.name, &app.vfs, &entries, &config, 4);
+        let driver: Vec<_> = strtaint::analyze_pages(
+            &app.vfs,
+            &entries,
+            &config,
+            &strtaint::PolicyChecker::new(),
+            &strtaint::SummaryCache::new(),
+            strtaint::Evidence::Verdicts,
+        )
+        .into_iter()
+        .map(|r| r.expect("corpus pages parse"))
+        .collect();
+        assert_eq!(seq.skipped_pages(), 0, "{}", app.name);
+        let serial = rendered(seq.pages);
+        assert_eq!(
+            serial,
+            rendered(par.pages),
+            "{}: analyze_app_parallel",
+            app.name
+        );
+        assert_eq!(serial, rendered(driver), "{}: analyze_pages", app.name);
+    }
+}
+
+#[test]
+fn verdict_only_pages_carry_no_skeletons_and_readers_get_them() {
+    // The CLI check path and `analyze_app*` export no skeleton
+    // evidence; the entries that request it — `analyze_page_cached`
+    // (the daemon's) and `analyze_pages` with `Evidence::Skeletons`
+    // (`fix`, `profile`) — carry the same skeletons, computed in the
+    // hotspot's check job.
     let app = strtaint_corpus::apps::utopia::build();
-    let seq = strtaint::analyze_app(app.name, &app.vfs, &app.entry_refs(), &Config::default());
-    let par = strtaint::analyze_app_parallel(
-        app.name,
-        &app.vfs,
-        &app.entry_refs(),
-        &Config::default(),
-        4,
-    );
-    assert_eq!(
-        seq.direct_findings().len(),
-        par.direct_findings().len(),
-        "parallel analysis must find the same direct errors"
-    );
-    assert_eq!(
-        seq.indirect_findings().len(),
-        par.indirect_findings().len()
-    );
-    // Page order is preserved.
-    let seq_entries: Vec<_> = seq.pages.iter().map(|p| &p.entry).collect();
-    let par_entries: Vec<_> = par.pages.iter().map(|p| &p.entry).collect();
-    assert_eq!(seq_entries, par_entries);
+    let entries = app.entry_refs();
+    let config = Config::default();
+    let run = |evidence| {
+        strtaint::analyze_pages(
+            &app.vfs,
+            &entries,
+            &config,
+            &strtaint::PolicyChecker::new(),
+            &strtaint::SummaryCache::new(),
+            evidence,
+        )
+        .into_iter()
+        .map(|r| r.expect("corpus pages parse"))
+        .collect::<Vec<_>>()
+    };
+    let bare = |pages: &[strtaint::PageReport]| {
+        pages
+            .iter()
+            .flat_map(|p| &p.hotspots)
+            .all(|(_, r)| r.skeletons.is_empty() && !r.skeletons_complete)
+    };
+    let verdicts = run(strtaint::Evidence::Verdicts);
+    let app_pages = strtaint::analyze_app(app.name, &app.vfs, &entries, &config).pages;
+    assert!(verdicts.iter().any(|p| !p.hotspots.is_empty()));
+    assert!(bare(&verdicts), "the driver exported unasked skeletons");
+    assert!(bare(&app_pages), "analyze_app exported unasked skeletons");
+
+    let with = run(strtaint::Evidence::Skeletons);
+    let checker = strtaint::PolicyChecker::new();
+    let summaries = strtaint::SummaryCache::new();
+    let mut exported = 0;
+    for (page, entry) in with.iter().zip(&entries) {
+        let lone = strtaint::analyze_page_cached(&app.vfs, entry, &config, &checker, &summaries)
+            .expect("corpus pages parse");
+        for ((_, a), (_, b)) in page.hotspots.iter().zip(&lone.hotspots) {
+            assert_eq!(a.skeletons, b.skeletons, "{entry}");
+            assert_eq!(a.skeletons_complete, b.skeletons_complete, "{entry}");
+            exported += usize::from(!a.skeletons.is_empty());
+        }
+    }
+    assert!(exported > 0, "requested skeletons must be exported");
+    // Skeleton export changes no verdict byte.
+    assert_eq!(rendered(verdicts), rendered(with));
 }
 
 #[test]

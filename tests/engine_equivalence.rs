@@ -20,7 +20,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use strtaint::{CheckOptions, PolicyChecker};
+use strtaint::{CheckOptions, Evidence, PolicyChecker};
 use strtaint_analysis::{analyze, Config};
 use strtaint_automata::{ClassDfa, Dfa};
 use strtaint_checker::abstraction::{marked_grammar, maximal_labeled};
@@ -253,7 +253,7 @@ fn assert_engines_agree(app: &App) {
             .iter()
             .map(|(r, p)| checker.check_hotspot_cached(p, cfg, *r, &budget))
             .collect();
-        let parallel = checker.check_hotspots_with(cfg, &items, &budget, 4);
+        let parallel = checker.check_hotspots_with(cfg, &items, &budget, 4, Evidence::Verdicts);
         assert_eq!(parallel.len(), items.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(

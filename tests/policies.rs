@@ -3,10 +3,12 @@
 //! - Every seeded vulnerable corpus page reports a finding with its
 //!   class's rule id; every sanitized variant verifies clean.
 //! - The three new classes carry distinct SARIF rule ids.
-//! - With the default policy set (`["sql"]`) the page pipeline is
-//!   byte-identical on the corpus to reports assembled call by call from
+//! - With the default policy set (`["sql"]`) the skeleton-exporting
+//!   page entry (`analyze_page_cached`, the daemon's) is byte-identical
+//!   on the corpus to reports assembled call by call from
 //!   `Checker::check_hotspots_with` + `skeletons_for` — the sequence
-//!   the traced bench driver replays — in findings, JSON and SARIF.
+//!   the traced bench driver replays — in findings, skeletons, JSON and
+//!   SARIF.
 //! - The cheap-first cascade reorder changes no verdict on the corpus.
 //! - The SARIF rule-id namespace is pinned by a golden file
 //!   (`tests/golden/rule_ids.txt`); adding or renaming a rule id is an
@@ -165,6 +167,10 @@ fn sql_only_policy_run_is_byte_identical_to_dedicated_path() {
         );
         for (d, p) in assembled.iter().zip(&pipeline) {
             assert_eq!(d.is_verified(), p.is_verified(), "{}: verdict", d.entry);
+            for ((_, hd), (_, hp)) in d.hotspots.iter().zip(&p.hotspots) {
+                assert_eq!(hd.skeletons, hp.skeletons, "{}: skeletons", d.entry);
+                assert_eq!(hd.skeletons_complete, hp.skeletons_complete, "{}", d.entry);
+            }
             assert_eq!(d.findings().count(), p.findings().count(), "{}", d.entry);
             for ((hd, fd), (hp, fp)) in d.findings().zip(p.findings()) {
                 assert_eq!(hd.label, hp.label);
