@@ -24,7 +24,6 @@ use strtaint_php::Span;
 use crate::config::Config;
 use crate::emit::Emitter;
 use crate::env::Env;
-use crate::relevance;
 use crate::summary::SummaryCache;
 use crate::vfs::{normalize, Vfs};
 
@@ -84,9 +83,7 @@ pub struct Analysis {
     /// transitive input set: the emitted grammar is a function of these
     /// files' bytes, the project path layout (dynamic include
     /// resolution), and the [`crate::Config`] — which is what the
-    /// analysis daemon keys verdict replay on. Under
-    /// `Config::backward_slice` the relevance pre-pass reads the whole
-    /// tree, so consumers must widen this set to every file.
+    /// analysis daemon keys verdict replay on.
     pub inputs: BTreeSet<String>,
     /// Precision losses from budget trips during grammar construction
     /// (widened transducer images, skipped refinements, unresolved
@@ -166,9 +163,6 @@ pub fn analyze_cached(
     summaries: &SummaryCache,
 ) -> Result<Analysis, AnalyzeError> {
     let mut em = Emitter::new(vfs, config, budget.clone(), summaries);
-    if config.backward_slice {
-        em.relevance = Some(relevance::compute(vfs, config));
-    }
     let src = vfs
         .get(entry)
         .ok_or_else(|| AnalyzeError::EntryNotFound(entry.to_owned()))?;
@@ -180,10 +174,8 @@ pub fn analyze_cached(
     em.cur_summary = summary.content_hash;
     em.files_analyzed += 1;
     em.inputs.insert(em.cur_file.clone());
-    {
-        let _span = strtaint_obs::Span::enter("emit", entry);
-        em.register_functions(&summary.body);
-        em.emit_stmts(&summary.body, &mut env);
-    }
+    let _span = strtaint_obs::Span::enter("emit", entry);
+    em.register_functions(&summary.body);
+    em.emit_stmts(&summary.body, &mut env);
     Ok(em.into_analysis())
 }

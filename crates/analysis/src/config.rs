@@ -45,13 +45,6 @@ pub struct Config {
     /// Maximum number of include files expanded from one dynamic
     /// include site.
     pub max_include_fanout: usize,
-    /// Enable the backward query-relevance slice (paper §7 future
-    /// work): transducer images applied in contexts that cannot reach a
-    /// query hotspot are widened to tainted Σ* instead of being
-    /// computed. Sound; speeds up display-heavy code (the Tiger forum
-    /// effect) at the cost of `echo` language precision — leave off
-    /// when running the XSS checker.
-    pub backward_slice: bool,
     /// Size budget (productions) for a transducer operand grammar;
     /// larger operands are widened to tainted Σ* with a warning. Bounds
     /// the multiplicative blow-up of chained `str_replace` calls (paper
@@ -110,7 +103,6 @@ impl Default for Config {
             include_overrides: HashMap::new(),
             max_call_depth: 8,
             max_include_fanout: 64,
-            backward_slice: false,
             max_transducer_grammar: 100_000,
             timeout: None,
             fuel: None,
@@ -195,7 +187,6 @@ impl Config {
         overrides.hash(h);
         self.max_call_depth.hash(h);
         self.max_include_fanout.hash(h);
-        self.backward_slice.hash(h);
         self.max_transducer_grammar.hash(h);
         self.timeout.hash(h);
         self.fuel.hash(h);
@@ -224,10 +215,6 @@ mod tests {
 
         let mut c = Config::default();
         c.fuel = Some(1000);
-        assert_ne!(base.fingerprint(), c.fingerprint());
-
-        let mut c = Config::default();
-        c.backward_slice = true;
         assert_ne!(base.fingerprint(), c.fingerprint());
 
         let mut c = Config::default();

@@ -5,8 +5,9 @@
 //! single-pass builder did: assignments and concatenation become
 //! productions (paper Fig. 5), control-flow joins become alternative
 //! productions, loops become recursive productions closed after one
-//! body pass, transducer applications become grammar images, and
-//! refinements become grammar–automaton intersections (§3.1.2).
+//! body pass, transducer applications become grammar images — built
+//! on demand, see [`crate::emit_image`] — and refinements become
+//! grammar–automaton intersections (§3.1.2).
 //! Everything configuration-dependent — sources, sinks, fetch models,
 //! include overrides — is decided here, never at lowering, which is
 //! what keeps [`crate::summary`] summaries shareable across pages.
@@ -15,17 +16,16 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use strtaint_automata::{ClassDfa, Dfa, Fst};
+use strtaint_automata::{ClassDfa, Dfa};
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction, Degradation};
-use strtaint_grammar::image::image_into;
 use strtaint_grammar::{Cfg, NtId, PreparedGrammar, QueryMode, Symbol, Taint};
 
 use crate::builder::{Analysis, Hotspot, Provenance};
 use crate::config::Config;
+use crate::emit_image::Pending;
 use crate::env::{Env, KEY_SEP};
 use crate::frontend::FrontendSet;
 use crate::ir::*;
-use crate::relevance::Relevance;
 use crate::sinks::SinkTable;
 use crate::summary::SummaryCache;
 use crate::vfs::Vfs;
@@ -108,11 +108,8 @@ pub(crate) struct Emitter<'a> {
     pub(crate) budget: Budget,
     /// Sound precision losses from budget trips.
     pub(crate) degradations: Vec<Degradation>,
-    /// Backward-slice facts (None when `Config::backward_slice` is off).
-    pub(crate) relevance: Option<Relevance>,
-    /// Relevance hints for the expression currently being evaluated;
-    /// `true` (or empty stack) = may reach a query, keep precision.
-    pub(crate) hint_stack: Vec<bool>,
+    /// Transducer images applied but not yet computed, by placeholder.
+    pub(crate) pending: HashMap<NtId, Pending>,
 }
 
 /// Root variable of an environment key (`a␀k` → `a`, `o->p` → `o`).
@@ -167,12 +164,19 @@ impl<'a> Emitter<'a> {
             layout: None,
             budget,
             degradations: Vec::new(),
-            relevance: None,
-            hint_stack: Vec::new(),
+            pending: HashMap::new(),
         }
     }
 
-    pub(crate) fn into_analysis(self) -> Analysis {
+    /// Finishes the page: forces every image the checked sinks read
+    /// (the enabled policies' hotspots, plus echo sinks when `xss` is
+    /// on), so no returned root reaches a placeholder. Images nothing
+    /// checked reads are never computed.
+    pub(crate) fn into_analysis(mut self) -> Analysis {
+        let roots: Vec<NtId> = (self.hotspots.iter().chain(&self.echo_sinks))
+            .map(|h| h.root)
+            .collect();
+        self.force(&roots);
         Analysis {
             cfg: self.cfg,
             hotspots: self.hotspots,
@@ -289,12 +293,16 @@ impl<'a> Emitter<'a> {
 
     /// Union of taints of all nonterminals reachable from `nt`
     /// (walk proportional to the reachable subgraph, with early exit).
-    pub(crate) fn reachable_taint(&self, nt: NtId) -> Taint {
+    /// Forces the placeholders the walk reaches before the exit.
+    pub(crate) fn reachable_taint(&mut self, nt: NtId) -> Taint {
         let mut seen: HashSet<NtId> = HashSet::new();
         let mut stack = vec![nt];
         seen.insert(nt);
         let mut t = Taint::NONE;
         while let Some(id) = stack.pop() {
+            if self.cfg.productions(id).is_empty() {
+                self.force_image(id);
+            }
             t = t.union(self.cfg.taint(id));
             if t.is_direct() && t.is_indirect() {
                 break;
@@ -312,7 +320,7 @@ impl<'a> Emitter<'a> {
         t
     }
 
-    pub(crate) fn args_taint(&self, args: &[NtId]) -> Taint {
+    pub(crate) fn args_taint(&mut self, args: &[NtId]) -> Taint {
         let mut t = Taint::NONE;
         for &a in args {
             t = t.union(self.reachable_taint(a));
@@ -333,6 +341,8 @@ impl<'a> Emitter<'a> {
     /// are not yet closed; transducing or intersecting such a grammar
     /// would under-approximate, so callers must widen instead (this is
     /// the paper's "string operations in cycles must be approximated").
+    /// A structural walk: it steps from a placeholder to its operand
+    /// and forces nothing.
     pub(crate) fn reaches_open_header(&self, nt: NtId) -> bool {
         if self.open_headers.is_empty() {
             return false;
@@ -343,6 +353,11 @@ impl<'a> Emitter<'a> {
         while let Some(id) = stack.pop() {
             if self.open_headers.contains(&id) {
                 return true;
+            }
+            if let Some(p) = self.pending.get(&id) {
+                if seen.insert(p.operand) {
+                    stack.push(p.operand);
+                }
             }
             for rhs in self.cfg.productions(id) {
                 for s in rhs {
@@ -357,59 +372,6 @@ impl<'a> Emitter<'a> {
         false
     }
 
-    pub(crate) fn hint(&self) -> bool {
-        self.hint_stack.last().copied().unwrap_or(true)
-    }
-
-    pub(crate) fn push_hint_for_lvalue(&mut self, key: &str) {
-        // A context already known irrelevant stays irrelevant inside
-        // callees (name-based relevance alone cannot distinguish call
-        // sites of a shared helper).
-        let h = self.hint()
-            && match &self.relevance {
-                None => true,
-                Some(r) => r.var(root_var(key)),
-            };
-        self.hint_stack.push(h);
-    }
-
-    /// Applies a transducer to the grammar rooted at `nt`, splicing the
-    /// image into the arena. Falls back to tainted Σ* inside open loops,
-    /// in contexts the backward slice proves query-irrelevant,
-    /// or when the operand grammar exceeds the configured size budget
-    /// (chained replacements otherwise blow up multiplicatively — the
-    /// effect the paper describes for Tiger PHP News System in §5.3).
-    pub(crate) fn apply_fst(&mut self, nt: NtId, fst: &Fst, what: &str) -> NtId {
-        if self.relevance.is_some() && !self.hint() {
-            let t = self.reachable_taint(nt);
-            return self.any_with_taint(what, t);
-        }
-        if self.reaches_open_header(nt) {
-            let t = self.reachable_taint(nt);
-            self.warn(format!("{what} applied to loop-carried value; widened"));
-            return self.any_with_taint(what, t);
-        }
-        let cap = self.config.max_transducer_grammar;
-        if self.cfg.count_reachable_productions(nt, cap) > cap {
-            let t = self.reachable_taint(nt);
-            self.warn(format!(
-                "{what} operand grammar exceeds {cap} productions; widened"
-            ));
-            return self.any_with_taint(what, t);
-        }
-        let budget = self.budget.clone();
-        match image_into(&mut self.cfg, nt, fst, &budget) {
-            Ok(root) => root,
-            Err(err) => {
-                // Sound widening: Σ* with the operand's taint is a
-                // superset of any transducer image of it.
-                let t = self.reachable_taint(nt);
-                self.degrade(err, what, DegradeAction::WidenedToAny);
-                self.any_with_taint(what, t)
-            }
-        }
-    }
-
     /// Intersects the grammar rooted at `nt` with a DFA, splicing the
     /// result into the arena. Inside open loops, returns `nt`
     /// unrefined (sound).
@@ -418,6 +380,7 @@ impl<'a> Emitter<'a> {
             self.warn(format!("{what} refinement on loop-carried value skipped"));
             return nt;
         }
+        self.force(&[nt]);
         let budget = self.budget.clone();
         match product_grammar(&self.cfg, nt, dfa, &budget) {
             Ok((g2, r2)) => self.cfg.import_from(&g2, r2),
@@ -476,26 +439,23 @@ impl<'a> Emitter<'a> {
                 Flow::Cont
             }
             IrStmt::Sink { args, span } => {
-                if self.relevance.is_some() {
-                    self.hint_stack.push(false);
-                }
                 for (a, arg_span) in args {
                     let nt = self.eval(a, env);
-                    let file = self.cur_file.clone();
-                    self.echo_sinks.push(Hotspot {
-                        file,
-                        span: *span,
-                        label: "echo".to_owned(),
-                        root: nt,
-                        policy: "xss".to_owned(),
-                        provenance: Provenance {
-                            summary: self.cur_summary,
-                            arg_span: Some(*arg_span),
-                        },
-                    });
-                }
-                if self.relevance.is_some() {
-                    self.hint_stack.pop();
+                    // Recorded only when a policy checks echo output,
+                    // so the images only echo reads stay unbuilt.
+                    if let Some(policy) = self.sinks.echo_policy {
+                        self.echo_sinks.push(Hotspot {
+                            file: self.cur_file.clone(),
+                            span: *span,
+                            label: "echo".to_owned(),
+                            root: nt,
+                            policy: policy.to_owned(),
+                            provenance: Provenance {
+                                summary: self.cur_summary,
+                                arg_span: Some(*arg_span),
+                            },
+                        });
+                    }
                 }
                 Flow::Cont
             }

@@ -141,24 +141,7 @@ impl Emitter<'_> {
                 self.assign_array_lit(base_key, items, env)
             }
             IrExpr::Assign { key, op, rhs } => {
-                // Relevance hint: expensive operations in the RHS keep
-                // precision only when the assigned variable may reach a
-                // query (paper §7 backward slice).
-                let pushed = if self.relevance.is_some() {
-                    match key {
-                        Some(k) => {
-                            self.push_hint_for_lvalue(k);
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    false
-                };
                 let rv = self.eval(rhs, env);
-                if pushed {
-                    self.hint_stack.pop();
-                }
                 let value = match op {
                     AssignOp::Plain => rv,
                     AssignOp::Concat => {
@@ -361,10 +344,7 @@ impl Emitter<'_> {
         env: &mut Env,
     ) -> NtId {
         if let Some(entry) = self.sinks.lookup(label.starts_with("->"), bare) {
-            // Sink arguments are always relevance-precise.
-            self.hint_stack.push(true);
             let arg_nts: Vec<NtId> = args.iter().map(|a| self.eval(a, env)).collect();
-            self.hint_stack.pop();
             if entry.policy == strtaint_policy::SQL_POLICY {
                 if let Some(&q) = arg_nts.first() {
                     let file = self.cur_file.clone();
@@ -533,14 +513,8 @@ impl Emitter<'_> {
                 // The lowered call carries the transducer; rebuild only
                 // if this call reached us without one (method path).
                 match prep {
-                    Some(CallPrep::Apply(fst)) => {
-                        let fst = Arc::clone(fst);
-                        self.apply_fst(nt, &fst, name)
-                    }
-                    _ => {
-                        let fst = builtins::transducer_fst(kind);
-                        self.apply_fst(nt, &fst, name)
-                    }
+                    Some(CallPrep::Apply(fst)) => self.apply_fst(nt, fst, name),
+                    _ => self.apply_fst(nt, &Arc::new(builtins::transducer_fst(kind)), name),
                 }
             }
             Model::Numeric => {
@@ -656,7 +630,7 @@ impl Emitter<'_> {
             }
         }
         if let Some(CallPrep::RegexReplace(Some(fst))) = prep {
-            return self.apply_fst(subj, &Arc::clone(fst), "preg_replace");
+            return self.apply_fst(subj, fst, "preg_replace");
         }
         self.eval(&args[0], env);
         self.eval(&args[1], env);
@@ -773,7 +747,7 @@ impl Emitter<'_> {
         }
         let subj = self.eval(&args[1], env);
         if let Some(CallPrep::Explode(Some(fst))) = prep {
-            return self.apply_fst(subj, &Arc::clone(fst), "explode");
+            return self.apply_fst(subj, fst, "explode");
         }
         self.eval(&args[0], env);
         let t = self.reachable_taint(subj);

@@ -67,6 +67,7 @@ impl Emitter<'_> {
             self.warn(format!("dynamic include at {site} inside loop skipped"));
             return;
         } else {
+            self.force(&[nt]);
             let direct = bounded_language(&self.cfg, nt, self.config.max_include_fanout);
             let lang = match direct {
                 Some(l) => Some(l),

@@ -50,13 +50,13 @@ pub mod builtins;
 pub mod config;
 mod emit;
 mod emit_expr;
+mod emit_image;
 mod emit_include;
 pub mod env;
 pub mod frontend;
 pub mod ir;
 pub mod lower;
 mod refine;
-pub mod relevance;
 mod sinks;
 pub mod summary;
 pub mod vfs;

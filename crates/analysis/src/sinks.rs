@@ -31,6 +31,8 @@ pub(crate) struct SinkTable {
     /// Whether `preg_replace` with an `/e` pattern modifier is an
     /// eval-class sink for its subject argument.
     pub(crate) preg_replace_e: Option<&'static str>,
+    /// `Some(policy)` when a policy checks `echo`/`print` output (XSS).
+    pub(crate) echo_policy: Option<&'static str>,
 }
 
 impl SinkTable {
@@ -65,6 +67,7 @@ impl SinkTable {
             }
             for &c in p.sink_constructs {
                 match c {
+                    "echo" => t.echo_policy = Some(p.id),
                     "include" => t.include_policy = Some(p.id),
                     "preg_replace/e" => t.preg_replace_e = Some(p.id),
                     _ => {}

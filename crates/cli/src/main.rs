@@ -8,10 +8,12 @@
 //!   --policy LIST   comma-separated policy ids to enable (default
 //!                   sql; see --list-policies); sinks of every enabled
 //!                   policy are recognized and checked in one run —
-//!                   `--policy xss` checks `echo` output for XSS
+//!                   `--policy xss` checks `echo` output for XSS;
+//!                   string transformations only unchecked sinks
+//!                   read (display markup feeding `echo` when xss is
+//!                   off) are never computed
 //!   --list-policies print the built-in policy registry (id, severity,
 //!                   name, description) and exit
-//!   --slice         enable the backward query-relevance slice (faster)
 //!   --json          machine-readable output
 //!   --sarif         SARIF 2.1.0 output (for CI annotation)
 //!   --include A=B   resolve the dynamic include at site A (file:line)
@@ -57,11 +59,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use strtaint::{
-    analyze_pages, AnalyzeError, Config, EngineStats, Evidence, PageReport, PolicyChecker,
+    analyze_pages, Config, EngineStats, Evidence, PageReport, PolicyChecker,
     SummaryCache, Vfs,
 };
 
-const USAGE: &str = "usage: strtaint [--policy LIST] [--slice] [--json] [--sarif] \
+const USAGE: &str = "usage: strtaint [--policy LIST] [--json] [--sarif] \
                      [--include SITE=FILE] [--timeout SECS] [--fuel N] \
                      [--stats] [--trace-json FILE] \
                      <dir> <entry.php|entry.tpl>...\n\
@@ -72,7 +74,6 @@ const USAGE: &str = "usage: strtaint [--policy LIST] [--slice] [--json] [--sarif
 
 struct Options {
     policies: Option<Vec<String>>,
-    slice: bool,
     json: bool,
     sarif: bool,
     stats: bool,
@@ -129,7 +130,6 @@ impl RunStats {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         policies: None,
-        slice: false,
         json: false,
         sarif: false,
         stats: false,
@@ -164,7 +164,6 @@ fn parse_args() -> Result<Options, String> {
                 print!("{out}");
                 std::process::exit(0);
             }
-            "--slice" => opts.slice = true,
             "--json" => opts.json = true,
             "--sarif" => opts.sarif = true,
             "--stats" => opts.stats = true,
@@ -228,19 +227,6 @@ fn emit_sarif(reports: &[PageReport]) {
     print!("{}", strtaint::render::sarif(reports));
 }
 
-/// The page driver's results as reports, or the first failing entry
-/// in entry order as `"<entry>: <error>"`.
-fn first_error(
-    entries: &[String],
-    results: Vec<Result<PageReport, AnalyzeError>>,
-) -> Result<Vec<PageReport>, String> {
-    entries
-        .iter()
-        .zip(results)
-        .map(|(entry, r)| r.map_err(|e| format!("{entry}: {e}")))
-        .collect()
-}
-
 mod remedy_cmd;
 
 fn main() -> ExitCode {
@@ -276,7 +262,6 @@ fn main() -> ExitCode {
         }
     };
     let mut config = Config {
-        backward_slice: opts.slice,
         timeout: opts.timeout,
         fuel: opts.fuel,
         ..Config::default()
@@ -313,7 +298,7 @@ fn main() -> ExitCode {
         &summaries,
         Evidence::Verdicts,
     );
-    let reports = match first_error(&opts.entries, results) {
+    let reports = match strtaint::first_error(&opts.entries, results) {
         Ok(reports) => reports,
         Err(msg) => {
             eprintln!("{msg}");

@@ -224,7 +224,7 @@ pub fn cli_profile(args: &[String]) -> u8 {
         &summaries,
         strtaint::Evidence::Skeletons,
     );
-    let reports = match crate::first_error(&opts.entries, results) {
+    let reports = match strtaint::first_error(&opts.entries, results) {
         Ok(reports) => reports,
         Err(msg) => {
             eprintln!("{msg}");

@@ -50,3 +50,24 @@ fn parse_error_reports_first_failing_entry_and_writes_no_output() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("p2.php: "));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fix_names_the_first_failing_entry() {
+    // `fix` analyzes through the same page driver and reports a parse
+    // error the same way: entry first, exit 2, nothing on stdout.
+    let dir = tree("fix-error");
+    for args in [&["fix"][..], &["fix", "--sarif"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_strtaint"))
+            .args(args)
+            .arg(&dir)
+            .args(["p1.php", "p2.php", "p3.php", "p4.php"])
+            .output()
+            .expect("run strtaint fix");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: stdout must stay empty");
+        assert!(stderr.starts_with("p2.php: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("p4.php"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

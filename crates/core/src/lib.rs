@@ -172,6 +172,45 @@ pub fn analyze_pages<E: AsRef<str> + Sync>(
     })
 }
 
+/// A page whose analysis failed, named by its entry.
+#[derive(Debug)]
+pub struct EntryError {
+    /// The entry file, as the caller named it.
+    pub entry: String,
+    /// Why the page could not be analyzed.
+    pub error: AnalyzeError,
+}
+
+impl std::fmt::Display for EntryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.entry, self.error)
+    }
+}
+
+impl std::error::Error for EntryError {}
+
+/// The [`analyze_pages`] results over `entries` as reports, or the
+/// first failing entry in entry order.
+///
+/// # Errors
+///
+/// Returns the first failing entry and its [`AnalyzeError`].
+pub fn first_error<E: AsRef<str>>(
+    entries: &[E],
+    results: Vec<Result<PageReport, AnalyzeError>>,
+) -> Result<Vec<PageReport>, EntryError> {
+    entries
+        .iter()
+        .zip(results)
+        .map(|(entry, r)| {
+            r.map_err(|error| EntryError {
+                entry: entry.as_ref().to_owned(),
+                error,
+            })
+        })
+        .collect()
+}
+
 /// Analyzes and checks one page, its hotspots on `hotspot_workers`
 /// threads.
 fn page(

@@ -33,9 +33,7 @@ pub struct PageReport {
     /// Distinct files whose contents the analysis read (entry plus
     /// every resolved include), sorted. This is the page's transitive
     /// input set — what the daemon's verdict cache keys replay on.
-    /// Empty for skipped pages. Under `Config::backward_slice` the
-    /// relevance pre-pass reads the whole tree, so consumers must widen
-    /// this to every project file.
+    /// Empty for skipped pages.
     pub inputs: Vec<String>,
     /// Precision losses from budget trips during grammar construction
     /// (hotspot-level losses live on each [`HotspotReport`]).

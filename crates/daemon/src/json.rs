@@ -408,23 +408,23 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(_) => return Err(self.err("invalid UTF-8")),
-                    };
-                    match s.chars().next() {
-                        Some(c) if (c as u32) < 0x20 => {
-                            return Err(self.err("unescaped control character"))
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte at once. Those are all ASCII, so the
+                    // run ends on a character boundary.
+                    let start = self.pos;
+                    let rest = &self.bytes[start..];
+                    self.pos += rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
+                        Ok(run) => out.push_str(run),
+                        Err(e) => {
+                            self.pos = start + e.valid_up_to();
+                            return Err(self.err("invalid UTF-8"));
                         }
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("unterminated string")),
                     }
                 }
             }
@@ -533,6 +533,36 @@ mod tests {
         // Surrogate pair → astral char.
         assert_eq!(roundtrip(r#""\ud83d\ude00""#), "\"😀\"");
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn string_runs_copy_multi_byte_text_whole() {
+        let v = parse("\"héllo → wörld 😀 naïve\"").expect("parses");
+        assert_eq!(v.as_str(), Some("héllo → wörld 😀 naïve"));
+        // A run that fills the whole input past the last escape.
+        let long = "é".repeat(10_000);
+        let v = parse(&format!("\"{long}\"")).expect("parses");
+        assert_eq!(v.as_str(), Some(long.as_str()));
+    }
+
+    #[test]
+    fn escapes_between_runs_split_them_exactly() {
+        let v = parse(r#""ab\ncd\"é\\f\u00e9g\/""#).expect("parses");
+        assert_eq!(v.as_str(), Some("ab\ncd\"é\\fég/"));
+        let v = parse(r#""\n\t""#).expect("parses");
+        assert_eq!(v.as_str(), Some("\n\t"));
+    }
+
+    #[test]
+    fn control_character_error_names_its_byte() {
+        // `"`, two 2-byte chars, then U+0001 at byte 5.
+        let err = parse("\"éé\u{1}x\"").expect_err("control char rejected");
+        assert_eq!(err.message, "unescaped control character");
+        assert_eq!(err.at, 5);
+        let err = parse("[\"ok\", \"a\\n\tb\"]").expect_err("raw tab rejected");
+        assert_eq!((err.message.as_str(), err.at), ("unescaped control character", 11));
+        let err = parse("\"abc").expect_err("unterminated");
+        assert_eq!((err.message.as_str(), err.at), ("unterminated string", 4));
     }
 
     #[test]

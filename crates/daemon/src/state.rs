@@ -376,7 +376,7 @@ impl DaemonState {
         // failure may be environmental, and replaying a panic verdict
         // would hide recovery.
         if report.skipped.is_none() {
-            let deps = self.dep_hashes(&vfs, &report, config);
+            let deps = self.dep_hashes(&vfs, &report);
             let frontend_evidence = deps
                 .iter()
                 .map(|(path, _)| {
@@ -406,10 +406,8 @@ impl DaemonState {
     }
 
     /// The dependency evidence for a fresh report: content hashes of
-    /// every input file. Under `backward_slice` the relevance pre-pass
-    /// reads the whole tree, so the dependency set is widened to every
-    /// file (replay stays sound at the cost of incrementality).
-    fn dep_hashes(&self, vfs: &Vfs, report: &PageReport, config: &Config) -> Vec<(String, u64)> {
+    /// every input file.
+    fn dep_hashes(&self, vfs: &Vfs, report: &PageReport) -> Vec<(String, u64)> {
         let hashes = self.hashes.read().unwrap_or_else(|p| p.into_inner());
         let lookup = |p: &str| {
             hashes
@@ -417,15 +415,11 @@ impl DaemonState {
                 .copied()
                 .unwrap_or_else(|| content_hash(vfs.get(p).unwrap_or(b"")))
         };
-        if config.backward_slice {
-            vfs.paths().map(|p| (p.to_owned(), lookup(p))).collect()
-        } else {
-            report
-                .inputs
-                .iter()
-                .map(|p| (p.clone(), lookup(p)))
-                .collect()
-        }
+        report
+            .inputs
+            .iter()
+            .map(|p| (p.clone(), lookup(p)))
+            .collect()
     }
 
     /// Runs one page analysis with panic isolation (a panic becomes a

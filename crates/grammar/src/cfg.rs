@@ -69,6 +69,11 @@ impl Cfg {
         &self.names[id.index()]
     }
 
+    /// Replaces the display name of a nonterminal.
+    pub fn set_name(&mut self, id: NtId, name: impl Into<String>) {
+        self.names[id.index()] = name.into();
+    }
+
     /// Returns the taint labels of a nonterminal.
     pub fn taint(&self, id: NtId) -> Taint {
         self.taint[id.index()]
@@ -286,6 +291,21 @@ impl Cfg {
         self.taint.push(taint);
         self.prods.push(rules);
         id
+    }
+
+    /// Gives an existing nonterminal that has no productions yet its
+    /// name, taint and productions, moving them into the arena.
+    pub(crate) fn define(
+        &mut self,
+        id: NtId,
+        name: String,
+        taint: Taint,
+        rules: Vec<Vec<Symbol>>,
+    ) {
+        debug_assert!(self.prods[id.index()].is_empty(), "{id} is already defined");
+        self.names[id.index()] = name;
+        self.taint[id.index()] = taint;
+        self.prods[id.index()] = rules;
     }
 
     /// Returns a nonterminal deriving every byte string (`Σ*`), creating

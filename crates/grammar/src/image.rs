@@ -22,8 +22,12 @@
 //! 2. **Reachable rebuild.** A breadth-first walk from the root's
 //!    `(start, final)` triples emits only the triples the new root can
 //!    reach, numbered in the order [`Cfg::import_from`] would discover
-//!    them, so the result can be appended to the caller's arena
-//!    directly instead of being built standalone and copied in.
+//!    them, so the result can be written into the caller's arena
+//!    directly instead of being built standalone and copied in. The
+//!    root goes into a nonterminal the caller already holds — the
+//!    placeholder the analysis allocated when it applied the
+//!    transducer — so the image can be computed long after the
+//!    expressions that use it were emitted.
 //!
 //! Fuel is charged per production evaluated and per triple realized in
 //! the fixpoint, and per triple emitted in the rebuild; the grammar-size
@@ -50,18 +54,23 @@ use crate::symbol::{NtId, Symbol, Taint};
 /// [`Fst::remove_input_epsilons`] first (all builders in
 /// `strtaint-automata` produce epsilon-free transducers).
 pub fn image(g: &Cfg, root: NtId, fst: &Fst) -> (Cfg, NtId) {
-    let img = Image::build(g, root, fst, &Budget::unlimited(), 0)
-        .expect("an unlimited budget cannot be exceeded");
     let mut out = Cfg::new();
-    let out_root = img.write(&mut out);
+    let out_root = out.add_nonterminal("");
+    Image::build(g, root, fst, &Budget::unlimited(), 1)
+        .expect("an unlimited budget cannot be exceeded")
+        .write(&mut out, out_root);
     (out, out_root)
 }
 
-/// Budgeted image appended to the operand's own arena: writes the
-/// image of `(g, root)` under `fst` into `g` and returns its root.
+/// Budgeted image written into the operand's own arena, with `into` as
+/// its root: `into` — a nonterminal of `g` with no productions yet,
+/// such as a placeholder allocated when the transducer was applied —
+/// takes the image root's name, taint and productions, and the image's
+/// other nonterminals are appended.
 ///
-/// The new nonterminals are exactly those `g.import_from(&image(g,
-/// root, fst).0, ..)` would add, in the same order. On
+/// When `into` is the last nonterminal of `g`, the arena ends up
+/// exactly as `g.import_from(&image(g, root, fst).0, ..)` would leave
+/// it, with `into` standing for the imported root. On
 /// [`BudgetExceeded`] `g` is left unchanged and the caller must apply a
 /// sound fallback, typically widening to tainted Σ* (see
 /// [`crate::budget`]).
@@ -74,9 +83,10 @@ pub fn image_into(
     root: NtId,
     fst: &Fst,
     budget: &Budget,
-) -> Result<NtId, BudgetExceeded> {
-    let img = Image::build(g, root, fst, budget, g.num_nonterminals() as u32)?;
-    Ok(img.write(g))
+    into: NtId,
+) -> Result<(), BudgetExceeded> {
+    Image::build(g, root, fst, budget, g.num_nonterminals() as u32)?.write(g, into);
+    Ok(())
 }
 
 /// Per-byte transition rows and outputs of a transducer, for the bytes
@@ -353,8 +363,9 @@ fn components(edges: &Csr) -> (Vec<u32>, Vec<u32>) {
     (members, bounds)
 }
 
-/// An image grammar collected for appending to an arena at `base`:
-/// entry `k` becomes nonterminal `base + k`, and entry 0 is the root.
+/// An image grammar collected for writing into an arena: entry 0 is
+/// the root, and entry `k > 0` is appended as nonterminal
+/// `base + k - 1`.
 struct Image {
     base: u32,
     names: Vec<String>,
@@ -383,13 +394,17 @@ impl Image {
         Rebuild::new(&norm, &steps, &rel, base).run(g, root, fst, budget)
     }
 
-    /// Appends the collected nonterminals to `g`, returning the root.
-    fn write(self, g: &mut Cfg) -> NtId {
+    /// Writes the root into `root` and appends the other collected
+    /// nonterminals to `g`.
+    fn write(self, g: &mut Cfg, root: NtId) {
         debug_assert_eq!(g.num_nonterminals() as u32, self.base);
-        for ((name, taint), rules) in self.names.into_iter().zip(self.taints).zip(self.rules) {
+        let mut entries = self.names.into_iter().zip(self.taints).zip(self.rules);
+        if let Some(((name, taint), rules)) = entries.next() {
+            g.define(root, name, taint, rules);
+        }
+        for ((name, taint), rules) in entries {
             g.push_nonterminal(name, taint, rules);
         }
-        NtId(self.base)
     }
 }
 
@@ -447,7 +462,7 @@ impl<'a> Rebuild<'a> {
             self.img.names.push(self.norm.name(x).into_owned());
             self.img.taints.push(self.norm.taint(x)); // TAINTIF
         }
-        Symbol::N(NtId(self.img.base + self.entry[dense]))
+        Symbol::N(NtId(self.img.base + self.entry[dense] - 1))
     }
 
     fn run(
@@ -666,6 +681,39 @@ mod tests {
         let (out, root) = image(&g, a, &f);
         let lang = bounded_language(&out, root, 10).unwrap();
         assert_eq!(lang, vec![b"ab".to_vec()]);
+    }
+
+    #[test]
+    fn image_into_fills_an_earlier_placeholder() {
+        // The placeholder is allocated first, other nonterminals follow,
+        // and only then is the image written: it lands in the
+        // placeholder, its other nonterminals after everything else.
+        let mut g = Cfg::new();
+        let a = g.add_nonterminal("userid");
+        g.set_taint(a, Taint::DIRECT);
+        g.add_literal_production(a, b"it's");
+        let placeholder = g.add_nonterminal("pending");
+        let user = g.add_nonterminal("query");
+        g.add_production(user, vec![S::T(b'['), S::N(placeholder), S::T(b']')]);
+        let before = g.num_nonterminals();
+        image_into(
+            &mut g,
+            a,
+            &builders::addslashes(),
+            &Budget::unlimited(),
+            placeholder,
+        )
+        .unwrap();
+        assert!(g.num_nonterminals() > before);
+        assert_eq!(g.name(placeholder), "userid↦");
+        assert!(g.taint(placeholder).is_direct());
+        let lang = bounded_language(&g, user, 10).unwrap();
+        assert_eq!(lang, vec![b"[it\\'s]".to_vec()]);
+        let (alone, root) = image(&g, a, &builders::addslashes());
+        assert_eq!(
+            bounded_language(&alone, root, 10),
+            bounded_language(&g, placeholder, 10)
+        );
     }
 
     #[test]

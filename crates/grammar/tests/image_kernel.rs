@@ -406,7 +406,8 @@ fn assert_equivalent(g: &Cfg, root: NtId, name: &str, fst: &Fst) {
     let (standalone, sroot) = oracle::image_with(g, root, fst, &unlimited).unwrap();
     let want = reference.import_from(&standalone, sroot);
     let mut arena = g.clone();
-    let got = image_into(&mut arena, root, fst, &unlimited).unwrap();
+    let got = arena.add_nonterminal("");
+    image_into(&mut arena, root, fst, &unlimited, got).unwrap();
     assert_eq!(got, want, "{name}: image root id");
     assert_eq!(
         arena.num_nonterminals(),
@@ -572,7 +573,8 @@ fn fuel_trips_in_fixpoint_and_rebuild_leave_arena_untouched() {
     // emitted triple: every image nonterminal but the root).
     let metered = Budget::new(None, Some(u64::MAX / 2), None);
     let mut arena = g.clone();
-    let out = image_into(&mut arena, root, &fst, &metered).unwrap();
+    let out = arena.add_nonterminal("");
+    image_into(&mut arena, root, &fst, &metered, out).unwrap();
     let total = u64::MAX / 2 - metered.fuel_left().unwrap();
     let rebuild = (arena.num_nonterminals() - out.index() - 1) as u64;
     assert!(total > rebuild && rebuild > 0);
@@ -580,9 +582,16 @@ fn fuel_trips_in_fixpoint_and_rebuild_leave_arena_untouched() {
 
     for fuel in [1, fixpoint / 2, fixpoint - 1, fixpoint + 1, total - 1] {
         let mut arena = g.clone();
+        let into = arena.add_nonterminal("");
         let before = snapshot(&arena);
-        let err = image_into(&mut arena, root, &fst, &Budget::new(None, Some(fuel), None))
-            .expect_err("fuel below the total charge must trip");
+        let err = image_into(
+            &mut arena,
+            root,
+            &fst,
+            &Budget::new(None, Some(fuel), None),
+            into,
+        )
+        .expect_err("fuel below the total charge must trip");
         assert_eq!(err.resource, Resource::Fuel, "fuel {fuel}");
         assert_eq!(
             snapshot(&arena),
@@ -591,11 +600,13 @@ fn fuel_trips_in_fixpoint_and_rebuild_leave_arena_untouched() {
         );
     }
     let mut arena = g.clone();
+    let into = arena.add_nonterminal("");
     image_into(
         &mut arena,
         root,
         &fst,
         &Budget::new(None, Some(total), None),
+        into,
     )
     .expect("the measured total suffices");
 }
@@ -614,12 +625,14 @@ fn grammar_cap_trips_as_triples_grow_and_leaves_arena_untouched() {
         cap
     };
     let mut arena = g.clone();
+    let into = arena.add_nonterminal("");
     let before = snapshot(&arena);
     let err = image_into(
         &mut arena,
         root,
         &fst,
         &Budget::new(None, None, Some(realized - 1)),
+        into,
     )
     .expect_err("a cap below the realized triple count must trip");
     assert_eq!(err.resource, Resource::GrammarSize);
@@ -629,14 +642,17 @@ fn grammar_cap_trips_as_triples_grow_and_leaves_arena_untouched() {
         root,
         &fst,
         &Budget::new(None, None, Some(realized)),
+        into,
     )
     .expect("a cap at the realized triple count suffices");
     // A cap far below the final count trips long before the fixpoint
     // ends, so it charges less fuel than a full run.
     let full = Budget::new(None, Some(u64::MAX / 2), None);
-    image_into(&mut g.clone(), root, &fst, &full).unwrap();
+    let mut arena = g.clone();
+    let into = arena.add_nonterminal("");
+    image_into(&mut arena.clone(), root, &fst, &full, into).unwrap();
     let early = Budget::new(None, Some(u64::MAX / 2), Some(2));
-    assert!(image_into(&mut g.clone(), root, &fst, &early).is_err());
+    assert!(image_into(&mut arena, root, &fst, &early, into).is_err());
     assert!(early.fuel_left().unwrap() > full.fuel_left().unwrap());
 }
 

@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 
 use strtaint::report::PageReport;
-use strtaint::{analyze_pages, AnalyzeError, Config, Evidence, PolicyChecker, SummaryCache, Vfs};
+use strtaint::{
+    analyze_pages, first_error, Config, EntryError, Evidence, PolicyChecker, SummaryCache, Vfs,
+};
 
 use crate::plan::{plan_fixes, Edit, FixPlan};
 
@@ -112,21 +114,22 @@ fn overlaps(a: &Edit, b: &Edit) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`AnalyzeError`] for the first entry, in entry order, that
-/// is missing or fails to parse (in either pass).
-pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutcome, AnalyzeError> {
+/// Returns an [`EntryError`] naming the first entry, in entry order,
+/// that is missing or fails to parse (in either pass).
+pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutcome, EntryError> {
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
-    let reports = analyze_pages(
-        vfs,
+    let reports = first_error(
         entries,
-        config,
-        &checker,
-        &summaries,
-        Evidence::Skeletons,
-    )
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+        analyze_pages(
+            vfs,
+            entries,
+            config,
+            &checker,
+            &summaries,
+            Evidence::Skeletons,
+        ),
+    )?;
     let plans = plan_fixes(vfs, &reports);
     let (fixed_vfs, applied) = apply_plans(vfs, &plans);
 
@@ -134,16 +137,17 @@ pub fn run_fix(vfs: &Vfs, entries: &[String], config: &Config) -> Result<FixOutc
     // verdict derived from the unrepaired tree.
     let checker2 = PolicyChecker::new();
     let summaries2 = SummaryCache::new();
-    let reanalyzed = analyze_pages(
-        &fixed_vfs,
+    let reanalyzed = first_error(
         entries,
-        config,
-        &checker2,
-        &summaries2,
-        Evidence::Verdicts,
-    )
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+        analyze_pages(
+            &fixed_vfs,
+            entries,
+            config,
+            &checker2,
+            &summaries2,
+            Evidence::Verdicts,
+        ),
+    )?;
 
     let discharged = plans
         .iter()

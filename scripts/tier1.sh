@@ -39,6 +39,9 @@ cargo test -q
 echo "==> grammar kernels vs reference (image, prepare, shortest)"
 cargo test -q -p strtaint-grammar
 
+echo "==> analysis crate units (emit, builtins, refinement)"
+cargo test -q -p strtaint-analysis
+
 echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 
