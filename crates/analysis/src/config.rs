@@ -6,9 +6,10 @@ use std::time::Duration;
 /// Configuration of sources, sinks, and analysis limits.
 ///
 /// The defaults mirror the paper's setup: GET/POST/cookie superglobals
-/// are *direct* sources, database fetch results and designated globals
-/// (like Utopia News Pro's `$USER`) are *indirect* sources, and
-/// `$DB->query(...)`-style calls are hotspots.
+/// are *direct* sources, and database fetch results and designated
+/// globals (like Utopia News Pro's `$USER`) are *indirect* sources.
+/// Sinks — `$DB->query(...)`-style calls for the default `sql` policy —
+/// come from the `strtaint-policy` registry.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Superglobal array names whose elements are directly
@@ -17,24 +18,16 @@ pub struct Config {
     /// Superglobal / global array names whose elements are indirectly
     /// user-controlled (populated from the database or session).
     pub indirect_globals: Vec<String>,
-    /// Free function names that send their first argument to the
-    /// database.
-    pub hotspot_functions: Vec<String>,
-    /// Method names (on any object) that send their first argument to
-    /// the database.
-    pub hotspot_methods: Vec<String>,
     /// Method/function names whose result is a row fetched from the
     /// database (an indirect source).
     pub fetch_functions: Vec<String>,
     /// Enabled policy ids (see `strtaint-policy`): which vulnerability
     /// classes sink recognition and checking run for. The default is
-    /// `["sql"]` — the paper's SQLCIV analysis, with the sink tables
-    /// sourced from `hotspot_functions`/`hotspot_methods` above. Adding
-    /// `"shell"`, `"path"`, or `"eval"` arms the corresponding registry
-    /// sink tables; `"xss"` routes `echo` sinks through the XSS checker
-    /// in multi-policy drivers. Part of [`Config::fingerprint`]: a
-    /// cached verdict can never be replayed under a different policy
-    /// selection.
+    /// `["sql"]` — the paper's SQLCIV analysis. Each enabled policy arms
+    /// its registry sink table; `"xss"` routes `echo` sinks through the
+    /// XSS checker in multi-policy drivers. Part of
+    /// [`Config::fingerprint`]: a cached verdict can never be replayed
+    /// under a different policy selection.
     pub policies: Vec<String>,
     /// Manual resolutions for dynamic includes the layout intersection
     /// cannot settle (the paper needed two of these for e107): maps the
@@ -76,13 +69,6 @@ impl Default for Config {
                 .map(String::from)
                 .to_vec(),
             indirect_globals: ["_SESSION", "USER"].map(String::from).to_vec(),
-            hotspot_functions: ["mysql_query", "mysqli_query", "mysql_db_query", "pg_query", "sqlite_query", "db_query"]
-                .map(String::from)
-                .to_vec(),
-            // `prepare` receives the query template; `execute` receives bound
-            // parameters, which placeholders keep out of the SQL syntax, so
-            // it is deliberately NOT a hotspot.
-            hotspot_methods: ["query", "sql_query", "prepare"].map(String::from).to_vec(),
             fetch_functions: [
                 "mysql_fetch_array",
                 "mysql_fetch_assoc",
@@ -177,8 +163,6 @@ impl Config {
 
         self.direct_superglobals.hash(h);
         self.indirect_globals.hash(h);
-        self.hotspot_functions.hash(h);
-        self.hotspot_methods.hash(h);
         self.fetch_functions.hash(h);
         self.policies.hash(h);
         let mut overrides: Vec<(&String, &Vec<String>)> =
@@ -210,7 +194,7 @@ mod tests {
         assert_eq!(base.fingerprint(), Config::default().fingerprint());
 
         let mut c = Config::default();
-        c.hotspot_methods.push("exec_sql".into());
+        c.fetch_functions.push("fetch_one".into());
         assert_ne!(base.fingerprint(), c.fingerprint());
 
         let mut c = Config::default();
@@ -263,7 +247,6 @@ mod tests {
         let c = Config::default();
         assert!(c.direct_superglobals.iter().any(|s| s == "_GET"));
         assert!(c.indirect_globals.iter().any(|s| s == "USER"));
-        assert!(c.hotspot_methods.iter().any(|s| s == "query"));
         assert!(c.max_call_depth > 0);
     }
 }

@@ -345,36 +345,25 @@ impl Emitter<'_> {
     ) -> NtId {
         if let Some(entry) = self.sinks.lookup(label.starts_with("->"), bare) {
             let arg_nts: Vec<NtId> = args.iter().map(|a| self.eval(a, env)).collect();
-            if entry.policy == strtaint_policy::SQL_POLICY {
-                if let Some(&q) = arg_nts.first() {
-                    let file = self.cur_file.clone();
-                    self.hotspots.push(Hotspot {
-                        file,
-                        span,
-                        label: label.to_owned(),
-                        root: q,
-                        policy: entry.policy.to_owned(),
-                        provenance: Provenance {
-                            summary: self.cur_summary,
-                            arg_span,
-                        },
-                    });
-                }
-                return self.cfg.add_nonterminal("dbresult");
-            }
-            if let Some(&q) = arg_nts.get(entry.arg) {
+            for i in entry.positions(arg_nts.len()) {
+                let Some(&root) = arg_nts.get(i) else {
+                    continue;
+                };
                 let file = self.cur_file.clone();
                 self.hotspots.push(Hotspot {
                     file,
                     span,
                     label: label.to_owned(),
-                    root: q,
+                    root,
                     policy: entry.policy.to_owned(),
                     provenance: Provenance {
                         summary: self.cur_summary,
                         arg_span,
                     },
                 });
+            }
+            if entry.policy == strtaint_policy::SQL_POLICY {
+                return self.cfg.add_nonterminal("dbresult");
             }
             // Non-SQL sinks return shell output / file contents / eval
             // results: widen, keeping the arguments' taint.

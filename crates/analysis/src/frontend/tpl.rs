@@ -16,9 +16,9 @@
 //!   `_REQUEST`, `req.headers`→`_SERVER`, and `session.x`→`_SESSION`
 //!   (indirect taint) follow the same rule.
 //! - **Sinks**: `{{ e }}` and `echo e` lower to [`IrStmt::Sink`]
-//!   (the XSS/echo sink); `db.query(q)` keeps its method name so the
-//!   configured `hotspot_methods` recognize it; `system`/`exec`/
-//!   `eval`/`readfile`/... keep their names for the policy registry.
+//!   (the XSS/echo sink); `db.query(q)`, `system`/`exec`/`eval`/
+//!   `readfile`/... keep their names for the policy registry's sink
+//!   tables.
 //! - **Sanitizers**: JS-flavored aliases canonicalize to the builtin
 //!   model names (`escapeHtml`→`htmlspecialchars`, `escapeSql`→
 //!   `addslashes`, `matches`→`preg_match`, ...), so the shared

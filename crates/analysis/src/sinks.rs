@@ -2,29 +2,35 @@
 //!
 //! Lowering used to special-case `mysql_query`/`echo`; now every sink
 //! decision is a lookup in a [`SinkTable`] built once per analysis
-//! from the enabled policies in [`Config::policies`] and the
-//! `strtaint-policy` registry. The SQL policy keeps sourcing its live
-//! sink names from `Config::{hotspot_functions,hotspot_methods}` (they
-//! are user-configurable and part of the config fingerprint); the
-//! data-defined policies contribute their registry sink tables.
+//! from the enabled policies in [`Config::policies`] and the sink
+//! tables of the `strtaint-policy` registry.
 
 use std::collections::HashMap;
 
 use crate::config::Config;
 
-/// Which policy a recognized sink call belongs to and which argument
-/// is the sink argument.
-#[derive(Debug, Clone, Copy)]
+/// Which policy a recognized sink call belongs to and which arguments
+/// are its sink arguments.
+#[derive(Debug, Clone)]
 pub(crate) struct SinkEntry {
     pub policy: &'static str,
-    pub arg: usize,
+    /// Registry argument positions: a negative one counts from the end.
+    args: Vec<isize>,
+}
+
+impl SinkEntry {
+    /// The checked argument indices of a call with `n` arguments.
+    pub(crate) fn positions(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let at = move |&a: &isize| usize::try_from(a).ok().or(n.checked_sub(a.unsigned_abs()));
+        self.args.iter().filter_map(at)
+    }
 }
 
 /// Per-analysis sink lookup table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SinkTable {
-    functions: HashMap<String, SinkEntry>,
-    methods: HashMap<String, SinkEntry>,
+    functions: HashMap<&'static str, SinkEntry>,
+    methods: HashMap<&'static str, SinkEntry>,
     /// `Some(policy)` when a policy claims `include`/`require` sites
     /// as sinks (the path-traversal policy).
     pub(crate) include_policy: Option<&'static str>,
@@ -35,6 +41,25 @@ pub(crate) struct SinkTable {
     pub(crate) echo_policy: Option<&'static str>,
 }
 
+/// Adds one policy's `(name, position)` sink pairs to `table`. The
+/// first policy to claim a name wins; a name it lists twice has both
+/// positions checked.
+fn claim(
+    table: &mut HashMap<&'static str, SinkEntry>,
+    policy: &'static str,
+    sinks: &[(&'static str, isize)],
+) {
+    for &(name, arg) in sinks {
+        let entry = table.entry(name).or_insert(SinkEntry {
+            policy,
+            args: Vec::new(),
+        });
+        if entry.policy == policy {
+            entry.args.push(arg);
+        }
+    }
+}
+
 impl SinkTable {
     pub(crate) fn new(config: &Config) -> Self {
         let mut t = SinkTable::default();
@@ -42,29 +67,8 @@ impl SinkTable {
             if !config.policies.iter().any(|id| id == p.id) {
                 continue;
             }
-            if p.id == strtaint_policy::SQL_POLICY {
-                // Live names from the config, not the registry copy.
-                for f in &config.hotspot_functions {
-                    t.functions
-                        .insert(f.clone(), SinkEntry { policy: p.id, arg: 0 });
-                }
-                for m in &config.hotspot_methods {
-                    t.methods
-                        .insert(m.clone(), SinkEntry { policy: p.id, arg: 0 });
-                }
-                continue;
-            }
-            for &(name, arg) in p.sink_functions {
-                // First policy to claim a name wins; SQL ran first.
-                t.functions
-                    .entry(name.to_string())
-                    .or_insert(SinkEntry { policy: p.id, arg });
-            }
-            for &(name, arg) in p.sink_methods {
-                t.methods
-                    .entry(name.to_string())
-                    .or_insert(SinkEntry { policy: p.id, arg });
-            }
+            claim(&mut t.functions, p.id, p.sink_functions);
+            claim(&mut t.methods, p.id, p.sink_methods);
             for &c in p.sink_constructs {
                 match c {
                     "echo" => t.echo_policy = Some(p.id),
@@ -82,9 +86,9 @@ impl SinkTable {
     /// emitter while holding it.
     pub(crate) fn lookup(&self, method: bool, bare: &str) -> Option<SinkEntry> {
         if method {
-            self.methods.get(bare).copied()
+            self.methods.get(bare).cloned()
         } else {
-            self.functions.get(bare).copied()
+            self.functions.get(bare).cloned()
         }
     }
 }
@@ -136,10 +140,10 @@ mod tests {
         );
         assert_eq!(t.lookup(false, "eval").map(|e| e.policy), Some("eval"));
         // create_function's code body is its *second* argument.
-        assert_eq!(t.lookup(false, "create_function").map(|e| e.arg), Some(1));
+        let create = t.lookup(false, "create_function").expect("eval sink");
+        assert_eq!(create.positions(2).collect::<Vec<_>>(), [1]);
         assert_eq!(t.include_policy, Some("path"));
         assert_eq!(t.preg_replace_e, Some("eval"));
-        // SQL sinks still come from the config lists.
         assert_eq!(t.lookup(false, "mysql_query").map(|e| e.policy), Some("sql"));
     }
 

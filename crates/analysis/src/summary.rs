@@ -58,8 +58,6 @@ pub fn config_fingerprint(config: &Config) -> u64 {
     }
     hash_names!(&config.direct_superglobals);
     hash_names!(&config.indirect_globals);
-    hash_names!(&config.hotspot_functions);
-    hash_names!(&config.hotspot_methods);
     hash_names!(&config.fetch_functions);
     h.finish()
 }

@@ -1,25 +1,18 @@
-//! The policy-conformance checking pipeline (paper §3.2).
+//! Checker options, and the derivability step of the SQL cascade
+//! (paper §3.2.2).
 //!
-//! For each *maximal* labeled nonterminal `X` reachable from a hotspot
-//! root, the checks run in the paper's order:
-//!
-//! 1. **C1 — odd unescaped quotes**: if `L(X)` intersects the language
-//!    of strings with an odd number of unescaped quotes, `X` cannot be
-//!    syntactically confined in any query → report.
-//! 2. **C2 — string-literal position**: if every occurrence of `X` in
-//!    the query language sits inside a string literal, then `X` is safe
-//!    iff it cannot produce an unescaped quote.
-//! 3. **C3 — numeric literals**: if `L(X)` ⊆ numeric literals, safe.
-//! 4. **C4 — attack strings**: if `X` derives a known non-confinable
-//!    fragment, report.
-//! 5. **C5 — derivability** (§3.2.2): enumerate the query contexts with
-//!    `X` held by a marker; for each context find a SQL grammar symbol
-//!    the marker can stand for (sentential-form Earley) whose lexeme
-//!    language contains `L(X)`. Anything inconclusive → report
-//!    (soundness, Theorem 3.4).
+//! The `sql` policy's C1–C5 checks are registry data
+//! (`strtaint_policy::builtin`), run by the one step interpreter in
+//! [`crate::policy_driver`]; the first four are plain or gated
+//! intersection queries. C5 is code: enumerate the query contexts with
+//! `X` held by a marker; for each context find a SQL grammar symbol
+//! the marker can stand for (sentential-form Earley) whose lexeme
+//! language contains `L(X)`. Anything inconclusive → report
+//! (soundness, Theorem 3.4).
 
 use std::collections::HashMap;
 
+use strtaint_automata::Dfa;
 use strtaint_grammar::budget::{Budget, BudgetExceeded};
 use strtaint_grammar::lang::{bounded_language, shortest_string};
 use strtaint_grammar::{Cfg, NtId};
@@ -27,9 +20,7 @@ use strtaint_sql::derive::{context_candidates_with, lexeme_dfa};
 use strtaint_sql::{lex_form, SqlGrammar, TokenKind, VarPosition};
 
 use crate::abstraction::marked_grammar;
-use crate::dfas;
-use crate::engine::{Engine, Qdfa};
-use crate::prefilter::Prefilter;
+use crate::engine::{Engine, Qdfa, Target};
 use crate::report::{CheckKind, Finding};
 
 /// Maximum number of query context strings enumerated for the
@@ -39,13 +30,6 @@ const MAX_CONTEXTS: usize = 256;
 /// Tunables for the conformance checker.
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
-    /// Run the sub-millisecond C3 prover (numeric-only language) ahead
-    /// of the C1/C2 refuters and short-circuit on its verdict. Verdicts
-    /// are unchanged — a numeric-only `L(X)` contains no quote byte, so
-    /// C1 (odd quotes) and the C2 escape arm (needs a quote) can never
-    /// fire on it — only the engine work order moves. Off reproduces
-    /// the paper's published C1→C5 order for equivalence tests.
-    pub cheap_first: bool,
     /// Memoize intersection verdicts across hotspots and pages (the
     /// cross-page verdict cache; see the `qcache` module). Replay is
     /// observationally identical to recomputation — same verdicts,
@@ -59,17 +43,17 @@ pub struct CheckOptions {
     /// queries bypass memoization and extract live. Emptiness-only
     /// queries still memoize.
     pub eager_witness: bool,
-    /// Skip the C4 intersection when the Aho–Corasick prefilter proves
-    /// no attack fragment is spellable over the prepared grammar's
-    /// realized terminal alphabet (see the `prefilter` module for the
-    /// soundness argument — the filter can only ever prove absence).
+    /// Skip an attack step's intersection (C4) when the Aho–Corasick
+    /// prefilter proves no fragment is spellable over the prepared
+    /// grammar's realized terminal alphabet (see the `prefilter` module
+    /// for the soundness argument — the filter can only ever prove
+    /// absence).
     pub prefilter: bool,
 }
 
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            cheap_first: true,
             query_cache: true,
             eager_witness: false,
             prefilter: true,
@@ -77,137 +61,44 @@ impl Default for CheckOptions {
     }
 }
 
-/// The SQLCIV cascade (C1–C5): precompiled check automata, shareable
-/// across hotspots. The candidate loop, engine session and budget
-/// discipline around [`SqlCascade::check_one`] belong to
-/// [`crate::PolicyChecker`].
+/// The C5 step compiled for the engine: the reference SQL grammar and
+/// the automata `L(X)` must avoid in string-literal, backquoted and
+/// identifier contexts (see `strtaint_policy::StepAction::Derivable`).
 #[derive(Debug, Clone)]
-pub(crate) struct SqlCascade {
+pub(crate) struct Derivable {
     sql: SqlGrammar,
-    odd_quotes: Qdfa,
     has_quote: Qdfa,
-    marker_outside: Qdfa,
-    non_numeric: Qdfa,
-    keywords: Qdfa,
-    attack: Qdfa,
     backquote: Qdfa,
-    /// Aho–Corasick prefilter over the same fragments as `attack`.
-    prefilter: Prefilter,
-    cheap_first: bool,
-    use_prefilter: bool,
+    keywords: Qdfa,
 }
 
-impl SqlCascade {
-    pub(crate) fn new(opts: &CheckOptions) -> Self {
-        SqlCascade {
+impl Derivable {
+    pub(crate) fn new(has_quote: Qdfa, backquote: Dfa, keywords: Dfa) -> Self {
+        Derivable {
             sql: SqlGrammar::standard(),
-            odd_quotes: Qdfa::new(dfas::odd_unescaped_quotes()),
-            has_quote: Qdfa::new(dfas::contains_unescaped_quote()),
-            marker_outside: Qdfa::new(dfas::marker_outside_literal()),
-            non_numeric: Qdfa::new(dfas::numeric_literal().complement()),
-            keywords: Qdfa::new(dfas::sql_keywords()),
-            attack: Qdfa::new(dfas::attack_fragments()),
-            backquote: Qdfa::new(dfas::contains_byte(b'`')),
-            prefilter: Prefilter::new(),
-            cheap_first: opts.cheap_first,
-            use_prefilter: opts.prefilter,
+            has_quote,
+            backquote: Qdfa::new(backquote),
+            keywords: Qdfa::new(keywords),
         }
     }
 
-    /// Runs C1–C5 on the labeled nonterminal `x` of the hotspot `root`;
-    /// `all` is every maximal labeled nonterminal of the hotspot.
-    pub(crate) fn check_one(
+    /// Runs C5 on the labeled nonterminal `x` of the hotspot `root`,
+    /// whose prepared `L(X)` is `tx`; `all` is every maximal labeled
+    /// nonterminal of the hotspot. Decides: a finding, or verified.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn check(
         &self,
         cfg: &Cfg,
         root: NtId,
         x: NtId,
         all: &[NtId],
+        tx: &mut Target,
         budget: &Budget,
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
         let finding = |engine: &Engine<'_>, kind, witness, detail: String| {
             Ok(Some(engine.finding(cfg, root, x, kind, witness, detail)))
         };
-        // One prepared grammar serves every (cfg, x) query below —
-        // C1 through C5 — and, via the shared cache, any other hotspot
-        // whose checks reach the same labeled nonterminal. An empty
-        // L(X) has nothing to check.
-        let Some(mut tx) = engine.target(cfg, x) else {
-            return Ok(None);
-        };
-
-        // Cheap-first: hoist the C3 prover (one early-exit emptiness
-        // query against a tiny numeric DFA) ahead of the refuters. See
-        // `CheckOptions::cheap_first` for the verdict-preservation
-        // argument.
-        if self.cheap_first {
-            let _c = strtaint_obs::Span::enter("check:C3", "");
-            if engine.is_empty(&mut tx, &self.non_numeric, budget)? {
-                return Ok(None);
-            }
-        }
-
-        // C1: odd number of unescaped quotes.
-        {
-            let _c = strtaint_obs::Span::enter("check:C1", "");
-            let (empty, witness) =
-                engine.is_empty_or_witness(&mut tx, &self.odd_quotes, budget)?;
-            if !empty {
-                return finding(engine, CheckKind::OddQuotes, witness, String::new());
-            }
-        }
-
-        // C2: always in string-literal position?
-        {
-            let _c = strtaint_obs::Span::enter("check:C2", "");
-            let mut tm = engine.target_marked(cfg, root, x);
-            if engine.is_empty(&mut tm, &self.marker_outside, budget)? {
-                let (empty, witness) =
-                    engine.is_empty_or_witness(&mut tx, &self.has_quote, budget)?;
-                if !empty {
-                    return finding(engine, CheckKind::EscapesLiteral, witness, String::new());
-                }
-                return Ok(None); // confined within a string literal
-            }
-        }
-
-        // C3: numeric-only language is confined anywhere a literal
-        // fits (already decided up front when `cheap_first` is on).
-        if !self.cheap_first {
-            let _c = strtaint_obs::Span::enter("check:C3", "");
-            if engine.is_empty(&mut tx, &self.non_numeric, budget)? {
-                return Ok(None);
-            }
-        }
-
-        // C4: known attack fragments confirm a vulnerability. The
-        // Aho–Corasick prefilter proves non-membership first when it
-        // can: if no fragment is spellable over the realized terminal
-        // alphabet, no string of L(X) contains one and the
-        // intersection is skipped outright (absence proofs only — a
-        // spellable alphabet falls through to the exact engine).
-        {
-            let _c = strtaint_obs::Span::enter("check:C4", "");
-            let prefiltered =
-                self.use_prefilter && !self.prefilter.any_spellable(tx.alphabet());
-            if prefiltered {
-                engine.stats.prefilter_skips += 1;
-            } else {
-                let (empty, witness) =
-                    engine.is_empty_or_witness(&mut tx, &self.attack, budget)?;
-                if !empty {
-                    debug_assert!(
-                        witness
-                            .as_deref()
-                            .is_none_or(|w| self.prefilter.contains_match(w)),
-                        "C4 witness must contain an attack fragment"
-                    );
-                    return finding(engine, CheckKind::AttackString, witness, String::new());
-                }
-            }
-        }
-
-        let _c5 = strtaint_obs::Span::enter("check:C5", "");
         // C5: derivability in context. Sibling tainted subgrammars are
         // spliced as representative strings (computed lazily — only
         // hotspots that reach C5 pay for them).
@@ -247,7 +138,7 @@ impl SqlCascade {
             }
             if form.vars.iter().any(|v| *v == VarPosition::InString) {
                 // Inside a literal in this context: no unescaped quotes.
-                if !engine.is_empty(&mut tx, &self.has_quote, budget)? {
+                if !engine.is_empty(tx, &self.has_quote, budget)? {
                     return finding(
                         engine,
                         CheckKind::EscapesLiteral,
@@ -257,7 +148,7 @@ impl SqlCascade {
                 }
             }
             if form.vars.iter().any(|v| *v == VarPosition::InBackquotes)
-                && !engine.is_empty(&mut tx, &self.backquote, budget)?
+                && !engine.is_empty(tx, &self.backquote, budget)?
             {
                 return finding(
                     engine,
@@ -274,10 +165,10 @@ impl SqlCascade {
                         Some(&v) => v,
                         None => {
                             let lex = Qdfa::new(lexeme_dfa(k).complement());
-                            let mut v = engine.is_empty(&mut tx, &lex, budget)?;
+                            let mut v = engine.is_empty(tx, &lex, budget)?;
                             if v
                                 && k == TokenKind::Ident
-                                && !engine.is_empty(&mut tx, &self.keywords, budget)?
+                                && !engine.is_empty(tx, &self.keywords, budget)?
                             {
                                 v = false;
                             }
@@ -534,10 +425,19 @@ mod tests {
         assert!(queries > 0);
     }
 
+    /// The registry's `sql` cascade in the paper's published order:
+    /// C3 moves from first to after C2.
+    fn paper_order() -> strtaint_policy::Cascade {
+        let sql = strtaint_policy::find("sql").expect("sql policy");
+        let mut c = (sql.cascade)();
+        c.steps[..3].rotate_left(1);
+        c
+    }
+
     #[test]
-    fn cheap_first_preserves_verdicts() {
-        // Every harness shape from the suite, checked with the C3
-        // prover hoisted and with the paper's published order: the
+    fn paper_order_preserves_verdicts() {
+        // Every harness shape from the suite, checked in the registry's
+        // order (C3 prover first) and in the paper's C1–C5 order: the
         // findings (kind, witness) and verified counts must agree
         // exactly — only the engine work order may differ.
         let shapes: Vec<(Cfg, NtId)> = vec![
@@ -563,13 +463,14 @@ mod tests {
             },
         ];
         let fast = Checker::new();
-        let slow = Checker::with_options(CheckOptions {
-            cheap_first: false,
-            ..CheckOptions::default()
-        });
+        let sql = strtaint_policy::Policy {
+            cascade: paper_order,
+            ..strtaint_policy::find("sql").expect("sql policy")
+        };
+        let slow = crate::PolicyChecker::with_policies(&[sql], CheckOptions::default());
         for (g, root) in &shapes {
             let a = fast.check_hotspot(g, *root);
-            let b = slow.check_hotspot(g, *root);
+            let b = slow.check_hotspot_cached("sql", g, *root, &Budget::unlimited());
             assert_eq!(a.checked, b.checked);
             assert_eq!(a.verified, b.verified);
             assert_eq!(a.findings.len(), b.findings.len());

@@ -3,11 +3,16 @@
 //! Given the annotated query grammar from `strtaint-analysis`, the
 //! [`PolicyChecker`] decides for every hotspot whether each tainted
 //! subgrammar is *syntactically confined* (paper Definitions 2.2/2.3):
-//! derivable from a single symbol of the reference SQL grammar in every
-//! query context. Violations become [`Finding`]s; if none are found
-//! the hotspot is verified, and by Theorem 3.4 (soundness) the program
-//! point is free of SQL command injection vulnerabilities with respect
-//! to the modeled semantics.
+//! for SQL, derivable from a single symbol of the reference SQL grammar
+//! in every query context. Violations become [`Finding`]s; if none are
+//! found the hotspot is verified, and by Theorem 3.4 (soundness) the
+//! program point is free of SQL command injection vulnerabilities with
+//! respect to the modeled semantics.
+//!
+//! Every policy, SQL's C1–C5 included, is a cascade of steps from the
+//! `strtaint-policy` registry; one step interpreter
+//! ([`policy_driver`]) runs them all over the prepared intersection
+//! engine. The C5 derivability step lives in [`checks`].
 //!
 //! # Examples
 //!
@@ -36,7 +41,6 @@
 
 pub mod abstraction;
 pub mod checks;
-pub mod dfas;
 mod engine;
 pub mod policy_driver;
 mod pmemo;
@@ -44,7 +48,6 @@ mod prefilter;
 mod qcache;
 pub mod report;
 pub mod skeletons;
-mod xss;
 
 pub use checks::CheckOptions;
 pub use engine::fan_out;

@@ -1,19 +1,21 @@
 //! The policy driver: one [`PolicyChecker`] runs every enabled policy
-//! through one candidate loop over the prepared intersection engine.
+//! through one candidate loop and one step interpreter over the
+//! prepared intersection engine.
 //!
-//! A policy contributes only its cascade — the per-candidate
-//! `check_one` logic. The hand-built SQL (C1–C5) and XSS cascades live
-//! in `checks` and `xss`; every other policy is a data-defined
-//! [`Cascade`] from the `strtaint-policy` registry, run here as the
-//! registry's executable semantics (see the cascade contract in
-//! `strtaint_policy::registry`): for each maximal labeled nonterminal
-//! `X` of a hotspot, steps run in order against `L(X)`; a
-//! `VerifyIfEmpty` step with an empty intersection verifies `X`, a
-//! `ReportIfNonEmpty` step with a non-empty intersection reports its
-//! witness, and the residual decides anything that falls through.
+//! Every policy is a registry [`Cascade`] (see the cascade contract in
+//! `strtaint_policy::registry`), compiled once per checker and run
+//! here as the registry's executable semantics: for each maximal
+//! labeled nonterminal `X` of a hotspot, steps run in order against
+//! `L(X)`. A gated step first asks its gate about the marked grammar
+//! of `X` (prepared at the first gate that runs) and is skipped unless
+//! the gate holds. A prover with an empty intersection verifies `X`, a
+//! refuter with a non-empty one reports, a decider does one or the
+//! other, an attack step may be discharged by the alphabet prefilter,
+//! and the derivability step (C5, in `checks`) decides by SQL
+//! context. The residual decides anything that falls through.
 //!
-//! Everything around `check_one` is shared: the `maximal_labeled`
-//! walk, the `Engine` session over the checker's one query cache and
+//! Everything around the steps is shared: the `maximal_labeled` walk,
+//! the `Engine` session over the checker's one query cache and
 //! prepared memo, the per-candidate span, and the budget discipline —
 //! a trip yields a conservative `BudgetExhausted` finding and a
 //! degradation, never a silent "verified".
@@ -21,99 +23,180 @@
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
-use strtaint_policy::{Cascade, CheckKind, PolicyKind, Residual, StepAction};
+use strtaint_policy::{Cascade, CheckKind, Policy, Residual, StepAction, SQL_POLICY, XSS_POLICY};
 
 use crate::abstraction::maximal_labeled;
-use crate::checks::{CheckOptions, SqlCascade};
+use crate::checks::{CheckOptions, Derivable};
 use crate::engine::{fan_out, Engine, Qdfa, Shared};
+use crate::prefilter::Prefilter;
 use crate::report::{Finding, HotspotReport};
 use crate::skeletons::hotspot_skeletons;
-use crate::xss::XssCascade;
 
-/// A data-defined policy compiled for the intersection engine: every
-/// cascade DFA in byte-class form, built once per checker.
+/// One compiled cascade step: its automata in byte-class form.
 #[derive(Debug, Clone)]
-struct StepCascade {
-    steps: Vec<(Qdfa, StepAction)>,
-    residual: Residual,
+struct Step {
+    span: Option<&'static str>,
+    /// The gate automaton, and whether the step runs when the marked
+    /// grammar's intersection with it is empty.
+    gate: Option<(Qdfa, bool)>,
+    q: Qdfa,
+    op: Op,
 }
 
-impl StepCascade {
-    fn new(cascade: &Cascade) -> Self {
-        StepCascade {
-            steps: cascade
-                .steps
-                .iter()
-                .map(|s| (Qdfa::new(s.dfa.clone()), s.action.clone()))
-                .collect(),
-            residual: cascade.residual.clone(),
-        }
-    }
+/// A step's action (see `StepAction`), with what it compiles to.
+#[derive(Debug, Clone)]
+enum Op {
+    Verify,
+    Report {
+        kind: CheckKind,
+        detail: &'static str,
+        witness: bool,
+    },
+    ReportElseVerify {
+        kind: CheckKind,
+        detail: &'static str,
+    },
+    /// `prefilter` is `None` when `CheckOptions::prefilter` is off.
+    Attack {
+        kind: CheckKind,
+        prefilter: Option<Prefilter>,
+    },
+    Derivable(Box<Derivable>),
+}
 
-    fn check_one(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        x: NtId,
-        budget: &Budget,
-        engine: &mut Engine<'_>,
-    ) -> Result<Option<Finding>, BudgetExceeded> {
-        // One prepared grammar serves every step of the cascade and,
-        // via the shared memo, any other hotspot reaching `x`. An
-        // empty L(X) has nothing to check.
-        let Some(mut tx) = engine.target(cfg, x) else {
-            return Ok(None);
+/// Compiles a registry cascade: every automaton is class-compressed
+/// here, once per checker.
+fn compile(cascade: Cascade, opts: &CheckOptions) -> (Vec<Step>, Residual) {
+    let steps = cascade.steps.into_iter().map(|s| {
+        let q = Qdfa::new(s.dfa);
+        let op = match s.action {
+            StepAction::VerifyIfEmpty => Op::Verify,
+            StepAction::ReportIfNonEmpty {
+                kind,
+                detail,
+                witness,
+            } => Op::Report {
+                kind,
+                detail,
+                witness,
+            },
+            StepAction::ReportElseVerify { kind, detail } => Op::ReportElseVerify { kind, detail },
+            StepAction::Attack { kind, fragments } => {
+                let prefilter = opts.prefilter.then(|| Prefilter::new(fragments));
+                Op::Attack { kind, prefilter }
+            }
+            StepAction::Derivable {
+                backquote,
+                keywords,
+            } => Op::Derivable(Box::new(Derivable::new(q.clone(), backquote, keywords))),
         };
-        for (q, action) in &self.steps {
-            match action {
-                StepAction::VerifyIfEmpty => {
-                    if engine.is_empty(&mut tx, q, budget)? {
-                        return Ok(None);
-                    }
-                }
-                StepAction::ReportIfNonEmpty { kind, detail } => {
-                    let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
-                    if !empty {
-                        let detail = (*detail).to_owned();
-                        return Ok(Some(engine.finding(cfg, root, x, *kind, witness, detail)));
-                    }
-                }
-            }
+        let gate = s.gate.map(|g| (Qdfa::new(g.dfa), g.when_empty));
+        Step {
+            span: s.span,
+            gate,
+            q,
+            op,
         }
-        match &self.residual {
-            Residual::Verified => Ok(None),
-            Residual::Report { kind, detail } => {
-                let (witness, detail) = (shortest_string(cfg, x), (*detail).to_owned());
-                Ok(Some(engine.finding(cfg, root, x, *kind, witness, detail)))
-            }
-        }
-    }
+    });
+    (steps.collect(), cascade.residual)
 }
 
-/// One policy's per-candidate check logic.
-#[derive(Debug, Clone)]
-enum PolicyCascade {
-    Sql(SqlCascade),
-    Xss(XssCascade),
-    Steps(StepCascade),
-}
-
-impl PolicyCascade {
-    fn check_one(
-        &self,
-        cfg: &Cfg,
-        root: NtId,
-        x: NtId,
-        all: &[NtId],
-        budget: &Budget,
-        engine: &mut Engine<'_>,
-    ) -> Result<Option<Finding>, BudgetExceeded> {
-        match self {
-            PolicyCascade::Sql(c) => c.check_one(cfg, root, x, all, budget, engine),
-            PolicyCascade::Xss(c) => c.check_one(cfg, root, x, budget, engine),
-            PolicyCascade::Steps(c) => c.check_one(cfg, root, x, budget, engine),
+/// Runs one compiled cascade on the labeled nonterminal `x` of the
+/// hotspot `root`; `all` is every maximal labeled nonterminal of the
+/// hotspot.
+#[allow(clippy::too_many_arguments)]
+fn check_one(
+    (steps, residual): &(Vec<Step>, Residual),
+    cfg: &Cfg,
+    root: NtId,
+    x: NtId,
+    all: &[NtId],
+    budget: &Budget,
+    engine: &mut Engine<'_>,
+) -> Result<Option<Finding>, BudgetExceeded> {
+    let found = |engine: &Engine<'_>, kind, witness, detail: &str| {
+        Some(engine.finding(cfg, root, x, kind, witness, detail.to_owned()))
+    };
+    // One prepared grammar serves every step and, via the shared memo,
+    // any other hotspot reaching `x`; so does one marked grammar for
+    // every gate. An empty L(X) has nothing to check.
+    let Some(mut tx) = engine.target(cfg, x) else {
+        return Ok(None);
+    };
+    let mut tm = None;
+    for step in steps {
+        let _span = step.span.map(|name| strtaint_obs::Span::enter(name, ""));
+        if let Some((gate, when_empty)) = &step.gate {
+            let tm = tm.get_or_insert_with(|| engine.target_marked(cfg, root, x));
+            if engine.is_empty(tm, gate, budget)? != *when_empty {
+                continue;
+            }
+        }
+        let q = &step.q;
+        match &step.op {
+            Op::Verify => {
+                if engine.is_empty(&mut tx, q, budget)? {
+                    return Ok(None);
+                }
+            }
+            Op::Report {
+                kind,
+                detail,
+                witness: true,
+            } => {
+                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                if !empty {
+                    return Ok(found(engine, *kind, witness, detail));
+                }
+            }
+            // Emptiness only: the finding carries a representative of
+            // L(X), not an intersection witness to splice.
+            Op::Report {
+                kind,
+                detail,
+                witness: false,
+            } => {
+                if !engine.is_empty(&mut tx, q, budget)? {
+                    let witness = shortest_string(cfg, x);
+                    let f = Finding::new(cfg, x, *kind, detail.to_string());
+                    return Ok(Some(Finding { witness, ..f }));
+                }
+            }
+            Op::ReportElseVerify { kind, detail } => {
+                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                return Ok(if empty {
+                    None
+                } else {
+                    found(engine, *kind, witness, detail)
+                });
+            }
+            Op::Attack { kind, prefilter } => {
+                // The prefilter proves absence only: if no fragment is
+                // spellable over the realized terminal alphabet, no
+                // string of L(X) contains one and the query is skipped.
+                if prefilter
+                    .as_ref()
+                    .is_some_and(|p| !p.any_spellable(tx.alphabet()))
+                {
+                    engine.stats.prefilter_skips += 1;
+                    continue;
+                }
+                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                if !empty {
+                    debug_assert!(prefilter
+                        .as_ref()
+                        .zip(witness.as_deref())
+                        .is_none_or(|(p, w)| p.contains_match(w)));
+                    return Ok(found(engine, *kind, witness, ""));
+                }
+            }
+            Op::Derivable(d) => return d.check(cfg, root, x, all, &mut tx, budget, engine),
         }
     }
+    Ok(match residual {
+        Residual::Verified => None,
+        Residual::Report { kind, detail } => found(engine, *kind, shortest_string(cfg, x), detail),
+    })
 }
 
 /// What a hotspot check exports beyond its verdict.
@@ -132,13 +215,13 @@ pub enum Evidence {
     Skeletons,
 }
 
-/// One checker for every built-in policy: each policy's cascade,
-/// selected by the policy id a hotspot carries, run through one
-/// candidate loop over one query cache and prepared memo.
+/// One checker for every built-in policy: each policy's compiled
+/// cascade, selected by the policy id a hotspot carries, run through
+/// one candidate loop over one query cache and prepared memo.
 #[derive(Debug, Clone)]
 pub struct PolicyChecker {
-    /// `(policy id, cascade)` in registry order.
-    cascades: Vec<(&'static str, PolicyCascade)>,
+    /// `(policy id, compiled cascade)` in registry order.
+    cascades: Vec<(&'static str, (Vec<Step>, Residual))>,
     shared: Shared,
 }
 
@@ -148,21 +231,20 @@ impl PolicyChecker {
         Self::with_options(CheckOptions::default())
     }
 
-    /// Builds a checker for every built-in policy. The SQL-specific
-    /// options (`cheap_first`, `prefilter`) shape the SQL cascade; the
-    /// verdict-cache options (`query_cache`, `eager_witness`) apply to
-    /// every cascade.
+    /// Builds a checker for every built-in policy. `prefilter` shapes
+    /// the attack steps; the verdict-cache options (`query_cache`,
+    /// `eager_witness`) apply to every cascade.
     pub fn with_options(opts: CheckOptions) -> Self {
-        let cascades = strtaint_policy::builtin()
+        Self::with_policies(&strtaint_policy::builtin(), opts)
+    }
+
+    /// Builds a checker for `policies`, building each cascade once.
+    /// Hotspots naming another policy are checked by the `sql` entry,
+    /// which `policies` must hold.
+    pub fn with_policies(policies: &[Policy], opts: CheckOptions) -> Self {
+        let cascades = policies
             .iter()
-            .map(|p| {
-                let cascade = match &p.kind {
-                    PolicyKind::SqlCiv => PolicyCascade::Sql(SqlCascade::new(&opts)),
-                    PolicyKind::Xss => PolicyCascade::Xss(XssCascade::new()),
-                    PolicyKind::Cascade(c) => PolicyCascade::Steps(StepCascade::new(c)),
-                };
-                (p.id, cascade)
-            })
+            .map(|p| (p.id, compile((p.cascade)(), &opts)))
             .collect();
         PolicyChecker {
             cascades,
@@ -189,8 +271,8 @@ impl PolicyChecker {
 
     /// Checks one hotspot under the named policy, through the checker's
     /// prepared memo and verdict cache. Unknown ids fall back to the
-    /// SQL cascade (cannot happen for hotspots produced by the analysis
-    /// layer, which only tags registry ids).
+    /// `sql` cascade (cannot happen for hotspots produced by the
+    /// analysis layer, which only tags registry ids).
     ///
     /// A budget trip while checking a labeled nonterminal yields a
     /// [`CheckKind::BudgetExhausted`] finding and a degradation record —
@@ -221,15 +303,14 @@ impl PolicyChecker {
             .cascades
             .iter()
             .find(|(id, _)| *id == policy)
-            .or_else(|| {
-                self.cascades
-                    .iter()
-                    .find(|(id, _)| *id == strtaint_policy::SQL_POLICY)
-            })
-            .expect("the registry defines the sql policy");
-        let span = match cascade {
-            PolicyCascade::Xss(_) => "check:xss",
-            _ => "check",
+            .or_else(|| self.cascades.iter().find(|(id, _)| *id == SQL_POLICY))
+            .expect("the checker holds the sql policy");
+        // Historical names: XSS candidates run under their own span,
+        // and SQL degradation sites carry no policy prefix.
+        let span = if *id == XSS_POLICY {
+            "check:xss"
+        } else {
+            "check"
         };
         let mut report = HotspotReport::default();
         let candidates = maximal_labeled(cfg, root);
@@ -237,14 +318,14 @@ impl PolicyChecker {
         let mut engine = Engine::new(&self.shared);
         for &x in &candidates {
             let _span = strtaint_obs::Span::enter_with(span, || cfg.name(x).to_owned());
-            match cascade.check_one(cfg, root, x, &candidates, budget, &mut engine) {
+            match check_one(cascade, cfg, root, x, &candidates, budget, &mut engine) {
                 Ok(None) => report.verified += 1,
                 Ok(Some(finding)) => report.findings.push(finding),
                 Err(err) => {
-                    // The SQL cascade keeps its historical unprefixed site.
-                    let site = match cascade {
-                        PolicyCascade::Sql(_) => format!("check:{}", cfg.name(x)),
-                        _ => format!("{id}-check:{}", cfg.name(x)),
+                    let site = if *id == SQL_POLICY {
+                        format!("check:{}", cfg.name(x))
+                    } else {
+                        format!("{id}-check:{}", cfg.name(x))
                     };
                     let action = DegradeAction::MarkedUnverified;
                     let finding = Finding::new(cfg, x, CheckKind::BudgetExhausted, err.to_string());
@@ -433,6 +514,64 @@ mod tests {
         let (g, root) = harness(b"$x = ", &[b"price", b"name_2"], b";");
         let r = check("eval", &g, root);
         assert!(r.is_safe(), "{r}");
+    }
+
+    #[test]
+    fn xss_raw_output_in_text_reported() {
+        let (g, root) = harness(
+            b"<p>Hello ",
+            &[b"bob", b"<script>alert(1)</script>"],
+            b"</p>",
+        );
+        let r = check("xss", &g, root);
+        assert!(!r.is_safe());
+        assert!(r.findings[0].detail.contains("open a tag"));
+    }
+
+    #[test]
+    fn xss_escaped_output_in_text_verifies() {
+        // htmlspecialchars output: no angle brackets survive.
+        let (g, root) = harness(b"<p>", &[b"bob", b"a&lt;b&gt;c"], b"</p>");
+        assert!(check("xss", &g, root).is_safe());
+    }
+
+    #[test]
+    fn xss_attribute_breakout_reported() {
+        let (g, root) = harness(
+            br#"<a href="profile.php?u="#,
+            &[b"bob", br#"x" onmouseover="alert(1)"#],
+            br#"">me</a>"#,
+        );
+        let r = check("xss", &g, root);
+        assert!(!r.is_safe());
+        assert!(r.findings[0].detail.contains("double-quoted attribute"));
+    }
+
+    #[test]
+    fn xss_quoted_attribute_with_safe_values_verifies() {
+        let (g, root) = harness(br#"<a href=""#, &[b"a.php", b"b.php"], br#"">x</a>"#);
+        assert!(check("xss", &g, root).is_safe());
+    }
+
+    #[test]
+    fn xss_tag_interior_word_is_tolerated() {
+        let (g, root) = harness(b"<div class=", &[b"wide", b"narrow"], b">x</div>");
+        assert!(check("xss", &g, root).is_safe());
+    }
+
+    #[test]
+    fn xss_tag_interior_payload_reported() {
+        let (g, root) = harness(b"<div class=", &[b"x onload=alert(1)"], b">x</div>");
+        assert!(!check("xss", &g, root).is_safe());
+    }
+
+    #[test]
+    fn xss_untainted_output_trivially_safe() {
+        let mut g = Cfg::new();
+        let root = g.literal_nonterminal("html", b"<p>static</p>");
+        let r = check("xss", &g, root);
+        assert!(r.is_safe());
+        assert_eq!(r.checked, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Zero-dependency Aho–Corasick prefilter for the C4 attack-fragment
-//! check.
+//! Zero-dependency Aho–Corasick prefilter for attack steps (the C4
+//! attack-fragment check).
 //!
 //! C4 asks whether `L(G, x) ∩ L(Σ* f Σ*)` is nonempty for any attack
 //! fragment `f` (case-insensitively). The exact answer comes from a
@@ -22,9 +22,10 @@
 //! exact engine. The prefilter therefore can never introduce a finding,
 //! and can never suppress one.
 //!
-//! The patterns are [`crate::dfas::ATTACK_FRAGMENTS`] — the same
-//! constant that builds the exact C4 automaton — so the filter and the
-//! automaton cannot drift apart. The full Aho–Corasick scan
+//! The patterns are the attack step's own fragment list
+//! (`strtaint_policy::StepAction::Attack`) — the list its exact
+//! automaton is built from — so the filter and the automaton cannot
+//! drift apart. The full Aho–Corasick scan
 //! ([`Prefilter::contains_match`]) backs a debug assertion that every
 //! C4 witness really contains a fragment, and is cross-validated
 //! against the DFA in tests.
@@ -33,14 +34,13 @@
 
 use std::collections::VecDeque;
 
-use crate::dfas::ATTACK_FRAGMENTS;
-
 /// Sentinel for a missing trie edge during construction.
 const NO_EDGE: u32 = u32::MAX;
 
-/// Case-insensitive multi-pattern matcher over the attack fragments.
+/// Case-insensitive multi-pattern matcher over an attack step's
+/// fragments.
 ///
-/// Built once per `Checker`; both operations are allocation-free.
+/// Built once per checker; both operations are allocation-free.
 #[derive(Debug, Clone)]
 pub(crate) struct Prefilter {
     /// Dense transition function of the Aho–Corasick automaton (goto
@@ -55,11 +55,8 @@ pub(crate) struct Prefilter {
 }
 
 impl Prefilter {
-    pub(crate) fn new() -> Self {
-        let fragments: Vec<Vec<u8>> = ATTACK_FRAGMENTS
-            .iter()
-            .map(|f| f.to_ascii_lowercase())
-            .collect();
+    pub(crate) fn new(fragments: &[&[u8]]) -> Self {
+        let fragments: Vec<Vec<u8>> = fragments.iter().map(|f| f.to_ascii_lowercase()).collect();
 
         // Trie over the folded patterns.
         let mut goto_fn: Vec<[u32; 256]> = vec![[NO_EDGE; 256]];
@@ -121,9 +118,9 @@ impl Prefilter {
     }
 
     /// `true` iff `text` contains some attack fragment
-    /// (case-insensitively). Linear single-pass scan; agrees with
-    /// `dfas::attack_fragments()` acceptance by construction (verified
-    /// in tests).
+    /// (case-insensitively). Linear single-pass scan; agrees with the
+    /// step's automaton (`strtaint_policy::dfas::attack_fragments`)
+    /// by construction (verified in tests).
     pub(crate) fn contains_match(&self, text: &[u8]) -> bool {
         let mut s = 0usize;
         for &b in text {
@@ -155,12 +152,12 @@ impl Prefilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfas::attack_fragments;
+    use strtaint_policy::dfas::{attack_fragments, ATTACK_FRAGMENTS};
 
     #[test]
     fn scan_agrees_with_exact_dfa() {
-        let pf = Prefilter::new();
-        let dfa = attack_fragments();
+        let pf = Prefilter::new(ATTACK_FRAGMENTS);
+        let dfa = attack_fragments(ATTACK_FRAGMENTS);
         let samples: &[&[u8]] = &[
             b"",
             b"plain value",
@@ -194,7 +191,7 @@ mod tests {
 
     #[test]
     fn overlapping_and_boundary_matches() {
-        let pf = Prefilter::new();
+        let pf = Prefilter::new(ATTACK_FRAGMENTS);
         // Fragment found mid-string, overlapping a near-miss prefix.
         assert!(pf.contains_match(b"drop drop table"));
         // Suffix-only match.
@@ -206,7 +203,7 @@ mod tests {
 
     #[test]
     fn spellability_is_an_alphabet_overapproximation() {
-        let pf = Prefilter::new();
+        let pf = Prefilter::new(ATTACK_FRAGMENTS);
         // Digits alone cannot spell any fragment.
         assert!(!pf.any_spellable(b"0123456789"));
         // Any alphabet containing ';' can spell the ';' fragment.
@@ -225,10 +222,10 @@ mod tests {
         // The soundness direction: if `any_spellable(alpha)` is false,
         // no string over `alpha` may match. Exhaustively check short
         // strings over a small unspellable alphabet.
-        let pf = Prefilter::new();
+        let pf = Prefilter::new(ATTACK_FRAGMENTS);
         let alpha = b"0123456789";
         assert!(!pf.any_spellable(alpha));
-        let dfa = attack_fragments();
+        let dfa = attack_fragments(ATTACK_FRAGMENTS);
         let mut stack: Vec<Vec<u8>> = vec![Vec::new()];
         while let Some(s) = stack.pop() {
             assert!(!pf.contains_match(&s));

@@ -1,5 +1,5 @@
-//! Hand-built character-level automata for the policy checks
-//! (paper §3.2.1), and the HTML-context automata of the XSS cascade.
+//! Hand-built character-level automata of the `sql` cascade (paper
+//! §3.2.1), and the HTML-context automata of the `xss` cascade.
 //!
 //! The paper expresses the SQL checks as Perl regexes over quotes and
 //! escapes; the published text of those regexes suffered in
@@ -144,10 +144,11 @@ pub fn sql_keywords() -> Dfa {
 }
 
 /// The classic non-confinable attack fragments, matched
-/// case-insensitively. Single source for both [`attack_fragments`]
-/// (the exact C4 automaton) and the Aho–Corasick prefilter
-/// (`crate::prefilter`), so the two can never drift apart.
-pub(crate) const ATTACK_FRAGMENTS: &[&[u8]] = &[
+/// case-insensitively. The C4 step carries this list, and both its
+/// exact automaton ([`attack_fragments`]) and the checker's
+/// Aho–Corasick prefilter are built from it, so the two can never
+/// drift apart.
+pub const ATTACK_FRAGMENTS: &[&[u8]] = &[
     b"DROP TABLE",
     b"--",
     b";",
@@ -157,14 +158,14 @@ pub(crate) const ATTACK_FRAGMENTS: &[&[u8]] = &[
     b"/*",
 ];
 
-/// Strings *containing* any classic non-confinable attack fragment —
-/// the paper's fourth check (`DROP`, `--`, `;`, `UNION`, …) used to
-/// confirm a suspected vulnerability.
-pub fn attack_fragments() -> Dfa {
+/// Strings *containing* any of `fragments` (case-insensitively) — with
+/// [`ATTACK_FRAGMENTS`], the paper's fourth check (`DROP`, `--`, `;`,
+/// `UNION`, …) used to confirm a suspected vulnerability.
+pub fn attack_fragments(fragments: &[&[u8]]) -> Dfa {
     // One shared Σ*(f1|…|fn)Σ* — per-fragment Σ* loops would make the
     // subset construction track a powerset of matched-fragment flags.
     let mut alts = Nfa::empty();
-    for f in ATTACK_FRAGMENTS {
+    for f in fragments {
         let mut lit = Nfa::epsilon();
         for b in f.iter() {
             lit = lit.concat(&Nfa::class(ByteSet::singleton(*b).ascii_case_fold()));
@@ -248,18 +249,6 @@ pub fn marker_in_context(ctx: HtmlCtx) -> Dfa {
     n.add_arc(hit, ByteSet::FULL, hit);
     n.set_accepting(hit, true);
     Dfa::from_nfa(&n).minimize()
-}
-
-/// Strings containing the byte `b` anywhere — the XSS escape checks
-/// (`<` in text, the closing quote in an attribute value) and the SQL
-/// backquoted-identifier check.
-pub fn contains_byte(b: u8) -> Dfa {
-    Dfa::from_nfa(
-        &Nfa::any_string()
-            .concat(&Nfa::class(ByteSet::singleton(b)))
-            .concat(&Nfa::any_string()),
-    )
-    .minimize()
 }
 
 /// Strings that are *not* a bare word over `[A-Za-z0-9_-]` — what
@@ -354,7 +343,7 @@ mod tests {
 
     #[test]
     fn attack_fragment_detection() {
-        let d = attack_fragments();
+        let d = attack_fragments(ATTACK_FRAGMENTS);
         assert!(d.accepts(b"1'; DROP TABLE unp_user; --"));
         assert!(d.accepts(b"1 UNION SELECT password"));
         assert!(d.accepts(b"x' or 'a'='a"));

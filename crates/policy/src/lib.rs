@@ -10,21 +10,21 @@
 //! `strtaint-automata`, the confinement cascade that orders provers
 //! and refuters, a severity, and the SARIF rule ids it can emit.
 //!
-//! The two historical classes, SQL command-injection (SQLCIV, checks
-//! C1–C5) and XSS, are re-expressed as the first two registry entries;
-//! their cascades stay hand-built inside `strtaint-checker` (they need
-//! marked-grammar machinery beyond a DFA pipeline) and are referenced
-//! here by [`PolicyKind::SqlCiv`] / [`PolicyKind::Xss`] so their
-//! verdicts remain byte-identical. Three further classes — shell
-//! command injection, path traversal, and eval/code injection — are
-//! defined entirely as data: a [`Cascade`] of DFA steps any generic
-//! driver can run.
+//! All five classes are data: SQL command injection (SQLCIV, checks
+//! C1–C5), XSS, shell command injection, path traversal and
+//! eval/code injection are each a [`Cascade`] of steps that one step
+//! interpreter in `strtaint-checker` runs. SQL and XSS add two step
+//! shapes to the plain DFA pipeline: a [`Gate`] on the *marked*
+//! grammar (C2 and the HTML contexts) and a derivability step (C5).
+//! Their automata live in [`dfas`].
 //!
-//! Layering: this crate depends only on `strtaint-automata`. The
-//! analysis crate consumes the sink tables, the checker crate consumes
-//! the cascades, and neither needs the other to agree on anything but
-//! the policy id carried on each hotspot.
+//! Layering: this crate depends on `strtaint-automata` and, for the
+//! marker byte the marked-grammar automata read, on `strtaint-sql`.
+//! The analysis crate consumes the sink tables, the checker crate
+//! consumes the cascades, and neither needs the other to agree on
+//! anything but the policy id carried on each hotspot.
 
+pub mod dfas;
 pub mod fixes;
 mod kinds;
 pub mod registry;
@@ -32,8 +32,7 @@ pub mod registry;
 pub use fixes::{fix_template, fix_templates, FixKind, FixTemplate};
 pub use kinds::CheckKind;
 pub use registry::{
-    builtin, find, parse_selection, Cascade, Policy, PolicyKind, Residual, Severity, Step,
-    StepAction,
+    builtin, find, parse_selection, Cascade, Gate, Policy, Residual, Severity, Step, StepAction,
 };
 
 /// Policy id of the default SQL command-injection policy.

@@ -42,6 +42,9 @@ cargo test -q -p strtaint-grammar
 echo "==> analysis crate units (emit, builtins, refinement)"
 cargo test -q -p strtaint-analysis
 
+echo "==> policy + SQL crate units (registry cascades and automata, SQL grammar and lexer)"
+cargo test -q -p strtaint-policy -p strtaint-sql
+
 echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 

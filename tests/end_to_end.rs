@@ -644,3 +644,30 @@ $DB->query("SELECT * FROM " . tbl('users') . " WHERE id=$id");
     );
     assert!(r.is_verified(), "{r}");
 }
+
+#[test]
+fn sql_sink_functions_check_their_query_argument() {
+    // The same tainted quoted query at each sink's query position, with
+    // a connection or database name at the other positions.
+    for call in [
+        "mysql_query($q)",
+        "mysql_query($q, $link)",
+        "mysqli_query($link, $q)",
+        "mysql_db_query('shop', $q, $link)",
+        "pg_query($q)",
+        "pg_query($link, $q)",
+        "sqlite_query($link, $q)",
+        "sqlite_query($q, $link)",
+    ] {
+        let r = page(&format!(
+            "<?php\n$link = mysqli_connect('localhost');\n$id = $_GET['id'];\n\
+             $q = \"SELECT * FROM t WHERE id='$id'\";\n{call};\n"
+        ));
+        assert!(!r.is_verified(), "{call}: {r}");
+        assert!(
+            r.findings()
+                .any(|(_, f)| f.kind == strtaint::CheckKind::OddQuotes),
+            "{call}: {r}"
+        );
+    }
+}

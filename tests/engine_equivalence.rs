@@ -6,9 +6,10 @@
 //!
 //! For every sink of a corpus app (echo sinks included), every maximal
 //! labeled nonterminal `X` and the marker-only marked grammar of `X`
-//! are intersected with every automaton any cascade asks about — the SQL
-//! C1–C5 automata, the XSS context and containment automata, the
-//! registry policies' step automata and the C5 lexeme languages. Both
+//! are intersected with every automaton any cascade asks about — every
+//! registry step's automaton, gate and derivability automata (the SQL
+//! C1–C5 and XSS context and containment automata among them) and the
+//! C5 lexeme languages. Both
 //! engines must draw the same fuel, agree on emptiness and give the
 //! same canonical witness bytes. Equal fuel is what lets refinement
 //! and include resolution trip at the same point on either engine; the
@@ -24,13 +25,12 @@ use strtaint::{CheckOptions, Evidence, PolicyChecker};
 use strtaint_analysis::{analyze, Config};
 use strtaint_automata::{ClassDfa, Dfa};
 use strtaint_checker::abstraction::{marked_grammar, maximal_labeled};
-use strtaint_checker::dfas::{self, HtmlCtx};
 use strtaint_checker::HotspotReport;
 use strtaint_corpus::{apps, synth::synth_app, synth::SynthConfig, App};
 use strtaint_grammar::intersect::{intersect, is_intersection_empty_with};
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Budget, Cfg, NtId, PreparedGrammar, QueryMode};
-use strtaint_policy::PolicyKind;
+use strtaint_policy::StepAction;
 use strtaint_sql::derive::lexeme_dfa;
 use strtaint_sql::TokenKind;
 
@@ -44,30 +44,18 @@ struct Automaton {
 /// Every automaton a cascade intersects a labeled or marked grammar
 /// with.
 fn cascade_automata() -> Vec<Automaton> {
-    let mut named: Vec<(String, Dfa)> = vec![
-        ("sql/odd_quotes".into(), dfas::odd_unescaped_quotes()),
-        ("sql/has_quote".into(), dfas::contains_unescaped_quote()),
-        ("sql/marker_outside".into(), dfas::marker_outside_literal()),
-        (
-            "sql/non_numeric".into(),
-            dfas::numeric_literal().complement(),
-        ),
-        ("sql/keywords".into(), dfas::sql_keywords()),
-        ("sql/attack".into(), dfas::attack_fragments()),
-        ("sql/backquote".into(), dfas::contains_byte(b'`')),
-        ("xss/has_lt".into(), dfas::contains_byte(b'<')),
-        ("xss/has_dq".into(), dfas::contains_byte(b'"')),
-        ("xss/has_sq".into(), dfas::contains_byte(b'\'')),
-        ("xss/non_word".into(), dfas::non_word()),
-    ];
-    for ctx in HtmlCtx::ALL {
-        named.push((format!("xss/in_{ctx:?}"), dfas::marker_in_context(ctx)));
-    }
+    let mut named: Vec<(String, Dfa)> = Vec::new();
     for policy in strtaint_policy::builtin() {
-        if let PolicyKind::Cascade(c) = &policy.kind {
-            for (i, step) in c.steps.iter().enumerate() {
-                named.push((format!("{}/step{i}", policy.id), step.dfa.clone()));
+        for (i, step) in (policy.cascade)().steps.into_iter().enumerate() {
+            let name = |what: &str| format!("{}/step{i}{what}", policy.id);
+            if let Some(gate) = step.gate {
+                named.push((name(" gate"), gate.dfa));
             }
+            if let StepAction::Derivable { backquote, keywords } = step.action {
+                named.push((name(" backquote"), backquote));
+                named.push((name(" keywords"), keywords));
+            }
+            named.push((name(""), step.dfa));
         }
     }
     for kind in [TokenKind::NumberLit, TokenKind::StringLit, TokenKind::Ident] {

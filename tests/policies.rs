@@ -9,7 +9,8 @@
 //!   `Checker::check_hotspots_with` + `skeletons_for` — the sequence
 //!   the traced bench driver replays — in findings, skeletons, JSON and
 //!   SARIF.
-//! - The cheap-first cascade reorder changes no verdict on the corpus.
+//! - Running the `sql` cascade in the paper's C1–C5 order instead of
+//!   the registry's (C3 first) changes no verdict on the corpus.
 //! - The SARIF rule-id namespace is pinned by a golden file
 //!   (`tests/golden/rule_ids.txt`); adding or renaming a rule id is an
 //!   intentional, reviewed change.
@@ -184,15 +185,25 @@ fn sql_only_policy_run_is_byte_identical_to_dedicated_path() {
     }
 }
 
+/// The registry's `sql` cascade in the paper's published order: C3
+/// moves from first to after C2.
+fn paper_order() -> strtaint::policy::Cascade {
+    let sql = strtaint::policy::find("sql").expect("sql policy");
+    let mut c = (sql.cascade)();
+    c.steps[..3].rotate_left(1);
+    c
+}
+
 #[test]
-fn cheap_first_preserves_corpus_verdicts() {
+fn paper_order_preserves_corpus_verdicts() {
     let app = strtaint_corpus::apps::eve::build();
     let config = Config::default();
     let fast = PolicyChecker::new();
-    let slow = PolicyChecker::with_options(CheckOptions {
-        cheap_first: false,
-        ..CheckOptions::default()
-    });
+    let sql = strtaint::policy::Policy {
+        cascade: paper_order,
+        ..strtaint::policy::find("sql").expect("sql policy")
+    };
+    let slow = PolicyChecker::with_policies(&[sql], CheckOptions::default());
     let s1 = SummaryCache::new();
     let s2 = SummaryCache::new();
     for entry in &app.entries {
@@ -203,7 +214,10 @@ fn cheap_first_preserves_corpus_verdicts() {
         for ((_, fa), (_, fb)) in a.findings().zip(b.findings()) {
             assert_eq!(fa.kind, fb.kind, "{entry}");
             assert_eq!(fa.witness, fb.witness, "{entry}");
+            assert_eq!(fa.example_query, fb.example_query, "{entry}");
         }
+        let verified = |r: &PageReport| r.hotspots.iter().map(|(_, h)| h.verified).sum::<usize>();
+        assert_eq!(verified(&a), verified(&b), "{entry}");
     }
 }
 

@@ -100,7 +100,7 @@ proptest! {
     /// arbitrary inputs.
     #[test]
     fn odd_quote_dfa_matches_oracle(s in "[a-z'\\\\]{0,24}") {
-        let d = strtaint_checker::dfas::odd_unescaped_quotes();
+        let d = strtaint_policy::dfas::odd_unescaped_quotes();
         let bytes = s.as_bytes();
         // Oracle: scan counting quotes not preceded by an unconsumed
         // backslash escape.
@@ -137,7 +137,7 @@ proptest! {
     fn addslashes_output_never_has_lone_quote(input in "[ a-z'\"\\\\]{0,16}") {
         let f = strtaint_automata::fst::builders::addslashes();
         let out = f.transduce_unique(input.as_bytes()).unwrap();
-        let d = strtaint_checker::dfas::contains_unescaped_quote();
+        let d = strtaint_policy::dfas::contains_unescaped_quote();
         prop_assert!(!d.accepts(&out), "{:?} -> {:?}", input, out);
     }
 
