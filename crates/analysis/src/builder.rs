@@ -34,8 +34,8 @@ pub struct Provenance {
     /// the [`crate::summary`] cache key component, letting reports tie
     /// a finding back to the exact file revision analyzed.
     pub summary: u64,
-    /// Span of the sink's first argument (the query expression itself),
-    /// finer-grained than the call span for finding locations.
+    /// Span of the argument the sink checks (the query expression
+    /// itself), finer-grained than the call span for finding locations.
     pub arg_span: Option<Span>,
 }
 
@@ -101,6 +101,9 @@ pub enum AnalyzeError {
     /// extension dispatched to — the error renders identically across
     /// frontends).
     Parse(crate::frontend::FrontendError),
+    /// The page's analysis panicked; the payload's message. The page
+    /// driver catches the panic so the other pages of a run complete.
+    Panicked(String),
 }
 
 impl fmt::Display for AnalyzeError {
@@ -108,6 +111,7 @@ impl fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::EntryNotFound(p) => write!(f, "entry file not found: {p}"),
             AnalyzeError::Parse(e) => write!(f, "entry file failed to parse: {e}"),
+            AnalyzeError::Panicked(msg) => write!(f, "analyzer panicked: {msg}"),
         }
     }
 }

@@ -252,7 +252,7 @@ impl Emitter<'_> {
                     &m.args,
                     &m.arg_keys,
                     m.span,
-                    m.arg_span,
+                    &m.arg_spans,
                     None,
                     env,
                 )
@@ -323,7 +323,7 @@ impl Emitter<'_> {
             &c.args,
             &c.arg_keys,
             c.span,
-            c.arg_span,
+            &c.arg_spans,
             Some(&c.prep),
             env,
         )
@@ -339,7 +339,7 @@ impl Emitter<'_> {
         args: &[IrExpr],
         arg_keys: &[Option<String>],
         span: Span,
-        arg_span: Option<Span>,
+        arg_spans: &[Span],
         prep: Option<&CallPrep>,
         env: &mut Env,
     ) -> NtId {
@@ -358,7 +358,7 @@ impl Emitter<'_> {
                     policy: entry.policy.to_owned(),
                     provenance: Provenance {
                         summary: self.cur_summary,
-                        arg_span,
+                        arg_span: arg_spans.get(i).copied(),
                     },
                 });
             }

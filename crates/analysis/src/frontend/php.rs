@@ -13,7 +13,7 @@ use super::{fingerprint_of, Frontend, FrontendError};
 
 /// Bump when PHP lowering output changes (invalidates cached
 /// summaries lowered under the old semantics).
-const LOWERING_VERSION: u32 = 1;
+const LOWERING_VERSION: u32 = 2;
 
 /// The PHP language frontend.
 #[derive(Debug, Clone, Copy, Default)]

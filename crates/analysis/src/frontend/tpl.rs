@@ -45,7 +45,7 @@ use super::{fingerprint_of, Frontend, FrontendError};
 
 /// Bump when template lowering output changes (invalidates cached
 /// summaries lowered under the old semantics).
-const LOWERING_VERSION: u32 = 1;
+const LOWERING_VERSION: u32 = 2;
 
 /// The template-language frontend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -249,7 +249,7 @@ fn lower_expr(e: &TExpr) -> IrExpr {
                     name: cname.to_owned(),
                     args: args.iter().map(lower_expr).collect(),
                     arg_keys: args.iter().map(lvalue_key).collect(),
-                    arg_span: args.first().map(|a| span(a.span)),
+                    arg_spans: args.iter().map(|a| span(a.span)).collect(),
                     span: span(e.span),
                     prep: call_prep(cname, args),
                 }))
@@ -259,7 +259,7 @@ fn lower_expr(e: &TExpr) -> IrExpr {
                 obj: lower_expr(obj),
                 args: args.iter().map(lower_expr).collect(),
                 arg_keys: args.iter().map(lvalue_key).collect(),
-                arg_span: args.first().map(|a| span(a.span)),
+                arg_spans: args.iter().map(|a| span(a.span)).collect(),
                 span: span(e.span),
             })),
             // The parser only accepts names and members as callees.

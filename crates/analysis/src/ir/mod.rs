@@ -339,8 +339,9 @@ pub struct CallIr {
     pub args: Vec<IrExpr>,
     /// Per-argument environment keys (for by-reference write-back).
     pub arg_keys: Vec<Option<String>>,
-    /// Span of the first argument (finding provenance).
-    pub arg_span: Option<Span>,
+    /// Per-argument spans (finding provenance: a sink is located at
+    /// the argument it checks).
+    pub arg_spans: Vec<Span>,
     /// Call span.
     pub span: Span,
     /// Prepared builtin payload — used only when emit dispatches to
@@ -359,8 +360,8 @@ pub struct MethodCallIr {
     pub args: Vec<IrExpr>,
     /// Per-argument environment keys.
     pub arg_keys: Vec<Option<String>>,
-    /// Span of the first argument.
-    pub arg_span: Option<Span>,
+    /// Per-argument spans.
+    pub arg_spans: Vec<Span>,
     /// Call span.
     pub span: Span,
 }

@@ -280,7 +280,7 @@ fn lower_expr(e: &Expr) -> IrExpr {
             name: name.clone(),
             args: args.iter().map(lower_expr).collect(),
             arg_keys: args.iter().map(lvalue_key).collect(),
-            arg_span: args.first().map(|a| a.span),
+            arg_spans: args.iter().map(|a| a.span).collect(),
             span: e.span,
             prep: call_prep(name, args),
         })),
@@ -289,7 +289,7 @@ fn lower_expr(e: &Expr) -> IrExpr {
             obj: lower_expr(obj),
             args: args.iter().map(lower_expr).collect(),
             arg_keys: args.iter().map(lvalue_key).collect(),
-            arg_span: args.first().map(|a| a.span),
+            arg_spans: args.iter().map(|a| a.span).collect(),
             span: e.span,
         })),
     }

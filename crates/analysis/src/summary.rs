@@ -21,15 +21,16 @@
 //! Summaries are path-free (an include records only its source line;
 //! the path is supplied by the emitter), which is what makes one
 //! summary valid for every page and every include site that mentions
-//! the file. Parse *failures* are not cached: the original analyzer
-//! re-parses (and re-warns) at every include occurrence, and the warm
-//! path must be warning-identical to the cold path.
+//! the file. A parse *failure* is cached like a summary and handed to
+//! every caller, so each include occurrence still warns, as the
+//! original analyzer re-warns, and the warm path stays
+//! warning-identical to the cold path.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::config::Config;
 use crate::frontend::{Frontend, FrontendError};
@@ -62,16 +63,23 @@ pub fn config_fingerprint(config: &Config) -> u64 {
     h.finish()
 }
 
+/// One key's lowering, run once: the summary, or the parse error every
+/// caller of that key gets.
+type Slot = OnceLock<Result<Arc<FileSummary>, FrontendError>>;
+
 /// A shared, thread-safe cache of lowered file summaries.
 ///
 /// One cache is created per app analysis (or handed in by the caller
 /// via the `*_cached` entry points) and shared across worker threads;
 /// pages analyzed against the same cache reuse each other's lowering
-/// work. Hit/miss counters feed `AppReport` and the ≥30%-fewer-
-/// lowerings acceptance test.
+/// work. Lowering is single-flight: each key is lowered once, and a
+/// concurrent caller for the same key waits for the lowering in flight
+/// instead of racing to a second one, so the hit/miss counters (which
+/// feed `AppReport`, `--stats` and the daemon's `status`) depend only
+/// on the pages analyzed, never on thread timing.
 #[derive(Debug, Default)]
 pub struct SummaryCache {
-    map: Mutex<HashMap<(u64, u64, u64), Arc<FileSummary>>>,
+    map: Mutex<HashMap<(u64, u64, u64), Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -84,7 +92,7 @@ impl SummaryCache {
 
     /// Returns the lowered summary for `src` under `frontend`,
     /// lowering (and caching) it on a miss. Parse errors are returned
-    /// verbatim and never cached.
+    /// verbatim.
     pub fn get_or_lower(
         &self,
         frontend: &dyn Frontend,
@@ -97,33 +105,36 @@ impl SummaryCache {
             config_fingerprint(config),
             frontend.fingerprint(),
         );
-        if let Some(hit) = self
-            .map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-            .cloned()
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        // Parse + lower outside the lock: lowering a large file must
-        // not serialize the other worker threads. Two threads may race
-        // to lower the same file; both produce identical summaries and
-        // the second insert is a harmless overwrite.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let summary = {
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        // Parse + lower outside the map's lock: lowering a large file
+        // blocks only the callers of that file, which wait for it.
+        let mut lowered = false;
+        let result = slot.get_or_init(|| {
+            lowered = true;
             let _lower = strtaint_obs::Span::enter("lower", "");
-            Arc::new(FileSummary {
-                body: frontend.lower(src)?,
+            let body = frontend.lower(src)?;
+            Ok(Arc::new(FileSummary {
+                body,
                 content_hash: key.0,
-            })
-        };
-        self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, Arc::clone(&summary));
-        Ok(summary)
+            }))
+        });
+        let counter = if lowered { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result.clone()
+    }
+
+    /// Drops every summary of the bytes hashing to `content_hash`
+    /// (see [`content_hash`]): a long-lived caller whose tree no longer
+    /// holds those bytes keeps no IR for them.
+    pub fn evict(&self, content_hash: u64) {
+        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
+        map.retain(|&(content, _, _), _| content != content_hash);
     }
 
     /// Number of summaries currently resident (distinct
@@ -146,5 +157,85 @@ impl SummaryCache {
     /// Number of cache misses (files actually lowered) so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::IrStmt;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::RwLock;
+
+    /// A frontend counting its lowerings, each of which waits at a gate
+    /// the test can hold closed; it fails on `bad` input.
+    #[derive(Debug, Default)]
+    struct Gated {
+        lowerings: AtomicUsize,
+        gate: RwLock<()>,
+    }
+
+    impl Frontend for Gated {
+        fn id(&self) -> &'static str {
+            "gated"
+        }
+        fn extensions(&self) -> &'static [&'static str] {
+            &["gated"]
+        }
+        fn fingerprint(&self) -> u64 {
+            7
+        }
+        fn lower(&self, src: &[u8]) -> Result<Vec<IrStmt>, FrontendError> {
+            self.lowerings.fetch_add(1, Ordering::SeqCst);
+            drop(self.gate.read().expect("gate"));
+            if src == b"bad" {
+                return Err(FrontendError {
+                    message: "bad".to_owned(),
+                    span: strtaint_php::Span::new(1, 1),
+                });
+            }
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_wait_for_the_one_lowering() {
+        let (cache, frontend, config) = (SummaryCache::new(), Gated::default(), Config::default());
+        let gate = frontend.gate.write().expect("gate");
+        let summaries: Vec<_> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| cache.get_or_lower(&frontend, b"same", &config)))
+                .collect();
+            // Open the gate only once every caller holds the key's slot
+            // (the map's reference plus one per caller).
+            let holders = || {
+                let map = cache.map.lock().expect("map");
+                map.values().next().map_or(0, Arc::strong_count)
+            };
+            while holders() < 5 {
+                std::thread::yield_now();
+            }
+            drop(gate);
+            calls
+                .into_iter()
+                .map(|c| c.join().expect("caller").expect("lowers"))
+                .collect()
+        });
+        assert_eq!(frontend.lowerings.load(Ordering::SeqCst), 1);
+        assert!(summaries.iter().all(|s| Arc::ptr_eq(s, &summaries[0])));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 1, 1));
+    }
+
+    #[test]
+    fn parse_errors_are_returned_verbatim_to_every_caller() {
+        let (cache, frontend, config) = (SummaryCache::new(), Gated::default(), Config::default());
+        for _ in 0..2 {
+            let err = cache.get_or_lower(&frontend, b"bad", &config).unwrap_err();
+            assert_eq!(err.message, "bad");
+        }
+        assert_eq!(frontend.lowerings.load(Ordering::SeqCst), 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        cache.evict(content_hash(b"bad"));
+        assert!(cache.is_empty());
     }
 }

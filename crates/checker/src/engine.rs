@@ -482,38 +482,34 @@ fn splice_example(
 /// is held across a job, so a job fault can never poison shared state.
 /// A worker panic is re-raised on the calling thread, so callers see it
 /// exactly as a serial panic; callers that must survive one catch it
-/// inside `job`. With one worker (or one item) the jobs run inline on
-/// the calling thread.
+/// inside `job`. The calling thread runs one of the workers (with one
+/// worker, or one item, every job runs inline on it): one thread fewer
+/// to spawn, and a long-lived caller such as the daemon keeps its share
+/// of what the jobs allocate in its own allocator arena, where its
+/// later requests reuse the memory.
 pub fn fan_out<T, R, F>(items: &[T], workers: usize, job: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = workers.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(&job).collect();
-    }
+    let workers = workers.min(items.len());
     let next = AtomicUsize::new(0);
+    let run = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, job(&items[i])));
+        }
+        local
+    };
     let mut merged: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, job(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+        merged.extend(run());
         for h in handles {
             match h.join() {
                 Ok(local) => merged.extend(local),

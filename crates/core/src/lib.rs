@@ -75,19 +75,6 @@ fn parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Hotspot workers for each page of a run over `pages` entries: the
-/// one-level fan-out rule. A run over several pages fans out pages, so
-/// each page checks its hotspots on its own worker; a lone page fans
-/// out its hotspots instead. Nesting both levels would multiply the
-/// threads and the working sets in flight for no extra cores.
-fn hotspot_workers(pages: usize) -> usize {
-    if pages > 1 {
-        1
-    } else {
-        parallelism()
-    }
-}
-
 pub use report::{AppReport, PageReport};
 
 /// Analyzes one web page (top-level PHP or template file) and checks
@@ -111,15 +98,14 @@ pub fn analyze_page(
 /// automata, query cache and prepared memo are page-independent) and
 /// sharing a caller-owned [`SummaryCache`], so AST→IR lowering of files
 /// reached by many pages (shared includes) happens once per app instead
-/// of once per page. This is the lone-page entry the daemon uses: it
-/// fans the page's hotspots out across threads and exports their
-/// skeleton evidence ([`Evidence::Skeletons`]). Multi-page callers use
-/// the page driver, [`analyze_pages`].
+/// of once per page. A one-entry [`analyze_pages`] run: the page fans
+/// its hotspots out across threads and exports their skeleton evidence
+/// ([`Evidence::Skeletons`]).
 ///
 /// # Errors
 ///
 /// Returns [`AnalyzeError`] if the entry file is missing or fails to
-/// parse.
+/// parse, or if its analysis panics.
 pub fn analyze_page_cached(
     vfs: &Vfs,
     entry: &str,
@@ -127,15 +113,15 @@ pub fn analyze_page_cached(
     checker: &PolicyChecker,
     summaries: &SummaryCache,
 ) -> Result<PageReport, AnalyzeError> {
-    page(
+    let mut results = analyze_pages(
         vfs,
-        entry,
+        &[entry],
         config,
         checker,
         summaries,
         Evidence::Skeletons,
-        hotspot_workers(1),
-    )
+    );
+    results.pop().expect("one result per entry")
 }
 
 /// The page driver: analyzes every entry with one level of fan-out
@@ -148,8 +134,8 @@ pub fn analyze_page_cached(
 /// and fans out its hotspots instead. The rule reads only the number
 /// of entries. `evidence` selects whether the hotspot jobs also export
 /// skeletons. Reports are identical to those of a serial loop over
-/// the entries, timings aside. A panic in any page is re-raised on the
-/// calling thread after the other workers finish.
+/// the entries, timings aside. A page whose analysis panics yields
+/// [`AnalyzeError::Panicked`] in its slot (see [`analyze_pages_with`]).
 pub fn analyze_pages<E: AsRef<str> + Sync>(
     vfs: &Vfs,
     entries: &[E],
@@ -158,17 +144,76 @@ pub fn analyze_pages<E: AsRef<str> + Sync>(
     summaries: &SummaryCache,
     evidence: Evidence,
 ) -> Vec<Result<PageReport, AnalyzeError>> {
-    let hotspot_workers = hotspot_workers(entries.len());
+    analyze_pages_then(
+        vfs,
+        entries,
+        config,
+        checker,
+        summaries,
+        evidence,
+        |_, result| result,
+    )
+}
+
+/// [`analyze_pages`], finishing each page on its worker as it
+/// completes: `then` turns an entry's result into what the caller
+/// keeps, so a run over many entries holds one report per worker at a
+/// time, not one per entry.
+pub fn analyze_pages_then<E, R, T>(
+    vfs: &Vfs,
+    entries: &[E],
+    config: &Config,
+    checker: &PolicyChecker,
+    summaries: &SummaryCache,
+    evidence: Evidence,
+    then: T,
+) -> Vec<R>
+where
+    E: AsRef<str> + Sync,
+    R: Send,
+    T: Fn(&E, Result<PageReport, AnalyzeError>) -> R + Sync,
+{
+    // The one-level fan-out rule: a run over several pages fans out
+    // pages, so each page checks its hotspots on its own worker; a lone
+    // page fans out its hotspots instead. Nesting both levels would
+    // multiply the threads and the working sets in flight for no extra
+    // cores.
+    let hotspot_workers = if entries.len() > 1 { 1 } else { parallelism() };
+    analyze_pages_with(
+        entries,
+        |entry| {
+            page(
+                vfs,
+                entry,
+                config,
+                checker,
+                summaries,
+                evidence,
+                hotspot_workers,
+            )
+        },
+        then,
+    )
+}
+
+/// The engine behind the page driver, generic over the per-page
+/// analysis so fault-injection tests can substitute their own. Entries
+/// run as [`fan_out`] jobs on the machine's available parallelism.
+/// Each job runs `analyze` under `catch_unwind`, so a panic becomes
+/// [`AnalyzeError::Panicked`] for that entry while every other page
+/// completes normally, then hands the result to `then`.
+pub fn analyze_pages_with<E, R, F, T>(entries: &[E], analyze: F, then: T) -> Vec<R>
+where
+    E: AsRef<str> + Sync,
+    R: Send,
+    F: Fn(&str) -> Result<PageReport, AnalyzeError> + Sync,
+    T: Fn(&E, Result<PageReport, AnalyzeError>) -> R + Sync,
+{
     fan_out(entries, parallelism(), |entry| {
-        page(
-            vfs,
-            entry.as_ref(),
-            config,
-            checker,
-            summaries,
-            evidence,
-            hotspot_workers,
-        )
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| analyze(entry.as_ref())))
+                .unwrap_or_else(|payload| Err(AnalyzeError::Panicked(panic_message(&*payload))));
+        then(entry, result)
     })
 }
 
@@ -296,27 +341,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one page analysis with panic isolation: a panic inside the
-/// analyzer or checker becomes a skipped page, not a crashed run.
-fn isolated<F>(entry: &str, analyze: F) -> PageReport
-where
-    F: FnOnce() -> Result<PageReport, AnalyzeError> + std::panic::UnwindSafe,
-{
-    match std::panic::catch_unwind(analyze) {
-        Ok(Ok(p)) => p,
-        Ok(Err(err)) => PageReport::skipped_page(entry, format!("page skipped: {err}")),
-        Err(payload) => PageReport::skipped_page(
-            entry,
-            format!("page skipped: analyzer panicked: {}", panic_message(&*payload)),
-        ),
-    }
-}
-
 /// Analyzes a whole application: each entry is a page's top-level file
 /// (the paper analyzes every page of each subject). Pages run one at a
-/// time, each fanning out its hotspots; reports carry verdicts only
-/// ([`Evidence::Verdicts`]). This serial loop is the reference the
-/// page driver ([`analyze_app_parallel`]) is tested against.
+/// time, each a one-entry [`analyze_pages`] run that fans out its
+/// hotspots, so every page's timings are its own (Table 1 reads them);
+/// reports carry verdicts only ([`Evidence::Verdicts`]).
 ///
 /// Pages that fail to parse — or whose analysis panics — are skipped
 /// with a synthetic report ([`PageReport::skipped_page`]); skipped
@@ -324,24 +353,20 @@ where
 pub fn analyze_app(name: &str, vfs: &Vfs, entries: &[&str], config: &Config) -> AppReport {
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
-    let hotspot_workers = hotspot_workers(1);
     let pages = entries
         .iter()
-        .map(|&e| {
-            isolated(
-                e,
-                std::panic::AssertUnwindSafe(|| {
-                    page(
-                        vfs,
-                        e,
-                        config,
-                        &checker,
-                        &summaries,
-                        Evidence::Verdicts,
-                        hotspot_workers,
-                    )
-                }),
+        .map(|&entry| {
+            analyze_pages(
+                vfs,
+                &[entry],
+                config,
+                &checker,
+                &summaries,
+                Evidence::Verdicts,
             )
+            .pop()
+            .expect("one result per entry")
+            .unwrap_or_else(|err| PageReport::skipped_page(entry, format!("page skipped: {err}")))
         })
         .collect();
     AppReport {
@@ -351,84 +376,6 @@ pub fn analyze_app(name: &str, vfs: &Vfs, entries: &[&str], config: &Config) -> 
         pages,
         summary_hits: summaries.hits(),
         summary_misses: summaries.misses(),
-    }
-}
-
-/// Like [`analyze_app`], analyzing pages on `workers` threads — the
-/// "concurrent executions of the analyzer" speedup the paper suggests
-/// in §5.3 (pages are independent). With several entries each page
-/// checks its hotspots on its own worker (see [`analyze_pages`]).
-///
-/// Fault isolation: each page runs under `catch_unwind`, so a panic in
-/// one page yields a skipped [`PageReport`] for that page while every
-/// other page completes normally.
-pub fn analyze_app_parallel(
-    name: &str,
-    vfs: &Vfs,
-    entries: &[&str],
-    config: &Config,
-    workers: usize,
-) -> AppReport {
-    let summaries = SummaryCache::new();
-    analyze_app_parallel_cached(name, vfs, entries, config, workers, &summaries)
-}
-
-/// Like [`analyze_app_parallel`], sharing a caller-owned
-/// [`SummaryCache`]: each file reached from several pages is parsed and
-/// lowered to IR once, then instantiated per page. The cache is
-/// thread-safe (lowering happens outside its lock), and the report's
-/// `summary_hits`/`summary_misses` expose its effectiveness.
-pub fn analyze_app_parallel_cached(
-    name: &str,
-    vfs: &Vfs,
-    entries: &[&str],
-    config: &Config,
-    workers: usize,
-    summaries: &SummaryCache,
-) -> AppReport {
-    let checker = PolicyChecker::new();
-    let hotspot_workers = hotspot_workers(entries.len());
-    let mut app = analyze_app_parallel_with(name, vfs, entries, workers, |vfs, entry| {
-        page(
-            vfs,
-            entry,
-            config,
-            &checker,
-            summaries,
-            Evidence::Verdicts,
-            hotspot_workers,
-        )
-    });
-    app.summary_hits = summaries.hits();
-    app.summary_misses = summaries.misses();
-    app
-}
-
-/// The engine behind [`analyze_app_parallel`], generic over the
-/// per-page analysis so callers (and fault-injection tests) can
-/// substitute their own. Pages run as [`fan_out`] jobs on up to
-/// `workers` threads; `analyze` runs under `catch_unwind`, and a panic
-/// or error produces a skipped page report in that page's slot.
-pub fn analyze_app_parallel_with<F>(
-    name: &str,
-    vfs: &Vfs,
-    entries: &[&str],
-    workers: usize,
-    analyze: F,
-) -> AppReport
-where
-    F: Fn(&Vfs, &str) -> Result<PageReport, AnalyzeError> + Sync,
-{
-    let pages = fan_out(entries, workers, |&entry| {
-        isolated(entry, std::panic::AssertUnwindSafe(|| analyze(vfs, entry)))
-    });
-    AppReport {
-        name: name.to_owned(),
-        files: vfs.len(),
-        lines: vfs.total_lines(),
-        pages,
-        summary_hits: 0,
-        summary_misses: 0,
     }
 }
 
@@ -553,25 +500,35 @@ $u = get_user($_GET['id']);
         let config = Config::default();
         let checker = PolicyChecker::new();
         let summaries = SummaryCache::new();
-        let app = analyze_app_parallel_with(
-            "demo",
-            &vfs,
-            &["a.php", "b.php", "c.php"],
-            2,
-            |vfs, entry| {
-                if entry == "b.php" {
-                    panic!("injected fault for {entry}");
-                }
-                analyze_page_cached(vfs, entry, &config, &checker, &summaries)
-            },
+        let faulty = |entry: &str| {
+            if entry == "b.php" {
+                panic!("injected fault for {entry}");
+            }
+            analyze_page_cached(&vfs, entry, &config, &checker, &summaries)
+        };
+        let results = analyze_pages_with(&["a.php", "b.php", "c.php"], faulty, |_, r| r);
+        assert_eq!(results.len(), 3);
+        assert!(results[0].as_ref().is_ok_and(PageReport::is_verified));
+        assert!(results[2].as_ref().is_ok_and(PageReport::is_verified));
+        match &results[1] {
+            Err(err @ AnalyzeError::Panicked(_)) => assert_eq!(
+                err.to_string(),
+                "analyzer panicked: injected fault for b.php"
+            ),
+            other => panic!("b.php must fail as a panic: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panic_skip_reason_names_the_payload() {
+        let err = analyze_pages_with(&["x.php"], |_| panic!("boom"), |_, r| r)
+            .pop()
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(
+            format!("page skipped: {err}"),
+            "page skipped: analyzer panicked: boom"
         );
-        assert_eq!(app.pages.len(), 3);
-        assert!(app.pages[0].is_verified());
-        assert!(app.pages[2].is_verified());
-        let skipped = app.pages[1].skipped.as_deref().expect("b.php skipped");
-        assert!(skipped.contains("injected fault"), "{skipped}");
-        assert!(!app.pages[1].is_verified());
-        assert_eq!(app.skipped_pages(), 1);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! an allocation storm.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use crate::json::{self, Json};
 use crate::state::{DaemonState, PageOutcome};
@@ -236,37 +237,48 @@ fn request_policies(request: &Json) -> Result<Option<Vec<String>>, Handled> {
     }
 }
 
-fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
-    let entries = match request_entries(request, "analyze") {
-        Ok(e) => e,
-        Err(h) => return h,
-    };
-    let xss = request.get("xss").and_then(Json::as_bool).unwrap_or(false);
+/// Validates an `analyze` or `profile` request and analyzes (or
+/// replays) its entries: each entry as the request named it, with its
+/// page and where that came from, in entry order.
+fn request_pages(
+    state: &DaemonState,
+    request: &Json,
+    verb: &str,
+    xss: bool,
+) -> Result<Vec<(String, Arc<str>, PageOutcome)>, Handled> {
+    let entries = request_entries(request, verb)?;
+    let policies = request_policies(request)?;
+    if xss && policies.is_some() {
+        return Err(error(
+            "\"xss\" and \"policies\" are mutually exclusive (use [\"xss\"])",
+        ));
+    }
     let timeout_ms = request.get("timeout_ms").and_then(Json::as_num);
     let fuel = request.get("fuel").and_then(Json::as_num);
-    let policies = match request_policies(request) {
-        Ok(p) => p,
+    let config = state.request_config(timeout_ms, fuel, policies, xss);
+    let pages = state.analyze_entries(&entries, &config);
+    Ok(entries
+        .into_iter()
+        .zip(pages)
+        .map(|(entry, (page, outcome))| (entry, page, outcome))
+        .collect())
+}
+
+fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
+    let xss = request.get("xss").and_then(Json::as_bool).unwrap_or(false);
+    let pages = match request_pages(state, request, "analyze", xss) {
+        Ok(pages) => pages,
         Err(h) => return h,
     };
-    if xss && policies.is_some() {
-        return error("\"xss\" and \"policies\" are mutually exclusive (use [\"xss\"])");
-    }
-    let config = state.request_config(timeout_ms, fuel, policies, xss);
-
-    let mut pages = Vec::with_capacity(entries.len());
-    let mut computed = 0u64;
-    let mut replayed = 0u64;
-    for entry in &entries {
-        // Each page runs with a fresh `Budget` derived from `config`
-        // inside the engine; hotspots within a page fan out onto the
-        // parallel hotspot pool as in batch mode.
-        let (page, outcome) = state.analyze_resolved(entry, &config);
-        match outcome {
-            PageOutcome::Computed => computed += 1,
-            PageOutcome::Replayed => replayed += 1,
-        }
-        pages.push(Json::Raw(page));
-    }
+    let computed = pages
+        .iter()
+        .filter(|(_, _, outcome)| *outcome == PageOutcome::Computed)
+        .count();
+    let replayed = pages.len() - computed;
+    let pages = pages
+        .into_iter()
+        .map(|(_, page, _)| Json::Raw(page))
+        .collect();
     Handled {
         response: ok(vec![
             ("pages", Json::Arr(pages)),
@@ -284,21 +296,12 @@ fn handle_analyze(state: &DaemonState, request: &Json) -> Handled {
 /// skeleton-string conversion happened once at render time, so a warm
 /// daemon's profile is byte-identical to a cold run's.
 fn handle_profile(state: &DaemonState, request: &Json) -> Handled {
-    let entries = match request_entries(request, "profile") {
-        Ok(e) => e,
+    let results = match request_pages(state, request, "profile", false) {
+        Ok(pages) => pages,
         Err(h) => return h,
     };
-    let timeout_ms = request.get("timeout_ms").and_then(Json::as_num);
-    let fuel = request.get("fuel").and_then(Json::as_num);
-    let policies = match request_policies(request) {
-        Ok(p) => p,
-        Err(h) => return h,
-    };
-    let config = state.request_config(timeout_ms, fuel, policies, false);
-
-    let mut pages = Vec::with_capacity(entries.len());
-    for entry in &entries {
-        let (page, _) = state.analyze_resolved(entry, &config);
+    let mut pages = Vec::with_capacity(results.len());
+    for (entry, page, _) in results {
         match json::parse(&page).ok().and_then(|page| profile_page_from_json(&page)) {
             Some(p) => pages.push(p),
             // A skipped page (parse error, panic) has no trustworthy

@@ -4,9 +4,12 @@
 //! content-hash index over it, the shared [`SummaryCache`] (AST→IR
 //! lowering), the [`PolicyChecker`], the in-memory verdict
 //! map, and the optional on-disk [`ArtifactStore`]. Requests from any
-//! number of clients funnel into `&self` methods; interior locks are
-//! held only around map/tree access, never across an analysis, so a
-//! slow page computation cannot serialize other clients.
+//! number of clients funnel into `&self` methods. A request replays
+//! its fresh verdicts inline, in entry order, and runs the rest through
+//! one page-driver run ([`strtaint::analyze_pages_then`]) under one
+//! `Vfs` read lock, held for that request's miss set; `invalidate` (the
+//! only writer) queues behind it. Other locks are held only around map
+//! access.
 //!
 //! A verdict holds its rendered page as the JSON writer's bytes, so a
 //! replay hands out a shared `Arc<str>` and the response copies it in;
@@ -22,14 +25,13 @@
 //! on their next request, everything else replays.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use strtaint::{
-    analyze_page_cached, Config, EngineStats, PageReport, PolicyChecker, SummaryCache, Vfs,
+    analyze_pages_then, Config, EngineStats, Evidence, PageReport, PolicyChecker, SummaryCache, Vfs,
 };
 use strtaint_analysis::frontend::FrontendSet;
 use strtaint_analysis::summary::content_hash;
@@ -201,17 +203,17 @@ impl DaemonState {
         let changed = vfs.apply_delta(&norm, contents);
         if changed {
             let mut hashes = self.hashes.write().unwrap_or_else(|p| p.into_inner());
-            match new_hash {
-                Some(h) => {
-                    if hashes.insert(norm, h).is_none() {
-                        // Path set grew: recompute the layout digest.
-                        self.tree.store(tree_digest(vfs.paths()), Ordering::Relaxed);
-                    }
-                }
-                None => {
-                    hashes.remove(&norm);
-                    self.tree.store(tree_digest(vfs.paths()), Ordering::Relaxed);
-                }
+            let old = match new_hash {
+                Some(h) => hashes.insert(norm, h),
+                None => hashes.remove(&norm),
+            };
+            if old.is_none() || new_hash.is_none() {
+                // The path set changed: recompute the layout digest.
+                self.tree.store(tree_digest(vfs.paths()), Ordering::Relaxed);
+            }
+            // Bytes no file holds any more are never looked up again.
+            if let Some(old) = old.filter(|old| !hashes.values().any(|h| h == old)) {
+                self.summaries.evict(old);
             }
         }
         changed
@@ -247,8 +249,9 @@ impl DaemonState {
     }
 
     /// Analyzes (or replays) one page under the given effective config,
-    /// returning the rendered page object and where it came from. The
-    /// page is a [`Json::Raw`] node holding the writer's bytes.
+    /// returning the rendered page object and where it came from: the
+    /// `analyze` verb's path for a one-entry request. The page is a
+    /// [`Json::Raw`] node holding the writer's bytes.
     ///
     /// The per-request budget lives inside `config` (`timeout`/`fuel`):
     /// each page gets a fresh `Budget` from it, so one slow request
@@ -262,7 +265,10 @@ impl DaemonState {
         config: &Config,
     ) -> (Json, PageOutcome) {
         let config = self.resolve(Cow::Borrowed(config), xss);
-        let (page, outcome) = self.analyze_resolved(entry, &config);
+        let (page, outcome) = self
+            .analyze_entries(&[entry], &config)
+            .pop()
+            .expect("one page per entry");
         (Json::Raw(page), outcome)
     }
 
@@ -309,131 +315,160 @@ impl DaemonState {
         self.resolve(self.overridden(timeout_ms, fuel, policies), xss)
     }
 
-    /// [`DaemonState::analyze_page`] under a resolved config, returning
-    /// the page as the writer's bytes.
-    pub(crate) fn analyze_resolved(
+    /// Analyzes (or replays) `entries` under a resolved config: the
+    /// `analyze` and `profile` verbs. Returns each page as the writer's
+    /// bytes with where it came from, in entry order.
+    ///
+    /// Replays resolve inline, in entry order. The misses go through
+    /// one page-driver run against one tree snapshot, each key once. A
+    /// later copy of a missed entry then replays the verdict its first
+    /// copy recorded, or computes again when that page was skipped
+    /// (skipped pages are never cached).
+    pub(crate) fn analyze_entries<E: AsRef<str>>(
         &self,
-        entry: &str,
+        entries: &[E],
         pc: &PageConfig<'_>,
-    ) -> (Arc<str>, PageOutcome) {
-        let t0 = Instant::now();
-        let entry = normalize(entry);
-        let (config, xss, config_fp) = (pc.config.as_ref(), pc.xss, pc.config_fp);
-        let key = verdict_key(&entry, xss, config_fp);
-
-        // 1. Resident verdict, still fresh → replay.
-        {
-            let verdicts = self.verdicts.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(v) = verdicts.get(&key) {
-                if self.is_fresh(v, config_fp, &pc.frontends) {
-                    self.counters.pages_replayed.inc();
-                    self.replay_us.observe(elapsed_us(t0));
-                    return (Arc::clone(&v.page), PageOutcome::Replayed);
-                }
+    ) -> Vec<(Arc<str>, PageOutcome)> {
+        let mut out: Vec<Option<(Arc<str>, PageOutcome)>> = vec![None; entries.len()];
+        let (mut misses, mut slots, mut copies) = (Vec::new(), Vec::new(), Vec::new());
+        let mut missed = HashSet::new();
+        for (slot, entry) in entries.iter().enumerate() {
+            let entry = normalize(entry.as_ref());
+            let key = verdict_key(&entry, pc.xss, pc.config_fp);
+            if missed.contains(&key) {
+                copies.push((slot, entry, key));
+            } else if let Some(page) = self.replay(&entry, key, pc) {
+                out[slot] = Some((page, PageOutcome::Replayed));
+            } else {
+                missed.insert(key);
+                misses.push(entry);
+                slots.push(slot);
             }
         }
-
-        // 2. Stored artifact, validated → adopt and replay.
-        if let Some(store) = &self.store {
-            if let Some(artifact) = store.get_verdict(key) {
-                match Verdict::from_artifact(&artifact) {
-                    Some(v)
-                        if v.entry == entry
-                            && v.xss == xss
-                            && self.is_fresh(&v, config_fp, &pc.frontends) =>
-                    {
-                        let page = Arc::clone(&v.page);
-                        self.verdicts
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .insert(key, Arc::new(v));
-                        self.counters.pages_replayed.inc();
-                        self.replay_us.observe(elapsed_us(t0));
-                        return (page, PageOutcome::Replayed);
-                    }
-                    // Parsable but stale or ill-formed: drop it; the
-                    // recompute below overwrites the slot.
-                    _ => store.invalidate_verdict(key),
-                }
-            }
+        for (slot, page) in slots.into_iter().zip(self.compute(&misses, pc)) {
+            out[slot] = Some((page, PageOutcome::Computed));
         }
-
-        // 3. Compute. The Vfs read lock is held for the duration of the
-        // page analysis; `invalidate` (the only writer) queues behind
-        // it, which is exactly the consistency we want — a page is
-        // analyzed against one tree snapshot.
-        let vfs = self.vfs.read().unwrap_or_else(|p| p.into_inner());
-        let report = self.run_isolated(&vfs, &entry, config);
-        let page = page_to_json(&report).preserialized();
-
-        let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
-        engine.merge(&report.engine_stats());
-        drop(engine);
-        self.counters.pages_computed.inc();
-        self.compute_us.observe(elapsed_us(t0));
-
-        // Skipped pages (parse error, panic) are never cached: the
-        // failure may be environmental, and replaying a panic verdict
-        // would hide recovery.
-        if report.skipped.is_none() {
-            let deps = self.dep_hashes(&vfs, &report);
-            let frontend_evidence = deps
-                .iter()
-                .map(|(path, _)| {
-                    let f = pc.frontends.for_path(path);
-                    (path.clone(), f.id().to_owned(), f.fingerprint())
-                })
-                .collect();
-            let verdict = Arc::new(Verdict {
-                entry: entry.clone(),
-                xss,
-                policies: config.policies.clone(),
-                config_fp,
-                tree: self.tree.load(Ordering::Relaxed),
-                deps,
-                frontends: frontend_evidence,
-                page: Arc::clone(&page),
+        for (slot, entry, key) in copies {
+            out[slot] = Some(match self.replay(&entry, key, pc) {
+                Some(page) => (page, PageOutcome::Replayed),
+                None => {
+                    let page = self.compute(&[entry], pc).pop();
+                    (page.expect("one page per entry"), PageOutcome::Computed)
+                }
             });
-            if let Some(store) = &self.store {
-                store.put_verdict(key, verdict.to_artifact_body());
-            }
-            self.verdicts
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .insert(key, verdict);
         }
-        (page, PageOutcome::Computed)
-    }
-
-    /// The dependency evidence for a fresh report: content hashes of
-    /// every input file.
-    fn dep_hashes(&self, vfs: &Vfs, report: &PageReport) -> Vec<(String, u64)> {
-        let hashes = self.hashes.read().unwrap_or_else(|p| p.into_inner());
-        let lookup = |p: &str| {
-            hashes
-                .get(p)
-                .copied()
-                .unwrap_or_else(|| content_hash(vfs.get(p).unwrap_or(b"")))
-        };
-        report
-            .inputs
-            .iter()
-            .map(|p| (p.clone(), lookup(p)))
+        out.into_iter()
+            .map(|page| page.expect("every slot resolved"))
             .collect()
     }
 
-    /// Runs one page analysis with panic isolation (a panic becomes a
-    /// skipped-page report, exactly like the batch driver).
-    fn run_isolated(&self, vfs: &Vfs, entry: &str, config: &Config) -> PageReport {
-        let run = || analyze_page_cached(vfs, entry, config, &self.checker, &self.summaries);
-        match std::panic::catch_unwind(AssertUnwindSafe(run)) {
-            Ok(Ok(report)) => report,
-            Ok(Err(err)) => PageReport::skipped_page(entry, format!("page skipped: {err}")),
-            Err(_) => PageReport::skipped_page(
-                entry,
-                "page skipped: analyzer panicked".to_owned(),
-            ),
-        }
+    /// The page bytes of a fresh verdict for `entry`, resident or
+    /// stored, or `None` when the page must be computed.
+    fn replay(&self, entry: &str, key: u64, pc: &PageConfig<'_>) -> Option<Arc<str>> {
+        let t0 = Instant::now();
+        let fresh = |v: &Verdict| self.is_fresh(v, pc.config_fp, &pc.frontends);
+        // 1. Resident verdict, still fresh → replay.
+        let resident = self
+            .verdicts
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(&key)
+            .filter(|v| fresh(v))
+            .map(|v| Arc::clone(&v.page));
+        // 2. Stored artifact, validated → adopt and replay. A stale or
+        // ill-formed one is dropped; the recompute overwrites its slot.
+        let page = resident.or_else(|| {
+            let store = self.store.as_ref()?;
+            let artifact = store.get_verdict(key)?;
+            let Some(v) = Verdict::from_artifact(&artifact)
+                .filter(|v| v.entry == entry && v.xss == pc.xss && fresh(v))
+            else {
+                store.invalidate_verdict(key);
+                return None;
+            };
+            let page = Arc::clone(&v.page);
+            self.verdicts
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .insert(key, Arc::new(v));
+            Some(page)
+        })?;
+        self.counters.pages_replayed.inc();
+        self.replay_us.observe(micros(t0.elapsed()));
+        Some(page)
+    }
+
+    /// Computes `entries` in one page-driver run, rendering and
+    /// recording each page on its worker as it completes, and returns
+    /// the pages in order. The Vfs read lock is held for the whole run;
+    /// `invalidate` (the only writer) queues behind it, so every page is
+    /// analyzed against one tree snapshot. A page's `compute_us`
+    /// observation is its own analysis and check time plus its
+    /// recording.
+    fn compute(&self, entries: &[String], pc: &PageConfig<'_>) -> Vec<Arc<str>> {
+        let vfs = self.vfs.read().unwrap_or_else(|p| p.into_inner());
+        analyze_pages_then(
+            &vfs,
+            entries,
+            &pc.config,
+            &self.checker,
+            &self.summaries,
+            Evidence::Skeletons,
+            |entry, result| {
+                let t0 = Instant::now();
+                let report = result.unwrap_or_else(|err| {
+                    PageReport::skipped_page(entry, format!("page skipped: {err}"))
+                });
+                let page = page_to_json(&report).preserialized();
+                self.engine
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .merge(&report.engine_stats());
+                self.counters.pages_computed.inc();
+                // Skipped pages (parse error, panic) are never cached:
+                // the failure may be environmental, and replaying a
+                // panic verdict would hide recovery.
+                if report.skipped.is_none() {
+                    let hashes = self.hashes.read().unwrap_or_else(|p| p.into_inner());
+                    let (deps, frontends) = report
+                        .inputs
+                        .iter()
+                        .map(|path| {
+                            let hash = hashes
+                                .get(path)
+                                .copied()
+                                .unwrap_or_else(|| content_hash(vfs.get(path).unwrap_or(b"")));
+                            let f = pc.frontends.for_path(path);
+                            let frontend = (path.clone(), f.id().to_owned(), f.fingerprint());
+                            ((path.clone(), hash), frontend)
+                        })
+                        .unzip();
+                    drop(hashes);
+                    let verdict = Arc::new(Verdict {
+                        entry: entry.clone(),
+                        xss: pc.xss,
+                        policies: pc.config.policies.clone(),
+                        config_fp: pc.config_fp,
+                        tree: self.tree.load(Ordering::Relaxed),
+                        deps,
+                        frontends,
+                        page: Arc::clone(&page),
+                    });
+                    let key = verdict_key(entry, pc.xss, pc.config_fp);
+                    if let Some(store) = &self.store {
+                        store.put_verdict(key, verdict.to_artifact_body());
+                    }
+                    self.verdicts
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .insert(key, verdict);
+                }
+                self.compute_us.observe(micros(
+                    report.analysis_time + report.check_time + t0.elapsed(),
+                ));
+                page
+            },
+        )
     }
 
     /// The effective config for a request: the base config with the
@@ -514,9 +549,9 @@ impl DaemonState {
     }
 }
 
-/// Elapsed microseconds since `t0`, saturating.
-fn elapsed_us(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
+/// `d` in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// One metric snapshot as wire JSON: counters and gauges become bare
@@ -698,6 +733,28 @@ mod tests {
         assert_eq!(p.get("verified").and_then(Json::as_bool), Some(false));
         let (_, o2) = state.analyze_page("missing.php", false, &cfg);
         assert_eq!(o2, PageOutcome::Computed, "failures are retried, not replayed");
+    }
+
+    #[test]
+    fn superseded_contents_leave_the_summary_cache() {
+        let state = DaemonState::new(
+            vfs_with(&[("a.php", SAFE), ("b.php", SAFE)]),
+            Config::default(),
+            None,
+        );
+        let cfg = state.base_config().clone();
+        state.analyze_page("a.php", false, &cfg);
+        assert_eq!(state.summaries().len(), 1, "a.php and b.php share bytes");
+        // b.php still holds SAFE: its summary stays.
+        assert!(state.invalidate("a.php", Some(VULN.as_bytes().to_vec())));
+        state.analyze_page("a.php", false, &cfg);
+        assert_eq!(state.summaries().len(), 2);
+        // No file holds SAFE any more; then none holds VULN.
+        assert!(state.invalidate("b.php", Some(VULN.as_bytes().to_vec())));
+        assert_eq!(state.summaries().len(), 1);
+        assert!(state.invalidate("a.php", None));
+        assert!(state.invalidate("b.php", None));
+        assert_eq!(state.summaries().len(), 0);
     }
 
     #[test]

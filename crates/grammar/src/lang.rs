@@ -270,6 +270,12 @@ pub fn sample_strings(g: &Cfg, root: NtId, max_len: usize, max_count: usize) -> 
             Some(pos) => {
                 let Symbol::N(id) = form[pos] else { unreachable!() };
                 for rhs in g.productions(id) {
+                    // A form queued at or past the pop budget is never
+                    // popped, and `queue.len() + explored` never
+                    // decreases: stop pushing.
+                    if queue.len() + explored >= budget {
+                        break;
+                    }
                     let mut next = Vec::with_capacity(form.len() + rhs.len());
                     next.extend_from_slice(&form[..pos]);
                     next.extend_from_slice(rhs);

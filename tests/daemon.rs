@@ -693,3 +693,131 @@ fn leftover_manifest_is_removed_at_open() {
     assert!(!leftover.exists());
     let _ = std::fs::remove_dir_all(&cache);
 }
+// ---------------------------------------------------------------------
+// The analyze/profile contract: outcomes, bytes and counters per entry
+// slot, whatever order the daemon computes its misses in.
+// ---------------------------------------------------------------------
+
+/// An `analyze` (or `profile`) request line over `entries`.
+fn verb_line(verb: &str, entries: &[&str]) -> String {
+    let quoted: Vec<String> = entries.iter().map(|e| format!("\"{e}\"")).collect();
+    format!("{{\"cmd\":\"{verb}\",\"entries\":[{}]}}", quoted.join(","))
+}
+
+/// Each `pages` element serialized exactly as the wire writes it.
+fn page_bytes(response: &Json) -> Vec<String> {
+    let pages = response.get("pages").and_then(Json::as_arr).expect("pages");
+    pages
+        .iter()
+        .map(|p| {
+            let mut out = String::new();
+            p.write(&mut out);
+            out
+        })
+        .collect()
+}
+
+#[test]
+fn duplicate_and_missing_entries_keep_their_outcomes_and_bytes() {
+    let app = small_app();
+    let (a, b) = (app.entries[0].as_str(), app.entries[1].as_str());
+    let entries = [a, a, "missing.php", "missing.php", b];
+    let state = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+
+    // Cold: the second copy of a cacheable page replays the first's
+    // verdict; a skipped page is never cached, so its second copy
+    // counts as computed again.
+    let cold = request(&state, &verb_line("analyze", &entries));
+    assert_eq!((num(&cold, "computed"), num(&cold, "replayed")), (4.0, 1.0));
+    let cold_pages = page_bytes(&cold);
+    assert_eq!(cold_pages.len(), entries.len());
+    assert_eq!(
+        cold_pages[0], cold_pages[1],
+        "the duplicate replays byte for byte"
+    );
+    assert_eq!(cold_pages[2], cold_pages[3]);
+    let missing = json::parse(&cold_pages[2]).expect("page parses");
+    assert_eq!(
+        missing.get("skipped").and_then(Json::as_str),
+        Some("page skipped: entry file not found: missing.php")
+    );
+
+    // Every slot answers as a lone request on a fresh daemon does.
+    let fresh = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+    for (slot, entry) in entries.iter().enumerate() {
+        let lone = request(&fresh, &verb_line("analyze", &[entry]));
+        let strip = |page: &str| {
+            let doc = format!("{{\"pages\":[{page}]}}");
+            pages_without_timings(&json::parse(&doc).expect("page parses"))
+        };
+        assert_eq!(
+            strip(&cold_pages[slot]),
+            strip(&page_bytes(&lone)[0]),
+            "slot {slot} ({entry})"
+        );
+    }
+
+    // Warm: every cacheable copy replays the cold bytes, timings
+    // included; the missing page computes again.
+    let warm = request(&state, &verb_line("analyze", &entries));
+    assert_eq!((num(&warm, "computed"), num(&warm, "replayed")), (2.0, 3.0));
+    assert_eq!(page_bytes(&warm), cold_pages);
+
+    let m = request(&state, "{\"cmd\":\"metrics\"}");
+    assert_eq!(metric(&m, "daemon.pages_computed"), 6.0);
+    assert_eq!(metric(&m, "daemon.pages_replayed"), 4.0);
+    assert_eq!(histogram_count(&m, "daemon.compute_us"), 6.0);
+    assert_eq!(histogram_count(&m, "daemon.replay_us"), 4.0);
+}
+
+#[test]
+fn profile_names_its_first_skipped_entry() {
+    let app = small_app();
+    let state = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+    let line = verb_line(
+        "profile",
+        &[
+            app.entries[0].as_str(),
+            "missing.php",
+            app.entries[1].as_str(),
+            "gone.php",
+        ],
+    );
+    let wire = handle_line(&state, &line).response.to_string();
+    let response = json::parse(&wire).expect("response parses");
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{wire}"
+    );
+    assert_eq!(
+        response.get("error").and_then(Json::as_str),
+        Some("cannot profile \"missing.php\": page analysis skipped")
+    );
+}
+
+#[test]
+fn cold_analyze_all_counts_one_computed_page_per_entry() {
+    let app = small_app();
+    let state = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+    let n = app.entries.len() as f64;
+    let cold = analyze_all(&state, &app);
+    assert_eq!((num(&cold, "computed"), num(&cold, "replayed")), (n, 0.0));
+    let m = request(&state, "{\"cmd\":\"metrics\"}");
+    assert_eq!(metric(&m, "daemon.pages_computed"), n);
+    assert_eq!(metric(&m, "daemon.pages_replayed"), 0.0);
+    assert_eq!(histogram_count(&m, "daemon.compute_us"), n);
+    assert_eq!(histogram_count(&m, "daemon.replay_us"), 0.0);
+    let warm = analyze_all(&state, &app);
+    assert_eq!((num(&warm, "computed"), num(&warm, "replayed")), (0.0, n));
+    assert_eq!(
+        pages_bytes(&warm),
+        pages_bytes(&cold),
+        "replay is byte-identical"
+    );
+    let m = request(&state, "{\"cmd\":\"metrics\"}");
+    assert_eq!(metric(&m, "daemon.pages_computed"), n);
+    assert_eq!(metric(&m, "daemon.pages_replayed"), n);
+    assert_eq!(histogram_count(&m, "daemon.compute_us"), n);
+    assert_eq!(histogram_count(&m, "daemon.replay_us"), n);
+}

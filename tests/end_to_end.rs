@@ -445,11 +445,11 @@ fn rendered(mut pages: Vec<strtaint::PageReport>) -> (String, String) {
 
 #[test]
 fn parallel_app_analysis_matches_sequential() {
-    // The serial loop and the page driver — through the app API and
-    // through the CLI's `analyze_pages` — render byte-identical JSON
-    // and SARIF on every corpus app (Tiger included) and on the
-    // 30-page, 3-sink synthetic app, whose pages share includes,
-    // queries and preparations across workers.
+    // The serial app loop and the page driver with several entries in
+    // flight (the CLI's `analyze_pages`) render byte-identical JSON and
+    // SARIF on every corpus app (Tiger included) and on the 30-page,
+    // 3-sink synthetic app, whose pages share includes, queries and
+    // preparations across workers.
     use strtaint_corpus::synth::{synth_app, SynthConfig};
     let synth = synth_app(&SynthConfig {
         pages: 30,
@@ -461,7 +461,6 @@ fn parallel_app_analysis_matches_sequential() {
     for app in strtaint_corpus::apps::all().into_iter().chain([synth]) {
         let entries = app.entry_refs();
         let seq = strtaint::analyze_app(app.name, &app.vfs, &entries, &config);
-        let par = strtaint::analyze_app_parallel(app.name, &app.vfs, &entries, &config, 4);
         let driver: Vec<_> = strtaint::analyze_pages(
             &app.vfs,
             &entries,
@@ -474,24 +473,22 @@ fn parallel_app_analysis_matches_sequential() {
         .map(|r| r.expect("corpus pages parse"))
         .collect();
         assert_eq!(seq.skipped_pages(), 0, "{}", app.name);
-        let serial = rendered(seq.pages);
         assert_eq!(
-            serial,
-            rendered(par.pages),
-            "{}: analyze_app_parallel",
+            rendered(seq.pages),
+            rendered(driver),
+            "{}: analyze_pages",
             app.name
         );
-        assert_eq!(serial, rendered(driver), "{}: analyze_pages", app.name);
     }
 }
 
 #[test]
 fn verdict_only_pages_carry_no_skeletons_and_readers_get_them() {
-    // The CLI check path and `analyze_app*` export no skeleton
-    // evidence; the entries that request it — `analyze_page_cached`
-    // (the daemon's) and `analyze_pages` with `Evidence::Skeletons`
-    // (`fix`, `profile`) — carry the same skeletons, computed in the
-    // hotspot's check job.
+    // The CLI check path and `analyze_app` export no skeleton
+    // evidence; the runs that request it — `analyze_page_cached` (a
+    // lone page) and `analyze_pages` with `Evidence::Skeletons` (the
+    // daemon, `fix`, `profile`) — carry the same skeletons, computed in
+    // the hotspot's check job.
     let app = strtaint_corpus::apps::utopia::build();
     let entries = app.entry_refs();
     let config = Config::default();
@@ -670,4 +667,38 @@ fn sql_sink_functions_check_their_query_argument() {
             "{call}: {r}"
         );
     }
+}
+#[test]
+fn sql_findings_sit_at_the_checked_argument() {
+    // `mysqli_query(` ends at column 13: the connection argument starts
+    // at column 14 and the query argument at column 21.
+    let src = |call: &str| {
+        format!(
+            "<?php\n$link = mysqli_connect('localhost');\n$id = $_GET['id'];\n\
+             $q = \"SELECT * FROM t WHERE id='$id'\";\n{call};\n"
+        )
+    };
+    let r = page(&src("mysqli_query($link, $q)"));
+    let at: Vec<_> = r.findings().map(|(_, f)| f.at).collect();
+    assert!(!at.is_empty());
+    assert!(at.iter().all(|&at| at == Some((5, 21))), "{at:?}");
+    let sarif = strtaint::render::sarif(std::slice::from_ref(&r));
+    assert!(
+        sarif.contains("\"startLine\": 5, \"startColumn\": 21"),
+        "{sarif}"
+    );
+    assert!(!sarif.contains("\"startColumn\": 14"), "{sarif}");
+    let json = strtaint_daemon::verdict::page_to_json(&r).to_string();
+    assert!(json.contains("\"at\":[5,21]"), "{json}");
+    assert!(!json.contains("\"at\":[5,14]"), "{json}");
+
+    // sqlite_query takes its query at either position: one hotspot per
+    // position, each located at its own argument.
+    let r = page(&src("sqlite_query($link, $q)"));
+    let spans: Vec<_> = r
+        .hotspots
+        .iter()
+        .map(|(h, _)| h.provenance.arg_span.map(|s| (s.line, s.col)))
+        .collect();
+    assert_eq!(spans, vec![Some((5, 14)), Some((5, 21))]);
 }

@@ -5,7 +5,7 @@
 //! less lowering work (measured by the cache counters).
 
 use strtaint::{
-    analyze_app_parallel_cached, analyze_page_cached, Config, PageReport, PolicyChecker,
+    analyze_page_cached, analyze_pages, Config, Evidence, PageReport, PolicyChecker,
     SummaryCache, Vfs,
 };
 use strtaint_corpus::synth::{synth_app, SynthConfig};
@@ -164,15 +164,21 @@ fn warm_parallel_app_lowered_at_least_30_percent_less() {
         cold_lowerings += fresh.misses();
     }
 
-    // Warm: the app driver shares one cache across its workers.
+    // Warm: the page driver shares one cache across its workers.
     let shared = SummaryCache::new();
-    let report =
-        analyze_app_parallel_cached(app.name, &app.vfs, &entries, &config, 4, &shared);
-    assert_eq!(report.pages.len(), entries.len());
-    let warm_lowerings = report.summary_misses;
+    let pages = analyze_pages(
+        &app.vfs,
+        &entries,
+        &config,
+        &checker,
+        &shared,
+        Evidence::Verdicts,
+    );
+    assert!(pages.iter().all(Result::is_ok));
+    let warm_lowerings = shared.misses();
     assert!(warm_lowerings > 0);
     assert_eq!(
-        report.summary_hits + report.summary_misses,
+        shared.hits() + shared.misses(),
         cold_lowerings,
         "cache sees one lookup per (page, file) traversal"
     );
@@ -180,4 +186,38 @@ fn warm_parallel_app_lowered_at_least_30_percent_less() {
         warm_lowerings * 10 <= cold_lowerings * 7,
         "warm cache must lower >=30% less: {warm_lowerings} vs {cold_lowerings}"
     );
+}
+#[test]
+fn page_driver_summary_counters_are_repeatable() {
+    // Lowering is single-flight: pages fanned out over threads that
+    // reach a shared include at once lower it once, so two runs over
+    // the same tree count the same hits and misses, and every miss is
+    // one resident summary.
+    let synth = synth_app(&SynthConfig {
+        pages: 30,
+        sinks_per_page: 3,
+        replace_chain: 1,
+        ..SynthConfig::default()
+    });
+    let config = Config::default();
+    for app in [strtaint_corpus::apps::tiger::build(), synth] {
+        let entries = app.entry_refs();
+        let counters = || {
+            let cache = SummaryCache::new();
+            let pages = analyze_pages(
+                &app.vfs,
+                &entries,
+                &config,
+                &PolicyChecker::new(),
+                &cache,
+                Evidence::Verdicts,
+            );
+            assert!(pages.iter().all(Result::is_ok), "{}", app.name);
+            assert_eq!(cache.misses(), cache.len() as u64, "{}", app.name);
+            (cache.hits(), cache.misses())
+        };
+        let first = counters();
+        assert!(first.0 > 0, "{}: shared includes hit", app.name);
+        assert_eq!(first, counters(), "{}", app.name);
+    }
 }

@@ -8,8 +8,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use strtaint::{
-    analyze_app_parallel_with, analyze_page, analyze_page_cached, CheckKind, Config,
-    PolicyChecker, SummaryCache, Vfs,
+    analyze_page, analyze_page_cached, analyze_pages_then, analyze_pages_with, render, CheckKind,
+    Config, Evidence, PageReport, PolicyChecker, SummaryCache, Vfs,
 };
 
 /// A page chaining `n` `str_replace` calls over a tainted value into an
@@ -207,39 +207,73 @@ fn expired_deadline_emits_degradations() {
     );
 }
 
+/// A driver result as `analyze_app` reports it.
+fn app_page(entry: &str, result: Result<PageReport, strtaint::AnalyzeError>) -> PageReport {
+    result.unwrap_or_else(|err| PageReport::skipped_page(entry, format!("page skipped: {err}")))
+}
+
 #[test]
 fn panicking_page_is_isolated_in_parallel_run() {
     let mut vfs = Vfs::new();
     vfs.add("ok1.php", "<?php $r = $DB->query(\"SELECT 1\");");
     vfs.add("boom.php", "<?php $r = $DB->query(\"SELECT 2\");");
-    vfs.add("ok2.php", "<?php $r = $DB->query(\"SELECT 3\");");
+    vfs.add(
+        "ok2.php",
+        "<?php $id = $_GET['id']; $r = $DB->query(\"SELECT '$id'\");",
+    );
+    let entries = ["ok1.php", "boom.php", "ok2.php"];
     let config = Config::default();
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
-    let app = analyze_app_parallel_with(
-        "faulty",
-        &vfs,
-        &["ok1.php", "boom.php", "ok2.php"],
-        2,
-        |vfs, entry| {
-            if entry == "boom.php" {
-                panic!("simulated analyzer fault");
-            }
-            analyze_page_cached(vfs, entry, &config, &checker, &summaries)
-        },
-    );
-    assert_eq!(app.pages.len(), 3, "every page gets a report slot");
-    assert!(app.pages[0].is_verified(), "healthy pages complete");
-    assert!(app.pages[2].is_verified(), "healthy pages complete");
-    let reason = app.pages[1].skipped.as_deref().expect("faulty page skipped");
-    assert!(reason.contains("simulated analyzer fault"), "{reason}");
-    assert!(!app.pages[1].is_verified(), "a skipped page never verifies");
-    assert_eq!(app.skipped_pages(), 1);
+    // The seam under the page driver, with a fault injected into one
+    // page of a multi-entry run.
+    let faulty = |entry: &str| {
+        if entry == "boom.php" {
+            panic!("simulated analyzer fault");
+        }
+        analyze_page_cached(&vfs, entry, &config, &checker, &summaries)
+    };
+    let pages = analyze_pages_with(&entries, faulty, |e, r| app_page(e, r));
+    assert_eq!(pages.len(), 3, "every page gets a report slot");
     assert_eq!(
-        app.files_analyzed(),
-        2,
-        "the skipped page contributes zero analyzed files"
+        pages[1].skipped.as_deref(),
+        Some("page skipped: analyzer panicked: simulated analyzer fault")
     );
+    assert!(!pages[1].is_verified(), "a skipped page never verifies");
+    assert_eq!(
+        pages[1].files_analyzed, 0,
+        "the skipped page analyzes no files"
+    );
+
+    // Every other page is intact: it renders as a fault-free run does.
+    let clean = analyze_pages_then(
+        &vfs,
+        &entries,
+        &config,
+        &PolicyChecker::new(),
+        &SummaryCache::new(),
+        Evidence::Skeletons,
+        |e, r| app_page(e, r),
+    );
+    for i in [0, 2] {
+        let json = |p: &PageReport| render::json_report(std::slice::from_ref(p), None);
+        let sarif = |p: &PageReport| render::sarif(std::slice::from_ref(p));
+        let strip = |s: String| -> String {
+            s.lines()
+                .filter(|l| !l.contains("_ms\""))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(
+            strip(json(&pages[i])),
+            strip(json(&clean[i])),
+            "{}",
+            entries[i]
+        );
+        assert_eq!(sarif(&pages[i]), sarif(&clean[i]), "{}", entries[i]);
+    }
+    assert!(pages[0].is_verified(), "healthy pages complete");
+    assert!(!pages[2].is_verified(), "healthy pages keep their findings");
 }
 
 #[test]
@@ -253,17 +287,19 @@ fn per_page_deadline_skips_only_slow_pages() {
     let config = config_with(Some(Duration::from_nanos(1)), None);
     let checker = PolicyChecker::new();
     let summaries = SummaryCache::new();
-    let app = analyze_app_parallel_with(
-        "mixed",
+    let pages = analyze_pages_then(
         &vfs,
         &["fast.php", "slow.php"],
-        2,
-        |vfs, entry| analyze_page_cached(vfs, entry, &config, &checker, &summaries),
+        &config,
+        &checker,
+        &summaries,
+        Evidence::Verdicts,
+        |e, r| app_page(e, r),
     );
-    assert_eq!(app.pages.len(), 2);
+    assert_eq!(pages.len(), 2);
     // The fast page charges so little fuel that the amortized deadline
     // check never fires — it completes and verifies.
-    assert!(app.pages[0].is_verified(), "cheap page unaffected");
-    assert!(!app.pages[1].is_verified(), "slow page stays conservative");
-    assert!(app.pages[1].is_degraded() || app.pages[1].skipped.is_some());
+    assert!(pages[0].is_verified(), "cheap page unaffected");
+    assert!(!pages[1].is_verified(), "slow page stays conservative");
+    assert!(pages[1].is_degraded() || pages[1].skipped.is_some());
 }
