@@ -87,8 +87,10 @@ pub enum Transducer {
     HtmlSpecialChars,
     /// `nl2br`
     Nl2Br,
-    /// `urlencode` / `rawurlencode`
+    /// `urlencode`
     UrlEncode,
+    /// `rawurlencode`
+    RawUrlEncode,
     /// `ucfirst`
     UcFirst,
     /// `lcfirst`
@@ -110,7 +112,8 @@ pub fn transducer_fst(kind: Transducer) -> Fst {
         Transducer::Rtrim => builders::rtrim(),
         Transducer::HtmlSpecialChars => html_special_chars(),
         Transducer::Nl2Br => builders::replace_literal(b"\n", b"<br />\n"),
-        Transducer::UrlEncode => url_encode(),
+        Transducer::UrlEncode => url_encode(false),
+        Transducer::RawUrlEncode => url_encode(true),
         Transducer::UcFirst => builders::ucfirst(),
         Transducer::LcFirst => builders::lcfirst(),
         Transducer::StripTags => strip_tags(),
@@ -134,19 +137,23 @@ fn html_special_chars() -> Fst {
 }
 
 /// `urlencode`: alphanumerics and `-_.` pass, space becomes `+`, the
-/// rest become `%XX` (uppercase hex).
-fn url_encode() -> Fst {
+/// rest become `%XX` (uppercase hex). `rawurlencode` (`raw`) follows
+/// RFC 3986 instead: `~` passes too, and space becomes `%20`.
+fn url_encode(raw: bool) -> Fst {
     let mut f = Fst::new();
     let s = f.start();
+    let unreserved: &[u8] = if raw { b"-_.~" } else { b"-_." };
     let safe = ByteSet::range(b'A', b'Z')
         .union(&ByteSet::range(b'a', b'z'))
         .union(&ByteSet::range(b'0', b'9'))
-        .union(&ByteSet::from_bytes([b'-', b'_', b'.']));
+        .union(&ByteSet::from_bytes(unreserved.iter().copied()));
     f.add_arc(s, safe, vec![OutSym::Copy], s);
-    f.add_arc(s, ByteSet::singleton(b' '), vec![OutSym::Byte(b'+')], s);
+    if !raw {
+        f.add_arc(s, ByteSet::singleton(b' '), vec![OutSym::Byte(b'+')], s);
+    }
     // Every other byte escapes to its own %XX — one arc per byte.
     for b in 0..=255u8 {
-        if safe.contains(b) || b == b' ' {
+        if safe.contains(b) || (b == b' ' && !raw) {
             continue;
         }
         let hex = format!("%{b:02X}");
@@ -198,7 +205,8 @@ pub fn lookup(name: &str) -> Option<Model> {
         "rtrim" | "chop" => Transducer(T::Rtrim),
         "htmlspecialchars" | "htmlentities" => Transducer(T::HtmlSpecialChars),
         "nl2br" => Transducer(T::Nl2Br),
-        "urlencode" | "rawurlencode" => Transducer(T::UrlEncode),
+        "urlencode" => Transducer(T::UrlEncode),
+        "rawurlencode" => Transducer(T::RawUrlEncode),
         "ucfirst" => Transducer(T::UcFirst),
         "lcfirst" => Transducer(T::LcFirst),
         "strip_tags" => Transducer(T::StripTags),
@@ -416,6 +424,13 @@ mod tests {
         // The crucial property for SQLCIV analysis: no quote survives.
         let out = f.transduce_unique(b"' OR '1'='1").unwrap();
         assert!(!out.contains(&b'\''));
+        assert_eq!(f.transduce_unique(b"~").unwrap(), b"%7E".to_vec());
+        // rawurlencode follows RFC 3986: space is %20, '~' is unreserved.
+        let raw = transducer_fst(Transducer::RawUrlEncode);
+        assert_eq!(
+            raw.transduce_unique(b"a b'~+").unwrap(),
+            b"a%20b%27~%2B".to_vec()
+        );
     }
 
     #[test]

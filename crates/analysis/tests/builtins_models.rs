@@ -37,6 +37,17 @@ fn transducer_models_precise() {
 }
 
 #[test]
+fn rawurlencode_encodes_space_as_percent_20() {
+    // PHP's rawurlencode follows RFC 3986; only urlencode maps ' ' to '+'.
+    let (g, root) = grammar_of(r#"<?php $DB->query("Q" . rawurlencode("a b"));"#);
+    assert!(g.derives(root, b"Qa%20b"));
+    assert!(!g.derives(root, b"Qa+b"));
+    let (g, root) = grammar_of(r#"<?php $DB->query("Q" . urlencode("a b"));"#);
+    assert!(g.derives(root, b"Qa+b"));
+    assert!(!g.derives(root, b"Qa%20b"));
+}
+
+#[test]
 fn numeric_models() {
     for call in ["intval($_GET['x'])", "count($_GET['x'])", "strlen($_GET['x'])", "time()"] {
         let src = format!(r#"<?php $DB->query("Q" . {call});"#);

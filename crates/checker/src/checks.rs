@@ -39,16 +39,10 @@ pub struct CheckOptions {
     /// prepared grammars and skeletons are always shared through the
     /// content-keyed preparation memo.
     pub query_cache: bool,
-    /// Never replay witness bytes from the query cache: witness-mode
-    /// queries bypass memoization and extract live. Emptiness-only
-    /// queries still memoize.
+    /// Never replay witness bytes from the query cache: queries that
+    /// extract a witness bypass memoization and run live. Queries that
+    /// extract none still memoize.
     pub eager_witness: bool,
-    /// Skip an attack step's intersection (C4) when the Aho–Corasick
-    /// prefilter proves no fragment is spellable over the prepared
-    /// grammar's realized terminal alphabet (see the `prefilter` module
-    /// for the soundness argument — the filter can only ever prove
-    /// absence).
-    pub prefilter: bool,
 }
 
 impl Default for CheckOptions {
@@ -56,7 +50,6 @@ impl Default for CheckOptions {
         CheckOptions {
             query_cache: true,
             eager_witness: false,
-            prefilter: true,
         }
     }
 }
@@ -138,7 +131,7 @@ impl Derivable {
             }
             if form.vars.iter().any(|v| *v == VarPosition::InString) {
                 // Inside a literal in this context: no unescaped quotes.
-                if !engine.is_empty(tx, &self.has_quote, budget)? {
+                if !engine.query(tx, &self.has_quote, budget, false)?.0 {
                     return finding(
                         engine,
                         CheckKind::EscapesLiteral,
@@ -148,7 +141,7 @@ impl Derivable {
                 }
             }
             if form.vars.iter().any(|v| *v == VarPosition::InBackquotes)
-                && !engine.is_empty(tx, &self.backquote, budget)?
+                && !engine.query(tx, &self.backquote, budget, false)?.0
             {
                 return finding(
                     engine,
@@ -165,10 +158,9 @@ impl Derivable {
                         Some(&v) => v,
                         None => {
                             let lex = Qdfa::new(lexeme_dfa(k).complement());
-                            let mut v = engine.is_empty(tx, &lex, budget)?;
-                            if v
-                                && k == TokenKind::Ident
-                                && !engine.is_empty(tx, &self.keywords, budget)?
+                            let mut v = engine.query(tx, &lex, budget, false)?.0;
+                            if v && k == TokenKind::Ident
+                                && !engine.query(tx, &self.keywords, budget, false)?.0
                             {
                                 v = false;
                             }

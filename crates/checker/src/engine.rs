@@ -1,7 +1,9 @@
 //! Checker-side façade over the prepared intersection engine.
 //!
-//! Every C1–C5 (and XSS-context) check is an emptiness question about
-//! `L(G, x) ∩ L(D)`. This module owns the plumbing every cascade shares:
+//! Every C1–C5 (and XSS-context) check is one question about
+//! `L(G, x) ∩ L(D)`: is it empty, and if not, what is a canonical
+//! witness (paper §3.2). This module owns the plumbing every cascade
+//! shares:
 //!
 //! - [`Qdfa`]: a check automaton compiled once into its byte-class
 //!   form ([`ClassDfa`]) at checker construction, so per-query DFA work
@@ -10,8 +12,9 @@
 //!   of a checker, handed to every cascade;
 //! - [`Engine`]: a per-hotspot session that takes its targets from the
 //!   content-keyed prepared memo (shared across pages and worker
-//!   threads), answers queries on the prepared engine — replaying them
-//!   from the verdict cache when `CheckOptions::query_cache` is on —
+//!   threads), answers every step through one cached query
+//!   ([`Engine::query`]) on the prepared engine — replaying it from the
+//!   verdict cache when `CheckOptions::query_cache` is on —
 //!   accumulates [`EngineStats`], and fingerprints the hotspot's
 //!   subgrammar at most once for all of its marked-grammar, splice and
 //!   skeleton lookups;
@@ -31,7 +34,7 @@ use strtaint_grammar::{Cfg, NtId};
 
 use crate::checks::CheckOptions;
 use crate::pmemo::{PreparedMemo, Subgrammar};
-use crate::qcache::{Mode, QueryCache, QueryKey, Verdict};
+use crate::qcache::{QueryCache, QueryKey, Verdict};
 use crate::report::{CheckKind, Finding};
 
 /// A check automaton in byte-class-compressed form.
@@ -112,8 +115,8 @@ impl Target {
 #[derive(Debug, Clone)]
 pub(crate) struct Shared {
     /// `CheckOptions::eager_witness`: never replay witness bytes from
-    /// the cache — witness-mode queries bypass memoization and extract
-    /// live.
+    /// the cache — queries that extract a witness bypass memoization
+    /// and run live.
     eager_witness: bool,
     /// Cross-page verdict cache (`CheckOptions::query_cache`); `None`
     /// recomputes every query.
@@ -212,25 +215,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Assembles the full identity of one query (see `qcache` module
-    /// docs for why every component is load-bearing).
-    fn query_key(
-        qc: &QueryCache,
-        prep: &PreparedGrammar,
-        q: &Qdfa,
-        mode: Mode,
-        budget: &Budget,
-    ) -> QueryKey {
-        QueryKey {
-            scope: qc.scope(),
-            grammar: prep.fingerprint(),
-            dfa: q.fp,
-            mode,
-            fuel_limit: budget.fuel_limit(),
-            grammar_cap: budget.grammar_cap(),
-        }
-    }
-
     /// Target for a root of the page grammar, shared through the memo
     /// with every content-identical subgrammar of any page (and across
     /// worker threads). Returns `None` when `L(cfg, root)` is empty
@@ -278,168 +262,119 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `true` if `L(target) ∩ L(q)` is empty (early-exit fixpoint).
-    pub(crate) fn is_empty(
-        &mut self,
-        target: &mut Target,
-        q: &Qdfa,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        self.count_query(target);
-        let cached = self
-            .shared
-            .qcache
-            .as_deref()
-            .map(|qc| (qc, Self::query_key(qc, &target.prep, q, Mode::Empty, budget)));
-        if let Some((qc, key)) = &cached {
-            if let Some(Verdict::Empty {
-                empty,
-                fuel,
-                triples,
-            }) = qc.get(key)
-            {
-                self.stats.qcache_hits += 1;
-                // Replay the recorded fuel so a replayed verdict
-                // consumes (and trips) exactly as the recomputation
-                // would; zero-charge replays skip the call so an
-                // already-exhausted budget is not probed where the
-                // computation wouldn't have.
-                if fuel > 0 {
-                    budget.charge(fuel)?;
-                }
-                self.stats.realized_triples += triples;
-                return Ok(empty);
-            }
-            self.stats.qcache_misses += 1;
-        }
-        // `?` on a trip: tripped fixpoints are never cached.
-        let ix = target.prep.query(&q.classes, budget, QueryMode::EarlyExit)?;
-        self.stats.realized_triples += ix.triples() as u64;
-        if ix.exited_early() {
-            self.stats.early_exits += 1;
-        }
-        if let Some((qc, key)) = cached {
-            self.stats.qcache_evictions += qc.insert(
-                key,
-                Verdict::Empty {
-                    empty: ix.is_empty(),
-                    fuel: ix.charged(),
-                    triples: ix.triples() as u64,
-                },
-            );
-        }
-        Ok(ix.is_empty())
-    }
-
-    /// Emptiness plus, when nonempty, a shortest witness string.
+    /// Whether `L(target) ∩ L(q)` is empty and, when it is not and
+    /// `witness` asks for one, a shortest witness string: the one
+    /// question every step asks.
     ///
-    /// The suspended emptiness fixpoint is resumed for reconstruction
-    /// instead of re-running from scratch. A guarded target (see
-    /// [`Target::guarded`]) reports no witness; a budget trip during
-    /// witness extraction degrades to a missing witness, not a failed
-    /// check.
-    pub(crate) fn is_empty_or_witness(
+    /// One early-exit fixpoint answers emptiness; it is resumed for
+    /// reconstruction only when the caller asks for a witness and the
+    /// target is not guarded (see [`Target::guarded`]). An emptiness
+    /// question and a guarded witness question therefore run the same
+    /// computation and share one cache entry. A budget trip in the
+    /// fixpoint propagates; one during extraction degrades to a missing
+    /// witness, not a failed check.
+    pub(crate) fn query(
         &mut self,
         target: &mut Target,
         q: &Qdfa,
         budget: &Budget,
+        witness: bool,
     ) -> Result<(bool, Option<Vec<u8>>), BudgetExceeded> {
         self.count_query(target);
-        let guarded = target.guarded;
-        // `eager_witness` distrusts memoized witness bytes: witness-mode
-        // queries bypass the cache and extract live (emptiness-only
-        // queries still memoize). The guard is part of the key: it
-        // decides whether the extraction phase runs at all.
+        let extract = witness && !target.guarded;
+        // `eager_witness` distrusts memoized witness bytes: extracting
+        // queries bypass the cache and run live.
         let cached = match self.shared.qcache.as_deref() {
-            Some(qc) if !self.shared.eager_witness => {
-                let mode = Mode::Witness { guarded };
-                Some((qc, Self::query_key(qc, &target.prep, q, mode, budget)))
+            Some(qc) if !(extract && self.shared.eager_witness) => {
+                let key = QueryKey {
+                    scope: qc.scope(),
+                    grammar: target.prep.fingerprint(),
+                    dfa: q.fp,
+                    extract,
+                    fuel_limit: budget.fuel_limit(),
+                    grammar_cap: budget.grammar_cap(),
+                };
+                Some((qc, key))
             }
             _ => None,
         };
         if let Some((qc, key)) = &cached {
-            if let Some(Verdict::Witness {
-                empty,
-                witness,
-                fuel_query,
-                fuel_witness,
-                triples_query,
-                triples_final,
-            }) = qc.get(key)
-            {
+            if let Some(v) = qc.get(key) {
                 self.stats.qcache_hits += 1;
-                // Emptiness-phase fuel: a trip propagates, exactly like
-                // the live `?`.
-                if fuel_query > 0 {
-                    budget.charge(fuel_query)?;
-                }
-                if empty {
-                    self.stats.realized_triples += triples_query;
-                    return Ok((true, None));
-                }
-                self.stats.witness_skipped += 1;
-                if guarded {
-                    self.stats.realized_triples += triples_query;
-                    return Ok((false, None));
-                }
-                // Extraction-phase fuel: a trip degrades to a missing
-                // witness, exactly like the live extraction.
-                let witness = if fuel_witness > 0 && budget.charge(fuel_witness).is_err() {
-                    None
-                } else {
-                    witness
-                };
-                self.stats.realized_triples += triples_final;
-                return Ok((false, witness));
+                return self.replay(v, budget, witness);
             }
             self.stats.qcache_misses += 1;
         }
+        // `?` on a trip: tripped fixpoints are never cached.
         let mut ix = target.prep.query(&q.classes, budget, QueryMode::EarlyExit)?;
-        let fuel_query = ix.charged();
-        let triples_query = ix.triples() as u64;
         if ix.exited_early() {
             self.stats.early_exits += 1;
         }
-        if ix.is_empty() || guarded {
-            let empty = ix.is_empty();
-            self.stats.realized_triples += triples_query;
-            if let Some((qc, key)) = cached {
-                self.stats.qcache_evictions += qc.insert(
-                    key,
-                    Verdict::Witness {
-                        empty,
-                        witness: None,
-                        fuel_query,
-                        fuel_witness: 0,
-                        triples_query,
-                        triples_final: triples_query,
-                    },
-                );
-            }
-            return Ok((empty, None));
-        }
-        let wres = ix.witness(budget);
-        self.stats.completions += ix.completions();
-        self.stats.realized_triples += ix.triples() as u64;
-        // Tripped mid-extraction: the finding stands without a witness,
-        // and the (partially charged) computation is never cached.
-        let Ok(witness) = wres else {
-            return Ok((false, None));
+        let mut v = Verdict {
+            empty: ix.is_empty(),
+            witness: None,
+            fuel_query: ix.charged(),
+            fuel_witness: 0,
+            triples_query: ix.triples() as u64,
+            triples_final: ix.triples() as u64,
         };
-        if let Some((qc, key)) = cached {
-            self.stats.qcache_evictions += qc.insert(
-                key,
-                Verdict::Witness {
-                    empty: false,
-                    witness: witness.clone(),
-                    fuel_query,
-                    fuel_witness: ix.charged() - fuel_query,
-                    triples_query,
-                    triples_final: ix.triples() as u64,
-                },
-            );
+        if !v.empty && extract {
+            let wres = ix.witness(budget);
+            self.stats.completions += ix.completions();
+            v.triples_final = ix.triples() as u64;
+            // Tripped mid-extraction: the finding stands without a
+            // witness, and the (partially charged) computation is never
+            // cached.
+            let Ok(w) = wres else {
+                self.stats.realized_triples += v.triples_final;
+                return Ok((false, None));
+            };
+            v.witness = w;
+            v.fuel_witness = ix.charged() - v.fuel_query;
+        } else if !v.empty && witness {
+            self.stats.witness_skipped += 1;
         }
-        Ok((false, witness))
+        self.stats.realized_triples += v.triples_final;
+        let answer = (v.empty, v.witness.clone());
+        if let Some((qc, key)) = cached {
+            self.stats.qcache_evictions += qc.insert(key, v);
+        }
+        Ok(answer)
+    }
+
+    /// Replays a memoized verdict with the observable behavior of its
+    /// recomputation: the recorded fuel is charged per phase, so a
+    /// replay consumes and trips exactly as the live query would. A
+    /// zero charge skips the call, so an already exhausted budget is
+    /// not probed where the computation would not have probed it.
+    fn replay(
+        &mut self,
+        v: Verdict,
+        budget: &Budget,
+        witness: bool,
+    ) -> Result<(bool, Option<Vec<u8>>), BudgetExceeded> {
+        // Fixpoint fuel: a trip propagates, exactly like the live `?`.
+        if v.fuel_query > 0 {
+            budget.charge(v.fuel_query)?;
+        }
+        if v.empty {
+            self.stats.realized_triples += v.triples_query;
+            return Ok((true, None));
+        }
+        // A verdict recorded without extraction has no witness phase
+        // (no fuel, no extra triples), so this one path replays both.
+        if witness {
+            self.stats.witness_skipped += 1;
+        }
+        // Extraction fuel: a trip degrades to a missing witness,
+        // exactly like the live extraction.
+        let w = if v.fuel_witness > 0 && budget.charge(v.fuel_witness).is_err() {
+            None
+        } else {
+            v.witness
+        };
+        self.stats.realized_triples += v.triples_final;
+        Ok((false, w))
     }
 }
 
@@ -520,4 +455,59 @@ where
     merged.sort_by_key(|(i, _)| *i);
     debug_assert_eq!(merged.len(), items.len());
     merged.into_iter().map(|(_, r)| r).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strtaint_automata::Regex;
+
+    /// `x -> "a'b"` prepared as a guarded target, and the "contains a
+    /// quote" automaton: a non-empty intersection.
+    fn quoted_guarded() -> (Target, Qdfa) {
+        let mut g = Cfg::new();
+        let x = g.add_nonterminal("x");
+        g.add_literal_production(x, b"a'b");
+        let target = Target {
+            prep: Arc::new(PreparedGrammar::new(&g, x)),
+            used: false,
+            guarded: true,
+        };
+        (target, Qdfa::new(Regex::new("'").unwrap().match_dfa()))
+    }
+
+    #[test]
+    fn guarded_witness_answers_count_one_skip_live_and_replayed() {
+        let shared = Shared::new(&CheckOptions::default());
+        let mut engine = Engine::new(&shared);
+        let (mut t, q) = quoted_guarded();
+        let budget = Budget::unlimited();
+        assert_eq!(engine.query(&mut t, &q, &budget, true), Ok((false, None)));
+        assert_eq!(engine.stats.qcache_misses, 1);
+        assert_eq!(engine.stats.witness_skipped, 1, "live");
+        assert_eq!(engine.query(&mut t, &q, &budget, true), Ok((false, None)));
+        assert_eq!(engine.stats.qcache_hits, 1);
+        assert_eq!(engine.stats.witness_skipped, 2, "replayed");
+        assert_eq!(engine.stats.completions, 0);
+    }
+
+    #[test]
+    fn emptiness_and_guarded_witness_questions_share_an_entry() {
+        let budget = Budget::unlimited();
+        for witness_first in [false, true] {
+            let shared = Shared::new(&CheckOptions::default());
+            let mut engine = Engine::new(&shared);
+            let (mut t, q) = quoted_guarded();
+            let first = engine.query(&mut t, &q, &budget, witness_first);
+            let triples = engine.stats.realized_triples;
+            let second = engine.query(&mut t, &q, &budget, !witness_first);
+            assert_eq!((first, second), (Ok((false, None)), Ok((false, None))));
+            let order = format!("witness first: {witness_first}");
+            assert_eq!(engine.stats.qcache_misses, 1, "{order}");
+            assert_eq!(engine.stats.qcache_hits, 1, "{order}");
+            // The replay accounts exactly what the live query did.
+            assert_eq!(engine.stats.realized_triples, 2 * triples);
+            assert_eq!(engine.stats.witness_skipped, 1);
+        }
+    }
 }

@@ -44,7 +44,6 @@ pub mod checks;
 mod engine;
 pub mod policy_driver;
 mod pmemo;
-mod prefilter;
 mod qcache;
 pub mod report;
 pub mod skeletons;
@@ -57,12 +56,13 @@ pub use skeletons::skeleton_display;
 pub use strtaint_grammar::stats::EngineStats;
 
 /// The engine-evidence version string stamped into persisted artifacts
-/// (the daemon's verdict store) and profile exports. The suffix names
-/// the evidence generations an artifact must carry to be replayable:
-/// `qc1` (query-cache era witness bytes), `rm1` (remediation-era
-/// skeleton evidence), and `fe1` (frontend-era per-dependency language
-/// evidence). Bumping the suffix drops — rather than replays — every
-/// artifact written before the corresponding evidence existed.
+/// (the daemon's verdict store) and profile exports: the package
+/// version plus one evidence-schema number. The number is bumped
+/// whenever what an artifact carries, or what the checker puts in it,
+/// changes meaning, so every artifact written under an older schema is
+/// dropped rather than replayed. Schema 4 is the first under this
+/// scheme; it follows the `+qc1.rm1.fe1` suffix chain, whose artifacts
+/// also carried a per-verdict `xss` flag.
 pub fn engine_version() -> &'static str {
-    concat!("strtaint-", env!("CARGO_PKG_VERSION"), "+qc1.rm1.fe1")
+    concat!("strtaint-", env!("CARGO_PKG_VERSION"), "+evidence.4")
 }

@@ -10,9 +10,10 @@
 //! of `X` (prepared at the first gate that runs) and is skipped unless
 //! the gate holds. A prover with an empty intersection verifies `X`, a
 //! refuter with a non-empty one reports, a decider does one or the
-//! other, an attack step may be discharged by the alphabet prefilter,
-//! and the derivability step (C5, in `checks`) decides by SQL
-//! context. The residual decides anything that falls through.
+//! other, an attack step is skipped when none of its fragments can be
+//! spelled from the alphabet of `L(X)`, and the derivability step (C5,
+//! in `checks`) decides by SQL context. The residual decides anything
+//! that falls through.
 //!
 //! Everything around the steps is shared: the `maximal_labeled` walk,
 //! the `Engine` session over the checker's one query cache and
@@ -28,7 +29,6 @@ use strtaint_policy::{Cascade, CheckKind, Policy, Residual, StepAction, SQL_POLI
 use crate::abstraction::maximal_labeled;
 use crate::checks::{CheckOptions, Derivable};
 use crate::engine::{fan_out, Engine, Qdfa, Shared};
-use crate::prefilter::Prefilter;
 use crate::report::{Finding, HotspotReport};
 use crate::skeletons::hotspot_skeletons;
 
@@ -56,17 +56,16 @@ enum Op {
         kind: CheckKind,
         detail: &'static str,
     },
-    /// `prefilter` is `None` when `CheckOptions::prefilter` is off.
     Attack {
         kind: CheckKind,
-        prefilter: Option<Prefilter>,
+        fragments: &'static [&'static [u8]],
     },
     Derivable(Box<Derivable>),
 }
 
 /// Compiles a registry cascade: every automaton is class-compressed
 /// here, once per checker.
-fn compile(cascade: Cascade, opts: &CheckOptions) -> (Vec<Step>, Residual) {
+fn compile(cascade: Cascade) -> (Vec<Step>, Residual) {
     let steps = cascade.steps.into_iter().map(|s| {
         let q = Qdfa::new(s.dfa);
         let op = match s.action {
@@ -81,10 +80,7 @@ fn compile(cascade: Cascade, opts: &CheckOptions) -> (Vec<Step>, Residual) {
                 witness,
             },
             StepAction::ReportElseVerify { kind, detail } => Op::ReportElseVerify { kind, detail },
-            StepAction::Attack { kind, fragments } => {
-                let prefilter = opts.prefilter.then(|| Prefilter::new(fragments));
-                Op::Attack { kind, prefilter }
-            }
+            StepAction::Attack { kind, fragments } => Op::Attack { kind, fragments },
             StepAction::Derivable {
                 backquote,
                 keywords,
@@ -99,6 +95,20 @@ fn compile(cascade: Cascade, opts: &CheckOptions) -> (Vec<Step>, Residual) {
         }
     });
     (steps.collect(), cascade.residual)
+}
+
+/// Whether some fragment can be spelled from `alphabet` after ASCII
+/// case folding (attack fragments match case-insensitively). `false`
+/// proves that no word over `alphabet` contains a fragment.
+fn spellable(fragments: &[&[u8]], alphabet: &[u8]) -> bool {
+    let mut present = [false; 256];
+    for &b in alphabet {
+        present[usize::from(b.to_ascii_lowercase())] = true;
+    }
+    fragments.iter().any(|f| {
+        f.iter()
+            .all(|b| present[usize::from(b.to_ascii_lowercase())])
+    })
 }
 
 /// Runs one compiled cascade on the labeled nonterminal `x` of the
@@ -128,14 +138,14 @@ fn check_one(
         let _span = step.span.map(|name| strtaint_obs::Span::enter(name, ""));
         if let Some((gate, when_empty)) = &step.gate {
             let tm = tm.get_or_insert_with(|| engine.target_marked(cfg, root, x));
-            if engine.is_empty(tm, gate, budget)? != *when_empty {
+            if engine.query(tm, gate, budget, false)?.0 != *when_empty {
                 continue;
             }
         }
         let q = &step.q;
         match &step.op {
             Op::Verify => {
-                if engine.is_empty(&mut tx, q, budget)? {
+                if engine.query(&mut tx, q, budget, false)?.0 {
                     return Ok(None);
                 }
             }
@@ -144,7 +154,7 @@ fn check_one(
                 detail,
                 witness: true,
             } => {
-                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                let (empty, witness) = engine.query(&mut tx, q, budget, true)?;
                 if !empty {
                     return Ok(found(engine, *kind, witness, detail));
                 }
@@ -156,37 +166,30 @@ fn check_one(
                 detail,
                 witness: false,
             } => {
-                if !engine.is_empty(&mut tx, q, budget)? {
+                if !engine.query(&mut tx, q, budget, false)?.0 {
                     let witness = shortest_string(cfg, x);
                     let f = Finding::new(cfg, x, *kind, detail.to_string());
                     return Ok(Some(Finding { witness, ..f }));
                 }
             }
             Op::ReportElseVerify { kind, detail } => {
-                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                let (empty, witness) = engine.query(&mut tx, q, budget, true)?;
                 return Ok(if empty {
                     None
                 } else {
                     found(engine, *kind, witness, detail)
                 });
             }
-            Op::Attack { kind, prefilter } => {
-                // The prefilter proves absence only: if no fragment is
-                // spellable over the realized terminal alphabet, no
-                // string of L(X) contains one and the query is skipped.
-                if prefilter
-                    .as_ref()
-                    .is_some_and(|p| !p.any_spellable(tx.alphabet()))
-                {
+            Op::Attack { kind, fragments } => {
+                // Every string of L(X) is a word over its alphabet: if no
+                // fragment can be spelled from it, none occurs in L(X),
+                // the intersection is empty, and the query is skipped.
+                if !spellable(fragments, tx.alphabet()) {
                     engine.stats.prefilter_skips += 1;
                     continue;
                 }
-                let (empty, witness) = engine.is_empty_or_witness(&mut tx, q, budget)?;
+                let (empty, witness) = engine.query(&mut tx, q, budget, true)?;
                 if !empty {
-                    debug_assert!(prefilter
-                        .as_ref()
-                        .zip(witness.as_deref())
-                        .is_none_or(|(p, w)| p.contains_match(w)));
                     return Ok(found(engine, *kind, witness, ""));
                 }
             }
@@ -231,9 +234,8 @@ impl PolicyChecker {
         Self::with_options(CheckOptions::default())
     }
 
-    /// Builds a checker for every built-in policy. `prefilter` shapes
-    /// the attack steps; the verdict-cache options (`query_cache`,
-    /// `eager_witness`) apply to every cascade.
+    /// Builds a checker for every built-in policy. The verdict-cache
+    /// options (`query_cache`, `eager_witness`) apply to every cascade.
     pub fn with_options(opts: CheckOptions) -> Self {
         Self::with_policies(&strtaint_policy::builtin(), opts)
     }
@@ -244,7 +246,7 @@ impl PolicyChecker {
     pub fn with_policies(policies: &[Policy], opts: CheckOptions) -> Self {
         let cascades = policies
             .iter()
-            .map(|p| (p.id, compile((p.cascade)(), &opts)))
+            .map(|p| (p.id, compile((p.cascade)())))
             .collect();
         PolicyChecker {
             cascades,
@@ -434,7 +436,103 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strtaint_grammar::{Symbol, Taint};
+    use proptest::prelude::*;
+    use strtaint_automata::ClassDfa;
+    use strtaint_grammar::{PreparedGrammar, QueryMode, Symbol, Taint};
+    use strtaint_policy::dfas::{attack_fragments, ATTACK_FRAGMENTS};
+
+    /// Bytes the random grammars draw their small alphabets from: every
+    /// fragment byte, in both cases where it has two, plus filler.
+    const POOL: &[u8] = b"-;#/* oOrRdDpPtTaAbBlLeEuUnNiIsScC09";
+
+    /// `root -> leaf | [ leaf ] | root leaf` over at most six bytes of
+    /// [`POOL`].
+    fn small_alphabet_grammar() -> impl Strategy<Value = (Cfg, NtId)> {
+        let word = proptest::collection::vec(0..64usize, 0..6);
+        (
+            proptest::collection::vec(0..POOL.len(), 1..7),
+            proptest::collection::vec(word, 1..4),
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(picks, words, wrap, recursive)| {
+                let alpha: Vec<u8> = picks.iter().map(|&i| POOL[i]).collect();
+                let mut g = Cfg::new();
+                let leaf = g.add_nonterminal("leaf");
+                for w in &words {
+                    let w: Vec<u8> = w.iter().map(|&i| alpha[i % alpha.len()]).collect();
+                    g.add_literal_production(leaf, &w);
+                }
+                let root = g.add_nonterminal("root");
+                if wrap {
+                    let (open, close) = (alpha[0], alpha[alpha.len() - 1]);
+                    g.add_production(
+                        root,
+                        vec![Symbol::T(open), Symbol::N(leaf), Symbol::T(close)],
+                    );
+                } else {
+                    g.add_production(root, vec![Symbol::N(leaf)]);
+                }
+                if recursive {
+                    g.add_production(root, vec![Symbol::N(root), Symbol::N(leaf)]);
+                }
+                (g, root)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn alphabet_skip_implies_empty_attack_intersection((g, root) in small_alphabet_grammar()) {
+            let prep = PreparedGrammar::new(&g, root);
+            prop_assume!(!spellable(ATTACK_FRAGMENTS, prep.alphabet()));
+            let dfa = ClassDfa::new(&attack_fragments(ATTACK_FRAGMENTS));
+            let ix = prep
+                .query(&dfa, &Budget::unlimited(), QueryMode::EarlyExit)
+                .expect("unlimited budget");
+            prop_assert!(ix.is_empty(), "alphabet {:?}", String::from_utf8_lossy(prep.alphabet()));
+        }
+    }
+
+    #[test]
+    fn spelling_from_an_alphabet_folds_case() {
+        let spells = |alpha: &[u8]| spellable(ATTACK_FRAGMENTS, alpha);
+        // Digits alone cannot spell any fragment.
+        assert!(!spells(b"0123456789"));
+        // Any alphabet containing ';' can spell the ';' fragment.
+        assert!(spells(b"0123456789;"));
+        // "--" needs only '-'.
+        assert!(spells(b"-"));
+        // Case folding: either case spells a fragment, whatever case
+        // the fragment list uses.
+        assert!(spells(b"DROPTABLE "));
+        assert!(spells(b"droptable "));
+        // Letters without space/punctuation cannot spell the
+        // multi-word fragments, '--', ';', '#', or '/*'.
+        assert!(!spells(b"abcdefghijklmnopqrstuvwxyz"));
+    }
+
+    #[test]
+    fn unspellable_alphabet_implies_no_match() {
+        // The soundness direction: if no fragment is spellable from
+        // `alpha`, no string over `alpha` matches. Exhaustively check
+        // short strings over a small unspellable alphabet.
+        let alpha = b"0123456789";
+        assert!(!spellable(ATTACK_FRAGMENTS, alpha));
+        let dfa = attack_fragments(ATTACK_FRAGMENTS);
+        let mut stack: Vec<Vec<u8>> = vec![Vec::new()];
+        while let Some(s) = stack.pop() {
+            assert!(!dfa.accepts(&s));
+            if s.len() < 3 {
+                for &b in alpha {
+                    let mut t = s.clone();
+                    t.push(b);
+                    stack.push(t);
+                }
+            }
+        }
+    }
 
     /// `root -> pre X post` with `X` tainted over `strings`.
     fn harness(pre: &[u8], strings: &[&[u8]], post: &[u8]) -> (Cfg, NtId) {

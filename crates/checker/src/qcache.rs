@@ -24,10 +24,11 @@
 //!   triple count, same canonical witness.
 //! - `dfa` — the content fingerprint of the check automaton's
 //!   byte-class form (tables, start, accepting set).
-//! - `mode` — emptiness-only versus emptiness-or-witness, and for the
-//!   latter whether the caller's reachable-production guard suppressed
-//!   extraction ([`Mode::Witness::guarded`]); the guard changes which
-//!   phases run, so it must split the key.
+//! - `extract` — whether the query resumes its fixpoint to extract a
+//!   witness (the caller asked for one and the reachable-production
+//!   guard allowed it). Extraction adds a phase, with its own fuel and
+//!   triples, so it must split the key; an emptiness question and a
+//!   guarded witness question run the same fixpoint and share an entry.
 //! - `fuel_limit` / `grammar_cap` — the *budget class*. A verdict
 //!   computed under one fuel ceiling may not answer a query under
 //!   another: the same computation could complete under the first and
@@ -43,8 +44,8 @@
 //! the per-phase charge counts), so a replayed verdict consumes
 //! exactly the fuel the recomputation would have, trips exactly when
 //! the recomputation would have tripped, and a post-trip latched budget
-//! behaves identically either way. See `Engine::is_empty` /
-//! `Engine::is_empty_or_witness` for the charging discipline.
+//! behaves identically either way. See `Engine::query` for the
+//! charging discipline.
 //!
 //! ## Concurrency
 //!
@@ -70,21 +71,6 @@ const SHARDS: usize = 16;
 /// Per-shard entry cap; total capacity is `SHARDS * PER_SHARD_CAP`.
 const PER_SHARD_CAP: usize = 512;
 
-/// Which engine entry point the verdict answers.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum Mode {
-    /// `Engine::is_empty` — early-exit emptiness only.
-    Empty,
-    /// `Engine::is_empty_or_witness`.
-    Witness {
-        /// Whether the caller's reachable-production guard suppressed
-        /// witness extraction. Computed *before* lookup so that two
-        /// call sites sharing a grammar fingerprint but differing in
-        /// guard outcome can never exchange verdicts.
-        guarded: bool,
-    },
-}
-
 /// Complete identity of one engine query. See the module docs for why
 /// each component is load-bearing.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -92,43 +78,34 @@ pub(crate) struct QueryKey {
     pub scope: u64,
     pub grammar: (u64, u64),
     pub dfa: u64,
-    pub mode: Mode,
+    pub extract: bool,
     pub fuel_limit: Option<u64>,
     pub grammar_cap: Option<usize>,
 }
 
 /// A memoized verdict plus everything needed to replay it with
 /// byte-identical observable behavior: the answer, the canonical
-/// witness, and the per-phase fuel charges to re-apply.
+/// witness, and the per-phase fuel charges to re-apply. A verdict
+/// recorded without extraction has an empty witness phase: no witness,
+/// no witness fuel, and `triples_final == triples_query`.
 #[derive(Clone, Debug)]
-pub(crate) enum Verdict {
-    /// Result of an emptiness-only query.
-    Empty {
-        empty: bool,
-        /// Fuel the fixpoint charged; replayed with one bulk charge.
-        fuel: u64,
-        /// Realized triples, for stats parity.
-        triples: u64,
-    },
-    /// Result of an emptiness-or-witness query.
-    Witness {
-        empty: bool,
-        /// Canonical (length, lex)-minimal witness when nonempty and
-        /// extraction ran; stored *uncapped* — display truncation is a
-        /// rendering concern.
-        witness: Option<Vec<u8>>,
-        /// Fuel charged by the emptiness fixpoint (replay propagates a
-        /// trip, exactly like the live query).
-        fuel_query: u64,
-        /// Fuel charged by resumption + reconstruction (replay
-        /// swallows a trip into a missing witness, exactly like the
-        /// live `.ok()` path).
-        fuel_witness: u64,
-        /// Triples realized by the emptiness phase alone.
-        triples_query: u64,
-        /// Triples realized after reconstruction.
-        triples_final: u64,
-    },
+pub(crate) struct Verdict {
+    /// Whether the intersection is empty.
+    pub empty: bool,
+    /// Canonical (length, lex)-minimal witness when nonempty and
+    /// extraction ran; stored *uncapped* — display truncation is a
+    /// rendering concern.
+    pub witness: Option<Vec<u8>>,
+    /// Fuel charged by the emptiness fixpoint (replay propagates a
+    /// trip, exactly like the live query).
+    pub fuel_query: u64,
+    /// Fuel charged by resumption + reconstruction (replay swallows a
+    /// trip into a missing witness, exactly like the live extraction).
+    pub fuel_witness: u64,
+    /// Triples realized by the emptiness phase alone.
+    pub triples_query: u64,
+    /// Triples realized after reconstruction.
+    pub triples_final: u64,
 }
 
 #[derive(Default)]
@@ -216,12 +193,23 @@ impl QueryCache {
 mod tests {
     use super::*;
 
+    fn verdict(empty: bool, fuel: u64, triples: u64) -> Verdict {
+        Verdict {
+            empty,
+            witness: None,
+            fuel_query: fuel,
+            fuel_witness: 0,
+            triples_query: triples,
+            triples_final: triples,
+        }
+    }
+
     fn key(n: u64) -> QueryKey {
         QueryKey {
             scope: 7,
             grammar: (n, n ^ 0xabcd),
             dfa: 3,
-            mode: Mode::Empty,
+            extract: false,
             fuel_limit: None,
             grammar_cap: None,
         }
@@ -232,19 +220,13 @@ mod tests {
         let c = QueryCache::new();
         let k = key(1);
         assert!(c.get(&k).is_none());
-        c.insert(
-            k.clone(),
-            Verdict::Empty {
-                empty: true,
-                fuel: 42,
-                triples: 9,
-            },
-        );
+        c.insert(k.clone(), verdict(true, 42, 9));
         match c.get(&k) {
-            Some(Verdict::Empty {
+            Some(Verdict {
                 empty: true,
-                fuel: 42,
-                triples: 9,
+                fuel_query: 42,
+                triples_query: 9,
+                ..
             }) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -252,9 +234,9 @@ mod tests {
         let mut other_scope = k.clone();
         other_scope.scope = 8;
         assert!(c.get(&other_scope).is_none());
-        // So are a different mode and budget class.
+        // So are a different extraction mode and budget class.
         let mut other_mode = k.clone();
-        other_mode.mode = Mode::Witness { guarded: false };
+        other_mode.extract = true;
         assert!(c.get(&other_mode).is_none());
         let mut other_fuel = k;
         other_fuel.fuel_limit = Some(10);
@@ -265,14 +247,7 @@ mod tests {
     fn reinsert_does_not_duplicate_order() {
         let c = QueryCache::new();
         for _ in 0..10 {
-            c.insert(
-                key(1),
-                Verdict::Empty {
-                    empty: false,
-                    fuel: 0,
-                    triples: 0,
-                },
-            );
+            c.insert(key(1), verdict(false, 0, 0));
         }
         let shard = c.shard(&key(1)).lock().unwrap();
         assert_eq!(shard.map.len(), 1);
@@ -285,14 +260,7 @@ mod tests {
         let mut evicted = 0;
         // Far more keys than total capacity.
         for n in 0..(SHARDS * PER_SHARD_CAP * 2) as u64 {
-            evicted += c.insert(
-                key(n),
-                Verdict::Empty {
-                    empty: true,
-                    fuel: 1,
-                    triples: 1,
-                },
-            );
+            evicted += c.insert(key(n), verdict(true, 1, 1));
         }
         let total: usize = c
             .shards

@@ -52,9 +52,7 @@ pub mod verdict;
 pub mod workspace;
 
 pub use pool::{ExpireReason, PoolFault, StallGate, SubmitError, WorkerPool};
-pub use server::{
-    cli_serve, serve_lines, serve_server_lines, ServeOptions, ServerConfig, ServerState,
-};
+pub use server::{cli_serve, serve_server_lines, ServeOptions, ServerConfig, ServerState};
 pub use state::{DaemonState, PageOutcome};
 pub use store::ArtifactStore;
 pub use workspace::{canonical_key, WorkspaceLoader, WorkspaceMap};

@@ -239,7 +239,8 @@ fn request_policies(request: &Json) -> Result<Option<Vec<String>>, Handled> {
 
 /// Validates an `analyze` or `profile` request and analyzes (or
 /// replays) its entries: each entry as the request named it, with its
-/// page and where that came from, in entry order.
+/// page and where that came from, in entry order. `xss` is the wire
+/// form of the policy set `["xss"]` and is resolved into it here.
 fn request_pages(
     state: &DaemonState,
     request: &Json,
@@ -247,15 +248,18 @@ fn request_pages(
     xss: bool,
 ) -> Result<Vec<(String, Arc<str>, PageOutcome)>, Handled> {
     let entries = request_entries(request, verb)?;
-    let policies = request_policies(request)?;
-    if xss && policies.is_some() {
-        return Err(error(
-            "\"xss\" and \"policies\" are mutually exclusive (use [\"xss\"])",
-        ));
+    let mut policies = request_policies(request)?;
+    if xss {
+        if policies.is_some() {
+            return Err(error(
+                "\"xss\" and \"policies\" are mutually exclusive (use [\"xss\"])",
+            ));
+        }
+        policies = Some(vec![strtaint::policy::XSS_POLICY.to_owned()]);
     }
     let timeout_ms = request.get("timeout_ms").and_then(Json::as_num);
     let fuel = request.get("fuel").and_then(Json::as_num);
-    let config = state.request_config(timeout_ms, fuel, policies, xss);
+    let config = state.request_config(timeout_ms, fuel, policies);
     let pages = state.analyze_entries(&entries, &config);
     Ok(entries
         .into_iter()

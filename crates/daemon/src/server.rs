@@ -37,37 +37,12 @@ use strtaint_obs::{Histogram, Registry, metrics::DURATION_US_BOUNDS};
 
 use crate::json::Json;
 use crate::pool::{default_workers, WorkerPool};
-use crate::protocol::{
-    dispatch_cmd, handle_line, parse_request, request_deadline, request_priority, Handled,
-};
+use crate::protocol::{dispatch_cmd, parse_request, request_deadline, request_priority, Handled};
 #[cfg(unix)]
 pub use crate::socket::serve_socket;
 use crate::state::{snapshot_to_json, DaemonState};
 use crate::store::ArtifactStore;
 use crate::workspace::{canonical_key, WorkspaceLoader, WorkspaceMap};
-
-/// Serves newline-delimited JSON requests from `input`, writing one
-/// response line per request to `output`, against a single workspace.
-/// Returns `Ok(true)` when the client requested shutdown, `Ok(false)`
-/// on EOF.
-pub fn serve_lines<R, W>(state: &DaemonState, input: R, mut output: W) -> io::Result<bool>
-where
-    R: BufRead,
-    W: Write,
-{
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let handled = handle_line(state, &line);
-        write_response(&handled.response, &mut output)?;
-        if handled.shutdown {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
 
 /// Writes `response` as one line and flushes it.
 pub(crate) fn write_response(response: &Json, output: &mut impl Write) -> io::Result<()> {
@@ -756,7 +731,8 @@ mod tests {
         let s = state();
         let input = "{\"cmd\":\"status\"}\n\n{\"cmd\":\"shutdown\"}\n{\"cmd\":\"status\"}\n";
         let mut output = Vec::new();
-        let shut = serve_lines(&s, input.as_bytes(), &mut output).expect("serves");
+        let server = ServerState::single("ws0", s);
+        let shut = serve_server_lines(&server, input.as_bytes(), &mut output).expect("serves");
         assert!(shut, "shutdown honored");
         let lines: Vec<&str> = std::str::from_utf8(&output)
             .expect("utf8")
@@ -773,8 +749,9 @@ mod tests {
     fn eof_ends_the_loop_cleanly() {
         let s = state();
         let mut output = Vec::new();
-        let shut = serve_lines(&s, "{\"cmd\":\"status\"}\n".as_bytes(), &mut output)
-            .expect("serves");
+        let server = ServerState::single("ws0", s);
+        let input = "{\"cmd\":\"status\"}\n";
+        let shut = serve_server_lines(&server, input.as_bytes(), &mut output).expect("serves");
         assert!(!shut);
     }
 

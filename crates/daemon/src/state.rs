@@ -52,12 +52,11 @@ pub enum PageOutcome {
 }
 
 /// A request's effective configuration, resolved once for all of its
-/// pages: the config (with `xss` applied), the replay fingerprint that
-/// keys its verdicts, and the frontend set their evidence is checked
-/// against. A request without overrides borrows the base resolution.
+/// pages: the config, the replay fingerprint that keys its verdicts,
+/// and the frontend set their evidence is checked against. A request
+/// without overrides borrows the base resolution.
 pub(crate) struct PageConfig<'a> {
     config: Cow<'a, Config>,
-    xss: bool,
     config_fp: u64,
     frontends: Cow<'a, FrontendSet>,
 }
@@ -257,14 +256,23 @@ impl DaemonState {
     /// each page gets a fresh `Budget` from it, so one slow request
     /// degrades soundly inside its own envelope instead of starving
     /// the process. `xss` is the wire form of the policy set `["xss"]`:
-    /// it replaces `config.policies` for this page.
+    /// it replaces `config.policies` for this page, so the page is the
+    /// one a request naming that set gets, under the same verdict key.
     pub fn analyze_page(
         &self,
         entry: &str,
         xss: bool,
         config: &Config,
     ) -> (Json, PageOutcome) {
-        let config = self.resolve(Cow::Borrowed(config), xss);
+        let config = if xss {
+            Cow::Owned(Config {
+                policies: vec![strtaint::policy::XSS_POLICY.to_owned()],
+                ..config.clone()
+            })
+        } else {
+            Cow::Borrowed(config)
+        };
+        let config = self.resolve(config);
         let (page, outcome) = self
             .analyze_entries(&[entry], &config)
             .pop()
@@ -272,25 +280,13 @@ impl DaemonState {
         (Json::Raw(page), outcome)
     }
 
-    /// Resolves `config`, with `xss` applied, for a run of pages. The
-    /// base config reuses the fingerprint and frontend set computed at
-    /// start-up.
-    fn resolve<'a>(&'a self, config: Cow<'a, Config>, xss: bool) -> PageConfig<'a> {
-        // The verdict key and evidence follow the effective policy set:
-        // with only `xss` enabled, SQL sink methods are unmodeled calls,
-        // so the page differs from one analyzed under the request's set.
-        let config = if xss {
-            Cow::Owned(Config {
-                policies: vec![strtaint::policy::XSS_POLICY.to_owned()],
-                ..config.into_owned()
-            })
-        } else {
-            config
-        };
+    /// Resolves `config` for a run of pages. The base config reuses the
+    /// fingerprint and frontend set computed at start-up. The policy set
+    /// is part of the fingerprint, so the verdict key follows it.
+    fn resolve<'a>(&'a self, config: Cow<'a, Config>) -> PageConfig<'a> {
         if std::ptr::eq(config.as_ref(), &self.config) {
             return PageConfig {
                 config,
-                xss,
                 config_fp: self.config_fp,
                 frontends: Cow::Borrowed(&self.frontends),
             };
@@ -299,7 +295,6 @@ impl DaemonState {
             config_fp: config.replay_fingerprint(),
             frontends: Cow::Owned(FrontendSet::from_config(&config)),
             config,
-            xss,
         }
     }
 
@@ -310,9 +305,8 @@ impl DaemonState {
         timeout_ms: Option<f64>,
         fuel: Option<f64>,
         policies: Option<Vec<String>>,
-        xss: bool,
     ) -> PageConfig<'_> {
-        self.resolve(self.overridden(timeout_ms, fuel, policies), xss)
+        self.resolve(self.overridden(timeout_ms, fuel, policies))
     }
 
     /// Analyzes (or replays) `entries` under a resolved config: the
@@ -334,7 +328,7 @@ impl DaemonState {
         let mut missed = HashSet::new();
         for (slot, entry) in entries.iter().enumerate() {
             let entry = normalize(entry.as_ref());
-            let key = verdict_key(&entry, pc.xss, pc.config_fp);
+            let key = verdict_key(&entry, pc.config_fp);
             if missed.contains(&key) {
                 copies.push((slot, entry, key));
             } else if let Some(page) = self.replay(&entry, key, pc) {
@@ -381,7 +375,7 @@ impl DaemonState {
             let store = self.store.as_ref()?;
             let artifact = store.get_verdict(key)?;
             let Some(v) = Verdict::from_artifact(&artifact)
-                .filter(|v| v.entry == entry && v.xss == pc.xss && fresh(v))
+                .filter(|v| v.entry == entry && fresh(v))
             else {
                 store.invalidate_verdict(key);
                 return None;
@@ -446,7 +440,6 @@ impl DaemonState {
                     drop(hashes);
                     let verdict = Arc::new(Verdict {
                         entry: entry.clone(),
-                        xss: pc.xss,
                         policies: pc.config.policies.clone(),
                         config_fp: pc.config_fp,
                         tree: self.tree.load(Ordering::Relaxed),
@@ -454,7 +447,7 @@ impl DaemonState {
                         frontends,
                         page: Arc::clone(&page),
                     });
-                    let key = verdict_key(entry, pc.xss, pc.config_fp);
+                    let key = verdict_key(entry, pc.config_fp);
                     if let Some(store) = &self.store {
                         store.put_verdict(key, verdict.to_artifact_body());
                     }
@@ -760,18 +753,19 @@ mod tests {
     #[test]
     fn request_without_overrides_reuses_the_base_resolution() {
         let state = DaemonState::new(vfs_with(&[("a.php", SAFE)]), Config::default(), None);
-        let base = state.request_config(None, None, None, false);
+        let base = state.request_config(None, None, None);
         assert!(std::ptr::eq(base.config.as_ref(), state.base_config()));
         assert!(matches!(base.frontends, Cow::Borrowed(_)));
         assert_eq!(base.config_fp, state.config_fp);
         // Ignored (invalid) overrides are no overrides.
-        let ignored = state.request_config(Some(-1.0), Some(0.5), None, false);
+        let ignored = state.request_config(Some(-1.0), Some(0.5), None);
         assert!(matches!(ignored.frontends, Cow::Borrowed(_)));
 
-        let tight = state.request_config(None, Some(5.0), None, false);
+        let tight = state.request_config(None, Some(5.0), None);
         assert!(matches!(tight.frontends, Cow::Owned(_)));
         assert_ne!(tight.config_fp, state.config_fp);
-        let xss = state.request_config(None, None, None, true);
+        let xss_only = Some(vec![strtaint::policy::XSS_POLICY.to_owned()]);
+        let xss = state.request_config(None, None, xss_only);
         assert_ne!(xss.config_fp, state.config_fp);
         assert_eq!(xss.config.policies, vec![strtaint::policy::XSS_POLICY.to_owned()]);
     }

@@ -41,13 +41,12 @@ pub const FORMAT_VERSION: f64 = 1.0;
 
 /// The engine version stamped into artifacts: grammar construction,
 /// checking logic, and the (release-dependent) hasher all live in this
-/// workspace, so the package version is the right granularity. The
-/// string is owned by the checker crate (see
-/// [`strtaint_checker::engine_version`]) because every marker so far
-/// records a checking-semantics change: `+qc1` for canonical
-/// (length, lexicographic)-minimal witnesses, `.rm1` for the skeleton
-/// evidence that `fix`/`profile` consume. Artifacts rendered by older
-/// engines must be recomputed rather than replayed.
+/// workspace, so the package version plus one evidence-schema number
+/// is the right granularity. The string is owned by the checker crate
+/// (see [`strtaint_checker::engine_version`]), which bumps the number
+/// whenever the evidence an artifact carries changes meaning.
+/// Artifacts rendered under another stamp are dropped and recomputed,
+/// never replayed.
 pub fn engine_version() -> &'static str {
     strtaint_checker::engine_version()
 }

@@ -32,7 +32,7 @@ use strtaint::{PageReport, Taint};
 use crate::json::{hex64, parse_hex64, Json};
 
 /// Computes the verdict cache key for one page analysis: entry path +
-/// checker mode + replay config fingerprint
+/// replay config fingerprint
 /// ([`Config::replay_fingerprint`](strtaint::Config::replay_fingerprint)
 /// — every analysis-observable knob *except* frontend selection). Tree
 /// state is deliberately *not* part of the key — a re-analysis after
@@ -41,10 +41,9 @@ use crate::json::{hex64, parse_hex64, Json};
 /// map re-keys nothing, and the per-dependency frontend evidence on
 /// each [`Verdict`] lets freshness validation recompute exactly the
 /// pages whose dependencies now dispatch to a different frontend.
-pub fn verdict_key(entry: &str, xss: bool, config_fp: u64) -> u64 {
+pub fn verdict_key(entry: &str, config_fp: u64) -> u64 {
     let mut h = DefaultHasher::new();
     entry.hash(&mut h);
-    xss.hash(&mut h);
     config_fp.hash(&mut h);
     h.finish()
 }
@@ -232,8 +231,6 @@ pub fn page_to_json(report: &PageReport) -> Json {
 pub struct Verdict {
     /// Page entry path (normalized).
     pub entry: String,
-    /// Checker mode the verdict was computed under.
-    pub xss: bool,
     /// The enabled policy set the verdict was computed under. Already
     /// covered by `config_fp` (policies are fingerprinted), but stored
     /// explicitly as replay evidence so an artifact is self-describing
@@ -285,7 +282,6 @@ impl Verdict {
             .collect();
         vec![
             ("entry".to_owned(), Json::Str(self.entry.clone())),
-            ("xss".to_owned(), Json::Bool(self.xss)),
             (
                 "policies".to_owned(),
                 Json::Arr(self.policies.iter().cloned().map(Json::Str).collect()),
@@ -303,7 +299,6 @@ impl Verdict {
     /// corrupt-but-parsable artifact — the caller drops it).
     pub fn from_artifact(v: &Json) -> Option<Verdict> {
         let entry = v.get("entry")?.as_str()?.to_owned();
-        let xss = v.get("xss")?.as_bool()?;
         let mut policies = Vec::new();
         for p in v.get("policies")?.as_arr()? {
             policies.push(p.as_str()?.to_owned());
@@ -343,7 +338,6 @@ impl Verdict {
         }
         Some(Verdict {
             entry,
-            xss,
             policies,
             config_fp,
             tree,
@@ -359,11 +353,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn verdict_key_separates_modes_and_configs() {
-        assert_ne!(verdict_key("a.php", false, 1), verdict_key("a.php", true, 1));
-        assert_ne!(verdict_key("a.php", false, 1), verdict_key("a.php", false, 2));
-        assert_ne!(verdict_key("a.php", false, 1), verdict_key("b.php", false, 1));
-        assert_eq!(verdict_key("a.php", false, 1), verdict_key("a.php", false, 1));
+    fn verdict_key_separates_entries_and_configs() {
+        assert_ne!(verdict_key("a.php", 1), verdict_key("a.php", 2));
+        assert_ne!(verdict_key("a.php", 1), verdict_key("b.php", 1));
+        assert_eq!(verdict_key("a.php", 1), verdict_key("a.php", 1));
     }
 
     #[test]
@@ -400,7 +393,6 @@ mod tests {
     fn artifact_roundtrip() {
         let v = Verdict {
             entry: "a.php".into(),
-            xss: false,
             policies: vec!["sql".into(), "shell".into()],
             config_fp: 11,
             tree: 22,
@@ -428,7 +420,6 @@ mod tests {
         // dispatch to a different language.
         let v = Verdict {
             entry: "a.php".into(),
-            xss: false,
             policies: vec!["sql".into()],
             config_fp: 0,
             tree: 0,
@@ -450,7 +441,6 @@ mod tests {
         // dropped (recomputed), never replayed.
         let v = Verdict {
             entry: "a.php".into(),
-            xss: false,
             policies: vec!["sql".into()],
             config_fp: 0,
             tree: 0,
@@ -499,8 +489,7 @@ mod tests {
             };
             let v = Verdict {
                 entry: "a.php".into(),
-                xss: false,
-                policies: vec!["sql".into()],
+                    policies: vec!["sql".into()],
                 config_fp: 0,
                 tree: 0,
                 deps: vec![],
@@ -518,7 +507,6 @@ mod tests {
     fn mismatched_page_entry_is_rejected() {
         let v = Verdict {
             entry: "a.php".into(),
-            xss: false,
             policies: vec!["sql".into()],
             config_fp: 0,
             tree: 0,

@@ -19,8 +19,6 @@
 //!   the prepared engine against it;
 //! - [`image::image`]: the image of a CFG under a finite-state
 //!   transducer, modeling PHP string functions (§3.1.2);
-//! - [`approx::overapproximate`]: regular over-approximation used to cut
-//!   transducer cycles and for derivability scaffolding;
 //! - [`lang`]: finiteness, enumeration and witness extraction, used for
 //!   dynamic-include resolution (§4) and bug reports.
 //!
@@ -51,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod approx;
 pub mod budget;
 pub mod cfg;
 pub mod earley;

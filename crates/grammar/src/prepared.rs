@@ -228,8 +228,8 @@ impl PreparedGrammar {
 
     /// The sorted distinct terminal bytes the grammar can emit. Every
     /// string of the language is a word over this alphabet — the fact
-    /// the checker's attack-fragment prefilter exploits to prove
-    /// non-membership without an intersection.
+    /// the checker's attack steps use to prove that no fragment occurs
+    /// without an intersection.
     pub fn alphabet(&self) -> &[u8] {
         &self.bytes
     }

@@ -1,9 +1,10 @@
 //! Cumulative counters for the intersection engine and the optimized
 //! check path's caches.
 //!
-//! Every [`Intersection`](crate::prepared::Intersection) and every cache
-//! layer above it (the checker's query cache, preparation memo, and C4
-//! prefilter) accounts its work into one [`EngineStats`] value; the
+//! Every [`Intersection`](crate::prepared::Intersection) and every layer
+//! above it (the checker's query cache, preparation memo, and the
+//! attack steps' alphabet test) accounts its work into one
+//! [`EngineStats`] value; the
 //! per-hotspot values are merged upward into page and app totals and
 //! surface on reports behind `--stats` and the daemon `metrics` verb.
 
@@ -26,8 +27,10 @@ pub struct EngineStats {
     /// Suspended fixpoints resumed to completion for reconstruction
     /// (live witness extractions). Zero for non-reporting hotspots.
     pub completions: u64,
-    /// Nonempty answers whose witness extraction was avoided — replayed
-    /// from the query cache or skipped by the reconstruction guard.
+    /// Nonempty answers to witness questions whose extraction was
+    /// avoided — replayed from the query cache or skipped by the
+    /// reconstruction guard. Counted once per such answer, whether it
+    /// was computed live or replayed.
     pub witness_skipped: u64,
     /// Queries answered by replaying a memoized verdict.
     pub qcache_hits: u64,
@@ -35,8 +38,9 @@ pub struct EngineStats {
     pub qcache_misses: u64,
     /// Memoized verdicts evicted to keep the cache bounded.
     pub qcache_evictions: u64,
-    /// C4 attack-membership checks discharged by the terminal-alphabet
-    /// prefilter without an intersection (absence proofs only).
+    /// C4 attack-membership checks discharged without an intersection:
+    /// no attack fragment can be spelled from the terminal alphabet of
+    /// the tainted language (absence proofs only).
     pub prefilter_skips: u64,
 }
 

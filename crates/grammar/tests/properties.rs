@@ -1,11 +1,10 @@
 //! Property-based tests of the grammar algebra (normalization,
-//! intersection, image, approximation) against membership oracles.
+//! intersection, image) against membership oracles.
 
 use proptest::prelude::*;
 
 use strtaint_automata::fst::builders;
 use strtaint_automata::Regex;
-use strtaint_grammar::approx::overapproximate;
 use strtaint_grammar::image::image;
 use strtaint_grammar::intersect::{intersect, is_intersection_empty};
 use strtaint_grammar::lang::{sample_strings, shortest_string};
@@ -88,14 +87,6 @@ proptest! {
         for s in sample_strings(&g, root, 10, 12) {
             let expected = fst.transduce_unique(&s).expect("addslashes is a function");
             prop_assert!(out.derives(new_root, &expected), "{:?} -> {:?}", s, expected);
-        }
-    }
-
-    #[test]
-    fn approximation_contains_language((g, root) in grammar()) {
-        let nfa = overapproximate(&g, root);
-        for s in sample_strings(&g, root, 12, 16) {
-            prop_assert!(nfa.accepts(&s), "{:?} missing from approximation", s);
         }
     }
 

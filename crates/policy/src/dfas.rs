@@ -145,9 +145,8 @@ pub fn sql_keywords() -> Dfa {
 
 /// The classic non-confinable attack fragments, matched
 /// case-insensitively. The C4 step carries this list, and both its
-/// exact automaton ([`attack_fragments`]) and the checker's
-/// Aho–Corasick prefilter are built from it, so the two can never
-/// drift apart.
+/// exact automaton ([`attack_fragments`]) and the checker's alphabet
+/// test read it, so the two can never drift apart.
 pub const ATTACK_FRAGMENTS: &[&[u8]] = &[
     b"DROP TABLE",
     b"--",

@@ -18,7 +18,7 @@ echo "==> module size lint (analysis + grammar + daemon + obs + policy + checker
 # registry and the trace writer; the policy crate separates the kind
 # namespace from the registry; the checker separates the check
 # cascade from the engine facade and the optimized-path caches
-# (qcache/pmemo/prefilter); the remedy crate separates fix planning
+# (qcache/pmemo); the remedy crate separates fix planning
 # from plan application and profile export; the template frontend
 # separates lexer/parser/ast. A file regrowing past 900 lines means a
 # stage is reabsorbing its neighbours.

@@ -260,8 +260,9 @@ fn metrics_verb_roundtrips_over_stdio() {
         "{{\"cmd\":\"analyze\",\"entries\":[{}]}}\n{{\"cmd\":\"metrics\"}}\n{{\"cmd\":\"shutdown\"}}\n",
         entries.join(",")
     );
+    let server = strtaint_daemon::ServerState::single("ws0", state);
     let mut output = Vec::new();
-    let shut = strtaint_daemon::serve_lines(&state, input.as_bytes(), &mut output)
+    let shut = strtaint_daemon::serve_server_lines(&server, input.as_bytes(), &mut output)
         .expect("serves");
     assert!(shut);
     let lines: Vec<&str> = std::str::from_utf8(&output).expect("utf8").lines().collect();
@@ -427,20 +428,31 @@ fn mangle_artifacts(cache: &PathBuf, f: impl Fn(&str) -> String) -> usize {
 
 #[test]
 fn pre_remedy_engine_artifact_is_dropped_not_replayed() {
+    // `+qc1`: written before skeleton evidence existed.
+    assert_old_stamp_is_dropped("qc1");
+}
+
+#[test]
+fn suffix_chain_engine_artifact_is_dropped_not_replayed() {
+    // `+qc1.rm1.fe1`: the last stamp before the evidence-schema number,
+    // whose artifacts still carried a per-verdict `xss` flag.
+    assert_old_stamp_is_dropped("qc1.rm1.fe1");
+}
+
+/// Rewinds each stored artifact's engine stamp to the `+{schema}` era:
+/// the next daemon must drop every one and recompute every page.
+fn assert_old_stamp_is_dropped(schema: &str) {
     let app = small_app();
-    let cache = temp_cache("pre-remedy-engine");
+    let cache = temp_cache(&format!("old-engine-{schema}"));
     let n = app.entries.len();
 
     let first = boot(&app, &cache);
     analyze_all(&first, &app);
     drop(first);
 
-    // Downgrade each artifact to an engine suffix without the `.rm1`
-    // remediation marker (the suffix has since grown further, so drop
-    // the marker in place rather than trimming the tail).
     let current = strtaint_checker::engine_version();
-    let old = current.replace(".rm1", "");
-    assert_ne!(current, old.as_str(), "engine suffix must carry .rm1");
+    let (release, _) = current.split_once('+').expect("stamp carries a schema");
+    let old = format!("{release}+{schema}");
     let changed = mangle_artifacts(&cache, |text| text.replace(current, &old));
     assert_eq!(changed, n, "one artifact per page carried the engine stamp");
 
@@ -449,7 +461,7 @@ fn pre_remedy_engine_artifact_is_dropped_not_replayed() {
     assert_eq!(
         num(&r2, "computed"),
         n as f64,
-        "pre-remedy artifacts must recompute, never replay"
+        "+{schema} artifacts must recompute, never replay"
     );
     assert_eq!(num(&r2, "replayed"), 0.0);
     let s2 = request(&second, "{\"cmd\":\"status\"}");
@@ -629,6 +641,25 @@ fn xss_flag_answers_exactly_like_the_xss_policy() {
     let again = request(&by_flag, &flag);
     assert_eq!(num(&again, "replayed"), 2.0, "a repeat request replays");
     assert_eq!(pages_bytes(&again), pages_bytes(&r1));
+}
+
+#[test]
+fn xss_flag_and_xss_policy_share_one_verdict() {
+    // The flag is resolved into the policy set before the verdict key
+    // is taken, so a page the flag computed replays for the policy.
+    let app = strtaint_corpus::apps::utopia::build();
+    let state = DaemonState::new(app.vfs.clone(), strtaint::Config::default(), None);
+    let flag = request(
+        &state,
+        "{\"cmd\":\"analyze\",\"entries\":[\"news.php\"],\"xss\":true}",
+    );
+    assert_eq!(num(&flag, "computed"), 1.0);
+    let policy = request(
+        &state,
+        "{\"cmd\":\"analyze\",\"entries\":[\"news.php\"],\"policies\":[\"xss\"]}",
+    );
+    assert_eq!(num(&policy, "replayed"), 1.0, "the policy request replays");
+    assert_eq!(pages_bytes(&policy), pages_bytes(&flag));
 }
 
 /// One `batch` op as the benchmark's fleet edit sends it: append a

@@ -377,8 +377,11 @@ fn pre_frontend_engine_artifacts_are_dropped_not_replayed() {
     drop(first);
 
     // Rewind each artifact's engine stamp to the pre-frontend era
-    // (`+qc1.rm1`, no `fe1` suffix): the store must refuse them all.
-    doctor_artifacts(&cache, |text| text.replace("+qc1.rm1.fe1", "+qc1.rm1"));
+    // (`+qc1.rm1`): the store must refuse them all.
+    let current = strtaint_checker::engine_version();
+    let (release, _) = current.split_once('+').expect("stamp carries a schema");
+    let old = format!("{release}+qc1.rm1");
+    doctor_artifacts(&cache, |text| text.replace(current, &old));
 
     let second = boot(&vfs, Config::default(), &cache);
     let r2 = analyze_entries(&second, &entries);

@@ -1,12 +1,11 @@
 //! Differential tests for the optimized check path: the cross-page
-//! query cache, lazy witness extraction, and the Aho–Corasick C4
-//! prefilter must be *observationally invisible*. The assertions here
-//! are deliberately the strongest available — byte-identical SARIF
-//! documents across the optimized path (cold and warm), the prepared
-//! baseline with the verdict cache and prefilter off, and eager
-//! witness extraction, on the full corpus with every built-in policy
-//! enabled, and byte-identical budget-exhaustion findings with the
-//! cache on and off under tight fuel. Any divergence is a replay or
+//! query cache and lazy witness extraction must be *observationally
+//! invisible*. The assertions here are deliberately the strongest
+//! available — byte-identical SARIF documents across the optimized
+//! path (cold and warm), the prepared baseline with the verdict cache
+//! off, and eager witness extraction, on the full corpus with every
+//! built-in policy enabled, and byte-identical budget-exhaustion
+//! findings with the cache on and off under tight fuel. Any divergence is a replay or
 //! soundness bug, not a formatting nit. (The prepared engine itself is
 //! checked against the naive reference model query by query in
 //! `tests/engine_equivalence.rs`.)
@@ -44,8 +43,8 @@ fn sarif_for(vfs: &Vfs, entries: &[&str], config: &Config, checker: &PolicyCheck
     render::sarif(&reports)
 }
 
-/// The tentpole differential: optimized (cache + lazy witnesses +
-/// prefilter), prepared baseline (no verdict cache, no prefilter) and
+/// The tentpole differential: optimized (cache + lazy witnesses),
+/// prepared baseline (no verdict cache) and
 /// eager witness extraction must render byte-identical SARIF for `app`
 /// under all five policies. The optimized checker runs the corpus
 /// twice so the second pass replays memoized verdicts — warm-cache
@@ -60,7 +59,6 @@ fn assert_sarif_identical(app: &App) {
     let optimized = PolicyChecker::new();
     let prepared = PolicyChecker::with_options(CheckOptions {
         query_cache: false,
-        prefilter: false,
         ..CheckOptions::default()
     });
     let eager = PolicyChecker::with_options(CheckOptions {
