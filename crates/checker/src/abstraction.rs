@@ -21,9 +21,10 @@ const MARKER_SUBSTITUTE: u8 = 0x1b;
 /// nonterminal, so the enclosing check subsumes it.
 ///
 /// Runs in time linear in the subgraph reachable from `root` (one
-/// Tarjan SCC pass plus a multi-source BFS on the condensation) —
-/// transducer images can leave hundreds of labeled copies, so a
-/// per-label reachability walk would dominate checking time.
+/// Tarjan SCC pass plus one walk marking the components below a
+/// labeled one) — transducer images can leave hundreds of labeled
+/// copies, so a per-label reachability walk would dominate checking
+/// time.
 pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     let nodes = cfg.reachable_list(root);
     let labeled: Vec<NtId> = nodes
@@ -34,64 +35,47 @@ pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     if labeled.len() <= 1 {
         return labeled;
     }
-    // SCC condensation of the reachable subgraph.
-    let index: HashMap<NtId, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let succ: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|&n| {
-            let mut v: Vec<usize> = cfg
-                .productions(n)
-                .iter()
-                .flat_map(|rhs| rhs.iter())
-                .filter_map(|s| match s {
-                    Symbol::N(t) => index.get(t).copied(),
-                    Symbol::T(_) => None,
-                })
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-        .collect();
+    // Dense node numbers: `slot[n]` is one more than n's position in
+    // `nodes` (0 when unreachable), so the zeroed table costs no page
+    // the walk does not touch.
+    let mut slot = vec![0u32; cfg.num_nonterminals()];
+    for (i, &n) in nodes.iter().enumerate() {
+        slot[n.index()] = i as u32 + 1;
+    }
+    let index = |n: NtId| slot[n.index()] as usize - 1;
+    let succ = Succ::new(&nodes, |n, out| {
+        for s in cfg.productions(n).iter().flatten() {
+            if let Symbol::N(t) = s {
+                out.push(index(*t) as u32);
+            }
+        }
+    });
     let scc = scc_ids(&succ);
     let num_sccs = scc.iter().copied().max().map(|m| m + 1).unwrap_or(0);
 
     // Representative (smallest-id) labeled NT per SCC, if any.
     let mut scc_label_rep: Vec<Option<NtId>> = vec![None; num_sccs];
     for &l in &labeled {
-        let c = scc[index[&l]];
-        let rep = &mut scc_label_rep[c];
+        let rep = &mut scc_label_rep[scc[index(l)]];
         if rep.map_or(true, |r| l < r) {
             *rep = Some(l);
         }
     }
-    // Multi-source BFS on the condensation from every labeled SCC's
-    // successors: marks SCCs strictly dominated by a labeled SCC.
-    let mut scc_succ: Vec<Vec<usize>> = vec![Vec::new(); num_sccs];
-    for (i, succs) in succ.iter().enumerate() {
-        for &j in succs {
-            if scc[i] != scc[j] {
-                scc_succ[scc[i]].push(scc[j]);
-            }
-        }
-    }
+    // Marks the SCCs strictly below a labeled SCC: walk every node
+    // reachable from a labeled SCC; an edge into another SCC
+    // dominates it.
     let mut dominated = vec![false; num_sccs];
-    let mut queue: Vec<usize> = Vec::new();
-    for (c, rep) in scc_label_rep.iter().enumerate() {
-        if rep.is_some() {
-            for &d in &scc_succ[c] {
-                if !dominated[d] {
-                    dominated[d] = true;
-                    queue.push(d);
-                }
+    let mut seen: Vec<bool> = scc.iter().map(|&c| scc_label_rep[c].is_some()).collect();
+    let mut queue: Vec<usize> = (0..nodes.len()).filter(|&i| seen[i]).collect();
+    while let Some(i) = queue.pop() {
+        for &j in succ.of(i) {
+            let j = j as usize;
+            if scc[j] != scc[i] {
+                dominated[scc[j]] = true;
             }
-        }
-    }
-    while let Some(c) = queue.pop() {
-        for &d in &scc_succ[c] {
-            if !dominated[d] {
-                dominated[d] = true;
-                queue.push(d);
+            if !seen[j] {
+                seen[j] = true;
+                queue.push(j);
             }
         }
     }
@@ -99,7 +83,7 @@ pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     labeled
         .into_iter()
         .filter(|&x| {
-            let c = scc[index[&x]];
+            let c = scc[index(x)];
             // Dropped if the SCC is strictly below a labeled SCC, or a
             // smaller-id labeled NT shares the SCC.
             !dominated[c] && scc_label_rep[c] == Some(x)
@@ -107,9 +91,42 @@ pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
         .collect()
 }
 
-/// Iterative Tarjan SCC over an adjacency list; returns a component id
+/// Deduplicated successor lists in one flat array: node `i`'s
+/// successors, ascending, are `targets[offsets[i]..offsets[i + 1]]`.
+struct Succ {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Succ {
+    /// Successors of each of `nodes`, as `edges(node, out)` pushes them.
+    fn new(nodes: &[NtId], mut edges: impl FnMut(NtId, &mut Vec<u32>)) -> Succ {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let (mut targets, mut buf) = (Vec::new(), Vec::new());
+        for &n in nodes {
+            buf.clear();
+            edges(n, &mut buf);
+            buf.sort_unstable();
+            buf.dedup();
+            targets.extend_from_slice(&buf);
+            offsets.push(targets.len());
+        }
+        Succ { offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn of(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Iterative Tarjan SCC over successor lists; returns a component id
 /// per node.
-fn scc_ids(succ: &[Vec<usize>]) -> Vec<usize> {
+fn scc_ids(succ: &Succ) -> Vec<usize> {
     let n = succ.len();
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![0usize; n];
@@ -129,8 +146,8 @@ fn scc_ids(succ: &[Vec<usize>]) -> Vec<usize> {
         stack.push(start);
         on_stack[start] = true;
         while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci < succ[v].len() {
-                let w = succ[v][*ci];
+            if let Some(&w) = succ.of(v).get(*ci) {
+                let w = w as usize;
                 *ci += 1;
                 if index[w] == usize::MAX {
                     index[w] = next_index;

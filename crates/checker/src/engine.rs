@@ -34,7 +34,7 @@ use strtaint_grammar::{Cfg, NtId};
 
 use crate::checks::CheckOptions;
 use crate::pmemo::{PreparedMemo, Subgrammar};
-use crate::qcache::{QueryCache, QueryKey, Verdict};
+use crate::qcache::{Lookup, QueryCache, QueryKey, Verdict};
 use crate::report::{CheckKind, Finding};
 
 /// A check automaton in byte-class-compressed form.
@@ -284,7 +284,7 @@ impl<'a> Engine<'a> {
         let extract = witness && !target.guarded;
         // `eager_witness` distrusts memoized witness bytes: extracting
         // queries bypass the cache and run live.
-        let cached = match self.shared.qcache.as_deref() {
+        let ticket = match self.shared.qcache.as_deref() {
             Some(qc) if !(extract && self.shared.eager_witness) => {
                 let key = QueryKey {
                     scope: qc.scope(),
@@ -294,18 +294,21 @@ impl<'a> Engine<'a> {
                     fuel_limit: budget.fuel_limit(),
                     grammar_cap: budget.grammar_cap(),
                 };
-                Some((qc, key))
+                match qc.lookup(key) {
+                    Lookup::Hit(v) => {
+                        self.stats.qcache_hits += 1;
+                        return self.replay(v, budget, witness);
+                    }
+                    Lookup::Miss(ticket) => {
+                        self.stats.qcache_misses += 1;
+                        Some(ticket)
+                    }
+                }
             }
             _ => None,
         };
-        if let Some((qc, key)) = &cached {
-            if let Some(v) = qc.get(key) {
-                self.stats.qcache_hits += 1;
-                return self.replay(v, budget, witness);
-            }
-            self.stats.qcache_misses += 1;
-        }
-        // `?` on a trip: tripped fixpoints are never cached.
+        // `?` on a trip: tripped fixpoints are never cached (the
+        // dropped ticket lets any waiter compute for itself).
         let mut ix = target.prep.query(&q.classes, budget, QueryMode::EarlyExit)?;
         if ix.exited_early() {
             self.stats.early_exits += 1;
@@ -336,8 +339,8 @@ impl<'a> Engine<'a> {
         }
         self.stats.realized_triples += v.triples_final;
         let answer = (v.empty, v.witness.clone());
-        if let Some((qc, key)) = cached {
-            self.stats.qcache_evictions += qc.insert(key, v);
+        if let Some(ticket) = ticket {
+            self.stats.qcache_evictions += ticket.land(v);
         }
         Ok(answer)
     }

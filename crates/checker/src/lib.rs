@@ -42,6 +42,7 @@
 pub mod abstraction;
 pub mod checks;
 mod engine;
+mod flight;
 pub mod policy_driver;
 mod pmemo;
 mod qcache;

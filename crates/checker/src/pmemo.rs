@@ -42,16 +42,19 @@
 //! The memo is an optimization cache, never an oracle: entries are
 //! evicted FIFO past a bounded capacity and rebuilt on demand. It is
 //! always on; `CheckOptions::query_cache` switches only the verdict
-//! cache.
+//! cache. Builds are single-flight ([`crate::flight`]), so each key is
+//! prepared once however many workers ask for it at the same time, and
+//! the `normalizations` counter repeats across identical runs.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::prepared::PreparedGrammar;
 use strtaint_grammar::{Cfg, NtId, Symbol};
 
 use crate::abstraction::marked_grammar;
+use crate::flight::Flights;
 
 /// Prepared grammars retained (each is a trimmed, normalized, indexed
 /// copy of a hotspot subgrammar — the heavyweight entries).
@@ -220,6 +223,8 @@ struct Store<V> {
     map: HashMap<(u64, u64), V>,
     order: VecDeque<(u64, u64)>,
     cap: usize,
+    /// Keys being built (see [`get_or_build`]).
+    flights: Flights<(u64, u64)>,
 }
 
 impl<V: Clone> Store<V> {
@@ -228,6 +233,7 @@ impl<V: Clone> Store<V> {
             map: HashMap::new(),
             order: VecDeque::new(),
             cap,
+            flights: Flights::default(),
         }
     }
 
@@ -236,7 +242,7 @@ impl<V: Clone> Store<V> {
     }
 
     fn insert(&mut self, key: (u64, u64), value: V) -> V {
-        // First writer wins, so racing workers converge on one shared
+        // First writer wins, so every caller of a key shares one
         // entry.
         if let Some(existing) = self.map.get(&key) {
             return existing.clone();
@@ -283,19 +289,11 @@ impl PreparedMemo {
     /// answers the witness-reconstruction guard without another walk.
     pub(crate) fn prepared(&self, g: &Cfg, root: NtId) -> (Arc<PreparedGrammar>, bool, usize) {
         let sub = Subgrammar::of(g, root);
-        let (key, count) = (derive_key(sub.fp, u32::MAX, TAG_PLAIN), sub.count);
-        if let Ok(store) = self.prepared.lock() {
-            if let Some(p) = store.get(&key) {
-                return (p, true, count);
-            }
-        }
-        // Prepare outside the lock: preparation is the expensive part,
-        // and a racing duplicate is resolved by first-writer-wins.
-        let prep = Arc::new(PreparedGrammar::new(g, root));
-        match self.prepared.lock() {
-            Ok(mut store) => (store.insert(key, prep), false, count),
-            Err(_) => (prep, false, count),
-        }
+        let key = derive_key(sub.fp, u32::MAX, TAG_PLAIN);
+        let (prep, hit) = get_or_build(&self.prepared, key, || {
+            Arc::new(PreparedGrammar::new(g, root))
+        });
+        (prep, hit, sub.count)
     }
 
     /// Returns the prepared *marked grammar* of `(g, root, x)` — the
@@ -319,17 +317,10 @@ impl PreparedMemo {
             return (Arc::new(PreparedGrammar::new(&marked, mroot)), false);
         };
         let key = derive_key(sub.fp, lx, TAG_MARKED);
-        if let Ok(store) = self.prepared.lock() {
-            if let Some(p) = store.get(&key) {
-                return (p, true);
-            }
-        }
-        let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
-        let prep = Arc::new(PreparedGrammar::new(&marked, mroot));
-        match self.prepared.lock() {
-            Ok(mut store) => (store.insert(key, prep), false),
-            Err(_) => (prep, false),
-        }
+        get_or_build(&self.prepared, key, || {
+            let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+            Arc::new(PreparedGrammar::new(&marked, mroot))
+        })
     }
 
     /// Returns the canonical shortest string of the marked grammar of
@@ -353,28 +344,68 @@ impl PreparedMemo {
             return shortest_string(&marked, mroot);
         };
         let key = derive_key(sub.fp, lx, TAG_SKELETON);
-        if let Ok(store) = self.skeletons.lock() {
-            if let Some(s) = store.get(&key) {
-                return s;
+        let (skeleton, _) = get_or_build(&self.skeletons, key, || {
+            let marked = self
+                .prepared
+                .lock()
+                .ok()
+                .and_then(|store| store.get(&derive_key(sub.fp, lx, TAG_MARKED)));
+            match marked {
+                Some(prep) => prep.shortest_string(),
+                None => {
+                    let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
+                    shortest_string(&marked, mroot)
+                }
             }
-        }
-        let marked = self
-            .prepared
-            .lock()
-            .ok()
-            .and_then(|store| store.get(&derive_key(sub.fp, lx, TAG_MARKED)));
-        let skeleton = match marked {
-            Some(prep) => prep.shortest_string(),
-            None => {
-                let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
-                shortest_string(&marked, mroot)
-            }
+        });
+        skeleton
+    }
+}
+
+/// The value of `key` in `store`, built by `build` on a miss; `true`
+/// on a hit. Builds are single-flight (see [`crate::flight`]): a
+/// caller of a key another caller is building waits for that build
+/// and then hits. A poisoned store builds without caching.
+fn get_or_build<V: Clone>(
+    store: &Mutex<Store<V>>,
+    key: (u64, u64),
+    build: impl FnOnce() -> V,
+) -> (V, bool) {
+    loop {
+        let Ok(mut guard) = store.lock() else {
+            return (build(), false);
         };
-        match self.skeletons.lock() {
-            Ok(mut store) => store.insert(key, skeleton),
-            Err(_) => skeleton,
+        if let Some(v) = guard.get(&key) {
+            return (v, true);
+        }
+        match guard.flights.join(&key) {
+            Some(flight) => {
+                drop(guard);
+                flight.wait();
+            }
+            None => break,
         }
     }
+    /// Ends the leader's flight on every path, a panicking build
+    /// included.
+    struct Lead<'a, V> {
+        store: &'a Mutex<Store<V>>,
+        key: (u64, u64),
+    }
+    impl<V> Drop for Lead<'_, V> {
+        fn drop(&mut self) {
+            let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
+            store.flights.end(&self.key);
+        }
+    }
+    let lead = Lead { store, key };
+    let value = build();
+    let value = match store.lock() {
+        Ok(mut store) => store.insert(key, value),
+        Err(_) => value,
+    };
+    drop(lead);
+    (value, false)
 }
 
 #[cfg(test)]
@@ -496,5 +527,37 @@ mod tests {
         let stray = g2.add_nonterminal("stray");
         g2.add_literal_production(stray, b"zzz");
         assert_eq!(n, Subgrammar::of(&g2, root).count);
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_key_run_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::RwLock;
+        let store = Mutex::new(Store::new(4));
+        let (built, gate) = (AtomicUsize::new(0), RwLock::new(()));
+        let closed = gate.write().unwrap();
+        let mut results: Vec<(u32, bool)> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        get_or_build(&store, (1, 2), || {
+                            built.fetch_add(1, Ordering::SeqCst);
+                            drop(gate.read().unwrap());
+                            7
+                        })
+                    })
+                })
+                .collect();
+            // Open the gate once the second caller waits on the first
+            // one's build (the table's reference plus the waiter's).
+            while store.lock().unwrap().flights.holders(&(1, 2)) < 2 {
+                std::thread::yield_now();
+            }
+            drop(closed);
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(built.load(Ordering::SeqCst), 1);
+        results.sort_unstable();
+        assert_eq!(results, [(7, false), (7, true)], "one build, one hit");
     }
 }

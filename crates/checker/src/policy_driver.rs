@@ -315,7 +315,10 @@ impl PolicyChecker {
             "check"
         };
         let mut report = HotspotReport::default();
-        let candidates = maximal_labeled(cfg, root);
+        let candidates = {
+            let _span = strtaint_obs::Span::enter("candidates", "");
+            maximal_labeled(cfg, root)
+        };
         report.checked = candidates.len();
         let mut engine = Engine::new(&self.shared);
         for &x in &candidates {

@@ -56,6 +56,16 @@
 //! [`EngineStats`](strtaint_grammar::stats::EngineStats) and merge,
 //! keeping the hot path lock-free beyond the shard probe itself.
 //!
+//! A miss is single-flight per key ([`crate::flight`]): the first
+//! caller gets a [`Ticket`] and computes; a concurrent caller of the
+//! same key waits for that ticket and then replays the landed verdict
+//! like any hit. So which queries compute, and every counter that
+//! follows from it, depends only on the queries asked, never on thread
+//! timing. A ticket dropped without landing (a budget trip, a panic)
+//! caches nothing, and its waiters compute for themselves: a deadline
+//! is not part of the key, so another caller's trip says nothing about
+//! theirs. A poisoned shard degrades to a miss without a flight.
+//!
 //! [`Config`]: strtaint_policy::Config
 //! [`PreparedGrammar`]: strtaint_grammar::prepared::PreparedGrammar
 
@@ -63,7 +73,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+
+use crate::flight::Flights;
 
 /// Number of independently locked shards.
 const SHARDS: usize = 16;
@@ -113,6 +125,43 @@ struct Shard {
     map: HashMap<QueryKey, Verdict>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<QueryKey>,
+    /// Keys being computed, each with the flight its waiters block on.
+    flights: Flights<QueryKey>,
+}
+
+/// What [`QueryCache::lookup`] found.
+pub(crate) enum Lookup<'a> {
+    /// A verdict: cached, or landed by the caller this one waited for.
+    Hit(Verdict),
+    /// No verdict: the caller computes it and lands the ticket.
+    Miss(Ticket<'a>),
+}
+
+/// The one computation of a missed key. Concurrent callers of the key
+/// wait until the ticket is landed or dropped.
+pub(crate) struct Ticket<'a> {
+    cache: &'a QueryCache,
+    key: QueryKey,
+    /// `false` when the shard was poisoned: nobody waits on this miss.
+    leads: bool,
+}
+
+impl Ticket<'_> {
+    /// Caches `verdict` for the waiters and later callers, returning
+    /// how many entries were evicted to make room.
+    pub(crate) fn land(self, verdict: Verdict) -> u64 {
+        self.cache.insert(self.key.clone(), verdict)
+    }
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        if self.leads {
+            let shard = self.cache.shard(&self.key).lock();
+            let mut shard = shard.unwrap_or_else(PoisonError::into_inner);
+            shard.flights.end(&self.key);
+        }
+    }
 }
 
 /// The cross-page verdict cache. One per checker, shared by all pages
@@ -160,16 +209,41 @@ impl QueryCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Looks up a verdict. A poisoned shard (worker panic while
-    /// holding the lock) degrades to a miss — the caller recomputes.
-    pub(crate) fn get(&self, key: &QueryKey) -> Option<Verdict> {
-        let shard = self.shard(key).lock().ok()?;
-        shard.map.get(key).cloned()
+    /// Looks up a verdict, waiting for one in flight. On a miss the
+    /// caller holds the key's [`Ticket`]. A poisoned shard (worker
+    /// panic while holding the lock) degrades to a miss — the caller
+    /// recomputes.
+    pub(crate) fn lookup(&self, key: QueryKey) -> Lookup<'_> {
+        loop {
+            let Ok(mut shard) = self.shard(&key).lock() else {
+                return Lookup::Miss(Ticket {
+                    cache: self,
+                    key,
+                    leads: false,
+                });
+            };
+            if let Some(v) = shard.map.get(&key) {
+                return Lookup::Hit(v.clone());
+            }
+            match shard.flights.join(&key) {
+                Some(flight) => {
+                    drop(shard);
+                    flight.wait();
+                }
+                None => {
+                    return Lookup::Miss(Ticket {
+                        cache: self,
+                        key,
+                        leads: true,
+                    })
+                }
+            }
+        }
     }
 
     /// Inserts a verdict, returning how many entries were evicted to
     /// make room (usually 0 or 1; surfaced as `qcache.evictions`).
-    pub(crate) fn insert(&self, key: QueryKey, verdict: Verdict) -> u64 {
+    fn insert(&self, key: QueryKey, verdict: Verdict) -> u64 {
         let Ok(mut shard) = self.shard(&key).lock() else {
             return 0;
         };
@@ -215,13 +289,21 @@ mod tests {
         }
     }
 
+    /// The cached verdict of `k`, if any; a miss lands nothing.
+    fn get(c: &QueryCache, k: &QueryKey) -> Option<Verdict> {
+        match c.lookup(k.clone()) {
+            Lookup::Hit(v) => Some(v),
+            Lookup::Miss(_) => None,
+        }
+    }
+
     #[test]
     fn roundtrip_and_namespacing() {
         let c = QueryCache::new();
         let k = key(1);
-        assert!(c.get(&k).is_none());
+        assert!(get(&c, &k).is_none());
         c.insert(k.clone(), verdict(true, 42, 9));
-        match c.get(&k) {
+        match get(&c, &k) {
             Some(Verdict {
                 empty: true,
                 fuel_query: 42,
@@ -233,14 +315,14 @@ mod tests {
         // A different scope is a different key entirely.
         let mut other_scope = k.clone();
         other_scope.scope = 8;
-        assert!(c.get(&other_scope).is_none());
+        assert!(get(&c, &other_scope).is_none());
         // So are a different extraction mode and budget class.
         let mut other_mode = k.clone();
         other_mode.extract = true;
-        assert!(c.get(&other_mode).is_none());
+        assert!(get(&c, &other_mode).is_none());
         let mut other_fuel = k;
         other_fuel.fuel_limit = Some(10);
-        assert!(c.get(&other_fuel).is_none());
+        assert!(get(&c, &other_fuel).is_none());
     }
 
     #[test]
@@ -275,5 +357,64 @@ mod tests {
         assert!(total <= SHARDS * PER_SHARD_CAP);
         assert!(evicted > 0);
         assert_eq!(evicted as usize + total, SHARDS * PER_SHARD_CAP * 2);
+    }
+
+    /// References to the flight of `k`: the shard's plus one per
+    /// waiter.
+    fn flight_holders(c: &QueryCache, k: &QueryKey) -> usize {
+        c.shard(k).lock().unwrap().flights.holders(k)
+    }
+
+    /// Runs two concurrent lookups of one key. A caller that misses
+    /// counts a computation, waits at a gate the test opens once the
+    /// other caller waits on its flight, and lands its verdict when
+    /// `land` says so. Returns the computations and each caller's
+    /// fuel (its verdict's, or 0 when it did not land one).
+    fn two_callers(land: bool) -> (usize, Vec<u64>) {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::RwLock;
+        let (c, computed, gate) = (QueryCache::new(), AtomicUsize::new(0), RwLock::new(()));
+        let closed = gate.write().unwrap();
+        let fuels = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| match c.lookup(key(1)) {
+                        Lookup::Hit(v) => v.fuel_query,
+                        Lookup::Miss(ticket) => {
+                            let n = computed.fetch_add(1, Ordering::SeqCst);
+                            drop(gate.read().unwrap());
+                            if land || n > 0 {
+                                ticket.land(verdict(true, 42, 9));
+                                42
+                            } else {
+                                0
+                            }
+                        }
+                    })
+                })
+                .collect();
+            while flight_holders(&c, &key(1)) < 2 {
+                std::thread::yield_now();
+            }
+            drop(closed);
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(flight_holders(&c, &key(1)), 0, "flight outlived its ticket");
+        (computed.load(Ordering::SeqCst), fuels)
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_compute_once() {
+        // The waiter replays the leader's verdict, fuel included.
+        assert_eq!(two_callers(true), (1, vec![42, 42]));
+    }
+
+    #[test]
+    fn a_ticket_dropped_unlanded_lets_its_waiter_compute() {
+        // The leader lands nothing (a trip); its waiter computes for
+        // itself and lands.
+        let (computed, mut fuels) = two_callers(false);
+        fuels.sort_unstable();
+        assert_eq!((computed, fuels), (2, vec![0, 42]));
     }
 }

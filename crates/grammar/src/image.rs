@@ -38,6 +38,7 @@
 use strtaint_automata::fst::{resolve_output, Fst};
 use strtaint_automata::StateId;
 
+use crate::bits::{ones, BitRows};
 use crate::budget::{Budget, BudgetExceeded};
 use crate::cfg::{Cfg, Csr};
 use crate::normal::{Normal, P};
@@ -178,128 +179,96 @@ fn compose(acc: &mut [u64], a: &[u64], b: &[u64], w: usize) {
     }
 }
 
-/// The realized relations of every operand nonterminal.
-struct Relations {
-    q: usize,
-    w: usize,
-    /// Bit row `i` of nonterminal `x` at `(x * q + i) * w`.
-    bits: Vec<u64>,
-}
+/// Runs the fixpoint to its least solution: the realized relation
+/// of every operand nonterminal.
+///
+/// Strongly connected components are solved one at a time, callees
+/// first, so a nonterminal outside any cycle runs exactly once and
+/// reads only final rows. Inside a component, a FIFO worklist
+/// re-runs a member only when a member it reads has changed.
+fn fixpoint(norm: &Normal, steps: &Steps, budget: &Budget) -> Result<BitRows, BudgetExceeded> {
+    let (q, w) = (steps.q, steps.w);
+    let nv = norm.num_nonterminals();
+    let stride = q * w;
+    let mut rel = BitRows::new(nv, q);
 
-impl Relations {
-    fn of(&self, x: NtId) -> &[u64] {
-        let stride = self.q * self.w;
-        &self.bits[x.index() * stride..(x.index() + 1) * stride]
-    }
-
-    fn row(&self, x: NtId, i: u32) -> &[u64] {
-        let s = (x.index() * self.q + i as usize) * self.w;
-        &self.bits[s..s + self.w]
-    }
-
-    fn realized(&self, x: NtId, i: u32, j: u32) -> bool {
-        self.row(x, i)[j as usize / 64] >> (j % 64) & 1 == 1
-    }
-
-    /// Runs the fixpoint to its least solution.
-    ///
-    /// Strongly connected components are solved one at a time, callees
-    /// first, so a nonterminal outside any cycle runs exactly once and
-    /// reads only final rows. Inside a component, a FIFO worklist
-    /// re-runs a member only when a member it reads has changed.
-    fn fixpoint(
-        norm: &Normal,
-        steps: &Steps,
-        budget: &Budget,
-    ) -> Result<Relations, BudgetExceeded> {
-        let (q, w) = (steps.q, steps.w);
-        let nv = norm.num_nonterminals();
-        let stride = q * w;
-        let mut rel = Relations {
-            q,
-            w,
-            bits: vec![0; nv * stride],
-        };
-
-        let kids = Csr::new(
-            nv,
-            norm.prods
-                .iter()
-                .flat_map(|&(lhs, p)| p.children().map(move |y| (lhs.0, y.0))),
-        );
-        let readers = Csr::new(
-            nv,
-            norm.prods
-                .iter()
-                .flat_map(|&(lhs, p)| p.children().map(move |y| (y.0, lhs.0))),
-        );
-        let (members, bounds) = components(&kids);
-        let mut comp = vec![0u32; nv];
-        for c in 0..bounds.len() - 1 {
-            for &x in &members[bounds[c] as usize..bounds[c + 1] as usize] {
-                comp[x as usize] = c as u32;
-            }
+    let kids = Csr::new(
+        nv,
+        norm.prods
+            .iter()
+            .flat_map(|&(lhs, p)| p.children().map(move |y| (lhs.0, y.0))),
+    );
+    let readers = Csr::new(
+        nv,
+        norm.prods
+            .iter()
+            .flat_map(|&(lhs, p)| p.children().map(move |y| (y.0, lhs.0))),
+    );
+    let (members, bounds) = components(&kids);
+    let mut comp = vec![0u32; nv];
+    for c in 0..bounds.len() - 1 {
+        for &x in &members[bounds[c] as usize..bounds[c + 1] as usize] {
+            comp[x as usize] = c as u32;
         }
+    }
 
-        let mut queued = vec![false; nv];
-        let mut queue = std::collections::VecDeque::new();
-        let mut acc = vec![0u64; stride];
-        let mut realized = 0usize;
-        for c in 0..bounds.len() - 1 {
-            for &x in &members[bounds[c] as usize..bounds[c + 1] as usize] {
-                queued[x as usize] = true;
-                queue.push_back(x);
+    let mut queued = vec![false; nv];
+    let mut queue = std::collections::VecDeque::new();
+    let mut acc = vec![0u64; stride];
+    let mut realized = 0usize;
+    for c in 0..bounds.len() - 1 {
+        for &x in &members[bounds[c] as usize..bounds[c + 1] as usize] {
+            queued[x as usize] = true;
+            queue.push_back(x);
+        }
+        while let Some(x) = queue.pop_front() {
+            queued[x as usize] = false;
+            let x = NtId(x);
+            let prods = norm.productions(x);
+            acc.copy_from_slice(rel.of(x));
+            for &(_, p) in prods {
+                match p {
+                    P::Eps => {
+                        for i in 0..q {
+                            acc[i * w + i / 64] |= 1 << (i % 64);
+                        }
+                    }
+                    P::T(a) => {
+                        for (o, &v) in acc.iter_mut().zip(steps.rows(a)) {
+                            *o |= v;
+                        }
+                    }
+                    P::N(y) => {
+                        for (o, &v) in acc.iter_mut().zip(rel.of(y)) {
+                            *o |= v;
+                        }
+                    }
+                    P::TT(a, b) => compose(&mut acc, steps.rows(a), steps.rows(b), w),
+                    P::TN(a, y) => compose(&mut acc, steps.rows(a), rel.of(y), w),
+                    P::NT(y, b) => compose(&mut acc, rel.of(y), steps.rows(b), w),
+                    P::NN(y, z) => compose(&mut acc, rel.of(y), rel.of(z), w),
+                }
             }
-            while let Some(x) = queue.pop_front() {
-                queued[x as usize] = false;
-                let x = NtId(x);
-                let prods = norm.productions(x);
-                acc.copy_from_slice(rel.of(x));
-                for &(_, p) in prods {
-                    match p {
-                        P::Eps => {
-                            for i in 0..q {
-                                acc[i * w + i / 64] |= 1 << (i % 64);
-                            }
-                        }
-                        P::T(a) => {
-                            for (o, &v) in acc.iter_mut().zip(steps.rows(a)) {
-                                *o |= v;
-                            }
-                        }
-                        P::N(y) => {
-                            for (o, &v) in acc.iter_mut().zip(rel.of(y)) {
-                                *o |= v;
-                            }
-                        }
-                        P::TT(a, b) => compose(&mut acc, steps.rows(a), steps.rows(b), w),
-                        P::TN(a, y) => compose(&mut acc, steps.rows(a), rel.of(y), w),
-                        P::NT(y, b) => compose(&mut acc, rel.of(y), steps.rows(b), w),
-                        P::NN(y, z) => compose(&mut acc, rel.of(y), rel.of(z), w),
-                    }
-                }
-                let row = &mut rel.bits[x.index() * stride..(x.index() + 1) * stride];
-                let mut new = 0usize;
-                for (old, &v) in row.iter_mut().zip(&acc) {
-                    new += (v & !*old).count_ones() as usize;
-                    *old = v;
-                }
-                budget.charge((prods.len() + new) as u64)?;
-                if new == 0 {
-                    continue;
-                }
-                realized += new;
-                budget.check_grammar_size(realized)?;
-                for &r in readers.get(x.0) {
-                    if comp[r as usize] == c as u32 && !queued[r as usize] {
-                        queued[r as usize] = true;
-                        queue.push_back(r);
-                    }
+            let mut new = 0usize;
+            for (old, &v) in rel.of_mut(x).iter_mut().zip(&acc) {
+                new += (v & !*old).count_ones() as usize;
+                *old = v;
+            }
+            budget.charge((prods.len() + new) as u64)?;
+            if new == 0 {
+                continue;
+            }
+            realized += new;
+            budget.check_grammar_size(realized)?;
+            for &r in readers.get(x.0) {
+                if comp[r as usize] == c as u32 && !queued[r as usize] {
+                    queued[r as usize] = true;
+                    queue.push_back(r);
                 }
             }
         }
-        Ok(rel)
     }
+    Ok(rel)
 }
 
 /// Strongly connected components of a graph (Tarjan, iterative), each
@@ -390,7 +359,7 @@ impl Image {
         });
         let norm = Normal::new(g, root);
         let steps = Steps::new(fst, &norm);
-        let rel = Relations::fixpoint(&norm, &steps, budget)?;
+        let rel = fixpoint(&norm, &steps, budget)?;
         Rebuild::new(&norm, &steps, &rel, base).run(g, root, fst, budget)
     }
 
@@ -412,9 +381,9 @@ impl Image {
 struct Rebuild<'a> {
     norm: &'a Normal,
     steps: &'a Steps,
-    rel: &'a Relations,
-    /// `rank[x * q + i]`: dense index of the first realized triple of
-    /// row `(x, i)`; a triple's index adds the set bits below `j`.
+    rel: &'a BitRows,
+    /// Dense index of the first realized triple of each row (see
+    /// [`BitRows::ranks`]).
     rank: Vec<u32>,
     /// Image entry of each realized triple by dense index (`u32::MAX`
     /// until discovered).
@@ -425,19 +394,14 @@ struct Rebuild<'a> {
 }
 
 impl<'a> Rebuild<'a> {
-    fn new(norm: &'a Normal, steps: &'a Steps, rel: &'a Relations, base: u32) -> Rebuild<'a> {
-        let mut rank = Vec::with_capacity(rel.bits.len() / rel.w);
-        let mut total = 0u32;
-        for row in rel.bits.chunks_exact(rel.w) {
-            rank.push(total);
-            total += row.iter().map(|v| v.count_ones()).sum::<u32>();
-        }
+    fn new(norm: &'a Normal, steps: &'a Steps, rel: &'a BitRows, base: u32) -> Rebuild<'a> {
+        let (rank, total) = rel.ranks();
         Rebuild {
             norm,
             steps,
             rel,
             rank,
-            entry: vec![u32::MAX; total as usize],
+            entry: vec![u32::MAX; total],
             queue: Vec::new(),
             img: Image {
                 base,
@@ -451,11 +415,7 @@ impl<'a> Rebuild<'a> {
     /// The arena id of realized triple `(x, i, j)`, discovering it on
     /// first use.
     fn id(&mut self, x: NtId, i: u32, j: u32) -> Symbol {
-        let row = self.rel.row(x, i);
-        let (word, bit) = (j as usize / 64, j % 64);
-        let below: u32 = row[..word].iter().map(|v| v.count_ones()).sum::<u32>()
-            + (row[word] & ((1u64 << bit) - 1)).count_ones();
-        let dense = (self.rank[x.index() * self.rel.q + i as usize] + below) as usize;
+        let dense = self.rel.dense(&self.rank, x, i, j);
         if self.entry[dense] == u32::MAX {
             self.queue.push((x, i, j));
             self.entry[dense] = self.queue.len() as u32;
@@ -481,7 +441,7 @@ impl<'a> Rebuild<'a> {
         let mut rules = Vec::new();
         for qf in 0..self.rel.q as u32 {
             if let Some(flush) = fst.final_output(qf as StateId) {
-                if self.rel.realized(NtId(0), q0, qf) {
+                if self.rel.get(NtId(0), q0, qf) {
                     let mut rhs = vec![self.id(NtId(0), q0, qf)];
                     rhs.extend(lit(flush));
                     rules.push(rhs);
@@ -512,7 +472,7 @@ impl<'a> Rebuild<'a> {
                         }
                     }
                     P::N(y) => {
-                        if rel.realized(y, i, j) {
+                        if rel.get(y, i, j) {
                             rules.push(vec![self.id(y, i, j)]);
                         }
                     }
@@ -529,7 +489,7 @@ impl<'a> Rebuild<'a> {
                     }
                     P::TN(a, y) => {
                         for (m, out_a) in steps.arcs(a, i) {
-                            if rel.realized(y, *m, j) {
+                            if rel.get(y, *m, j) {
                                 let mut rhs = lit(out_a);
                                 rhs.push(self.id(y, *m, j));
                                 rules.push(rhs);
@@ -549,7 +509,7 @@ impl<'a> Rebuild<'a> {
                     }
                     P::NN(y, z) => {
                         for m in ones(rel.row(y, i)) {
-                            if rel.realized(z, m, j) {
+                            if rel.get(z, m, j) {
                                 let left = self.id(y, i, m);
                                 let right = self.id(z, m, j);
                                 rules.push(vec![left, right]);
@@ -562,20 +522,6 @@ impl<'a> Rebuild<'a> {
         }
         Ok(self.img)
     }
-}
-
-/// The set bits of a bit row, ascending.
-fn ones(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    row.iter().enumerate().flat_map(|(k, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let m = k as u32 * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                m
-            })
-        })
-    })
 }
 
 #[cfg(test)]

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bits;
 pub mod budget;
 pub mod cfg;
 pub mod earley;

@@ -34,21 +34,27 @@
 //!   included); `witness` reads the canonical witness off the triples
 //!   directly with the shortest-derivation kernel (`shortest.rs`).
 //!
-//! Realized end-state sets are kept **sorted** and probed with
-//! `binary_search` (debug assertions check orderedness). Engine work is
-//! observable through [`EngineStats`](crate::stats::EngineStats), which
-//! reports surface on `HotspotReport`/`AppReport`.
+//! Realized triples live in two dense bit-row stores (`crate::bits`,
+//! shared with the transducer image): row `(X, i)` of `by_start` holds
+//! bit `j` iff `X_{ij}` is realized, and row `(X, j)` of `by_end` holds
+//! bit `i`. The discovery schedule is fixed: seeding in production
+//! order, a LIFO worklist, rows joined in ascending bit order, and
+//! each join iterating a snapshot of its row taken before it discovers
+//! anything. Fuel, triple counts, early-exit points and the
+//! reconstructed grammar are functions of that schedule alone. Engine
+//! work is observable through [`EngineStats`](crate::stats::EngineStats),
+//! which reports surface on `HotspotReport`/`AppReport`.
 //!
 //! The naive engine in [`crate::intersect`] has no production caller:
 //! it is the reference model this engine is tested against
 //! (`crates/grammar/tests/engine.rs`, and the suite's query-level
 //! differential over corpus hotspots).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use strtaint_automata::ClassDfa;
 
+use crate::bits::{ones, BitRows};
 use crate::budget::{Budget, BudgetExceeded};
 use crate::cfg::Cfg;
 use crate::normal::{Normal, Occurrences, P};
@@ -271,18 +277,21 @@ impl PreparedGrammar {
             reverse[c] = rev;
         }
 
+        let nv = self.num_nonterminals();
         let mut ix = Intersection {
             prep: self,
             dfa,
             forward,
             reverse,
-            by_start: vec![HashMap::new(); self.num_nonterminals()],
-            by_end: vec![HashMap::new(); self.num_nonterminals()],
-            worklist: Vec::new(),
-            triples: 0,
-            charged: 0,
+            found: Found {
+                by_start: BitRows::new(nv, q as usize),
+                by_end: BitRows::new(nv, q as usize),
+                worklist: Vec::new(),
+                triples: 0,
+                charged: 0,
+                hit: false,
+            },
             completions: 0,
-            hit: false,
             exited_early: false,
             seeded: false,
         };
@@ -312,10 +321,22 @@ pub struct Intersection<'g, 'd> {
     forward: Vec<Vec<u32>>,
     /// reverse[class][end] = start states stepping to `end`.
     reverse: Vec<Vec<Vec<u32>>>,
-    /// by_start[X][i] = **sorted** end states j with X_{ij} realized.
-    by_start: Vec<HashMap<u32, Vec<u32>>>,
-    /// by_end[X][j] = **sorted** start states i with X_{ij} realized.
-    by_end: Vec<HashMap<u32, Vec<u32>>>,
+    found: Found,
+    /// Times a suspended early-exit run was actually resumed
+    /// ([`Self::complete`] with pending work). Lazy witness extraction
+    /// promises this stays zero for empty intersections.
+    completions: u64,
+    exited_early: bool,
+    seeded: bool,
+}
+
+/// The realized triples of an [`Intersection`] and the work they have
+/// cost, apart from the step tables the fixpoint reads.
+struct Found {
+    /// Row `(X, i)` holds bit `j` iff `X_{ij}` is realized.
+    by_start: BitRows,
+    /// Row `(X, j)` holds bit `i` iff `X_{ij}` is realized.
+    by_end: BitRows,
     worklist: Vec<(NtId, u32, u32)>,
     triples: usize,
     /// Fuel units successfully charged to the budget by this
@@ -323,139 +344,128 @@ pub struct Intersection<'g, 'd> {
     /// query cache records this so a replayed verdict charges exactly
     /// what recomputing it would.
     charged: u64,
-    /// Times a suspended early-exit run was actually resumed
-    /// ([`Self::complete`] with pending work). Lazy witness extraction
-    /// promises this stays zero for empty intersections.
-    completions: u64,
     /// Latched when an accepting root triple is realized.
     hit: bool,
-    exited_early: bool,
-    seeded: bool,
 }
 
-impl fmt::Debug for Intersection<'_, '_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Intersection")
-            .field("triples", &self.triples)
-            .field("hit", &self.hit)
-            .field("exited_early", &self.exited_early)
-            .field("pending", &self.worklist.len())
-            .finish()
-    }
-}
-
-impl<'g, 'd> Intersection<'g, 'd> {
-    fn realized(&self, x: NtId, i: u32, j: u32) -> bool {
-        self.by_start[x.index()]
-            .get(&i)
-            .is_some_and(|v| v.binary_search(&j).is_ok())
-    }
-
+impl Found {
     /// Records `X_{ij}` if new. Returns `Err` on budget exhaustion.
-    fn discover(&mut self, budget: &Budget, x: NtId, i: u32, j: u32) -> Result<(), BudgetExceeded> {
+    fn discover(
+        &mut self,
+        budget: &Budget,
+        dfa: &ClassDfa,
+        x: NtId,
+        i: u32,
+        j: u32,
+    ) -> Result<(), BudgetExceeded> {
         budget.charge(1)?;
         self.charged += 1;
-        let ends = self.by_start[x.index()].entry(i).or_default();
-        debug_assert!(ends.windows(2).all(|w| w[0] < w[1]), "ends not sorted");
-        if let Err(pos) = ends.binary_search(&j) {
-            ends.insert(pos, j);
-            let starts = self.by_end[x.index()].entry(j).or_default();
-            debug_assert!(starts.windows(2).all(|w| w[0] < w[1]), "starts not sorted");
-            if let Err(spos) = starts.binary_search(&i) {
-                starts.insert(spos, i);
-            }
+        if self.by_start.insert(x, i, j) {
+            self.by_end.insert(x, j, i);
             self.triples += 1;
             budget.check_grammar_size(self.triples)?;
             self.worklist.push((x, i, j));
-            if x == NtId(0) && i == self.dfa.start() && self.dfa.is_accepting(j) {
+            if x == NtId(0) && i == dfa.start() && dfa.is_accepting(j) {
                 self.hit = true;
             }
         }
         Ok(())
     }
+}
 
+impl fmt::Debug for Intersection<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Intersection")
+            .field("triples", &self.found.triples)
+            .field("hit", &self.found.hit)
+            .field("exited_early", &self.exited_early)
+            .field("pending", &self.found.worklist.len())
+            .finish()
+    }
+}
+
+impl<'g, 'd> Intersection<'g, 'd> {
     /// Seeds (first call only) and drains the worklist; in
-    /// [`QueryMode::EarlyExit`], suspends once [`Self::hit`] latches.
+    /// [`QueryMode::EarlyExit`], suspends once an accepting root
+    /// triple is realized.
     fn run(&mut self, budget: &Budget, mode: QueryMode) -> Result<(), BudgetExceeded> {
+        let (prep, dfa) = (self.prep, self.dfa);
+        let (forward, reverse, found) = (&self.forward, &self.reverse, &mut self.found);
+        let q = dfa.num_states() as u32;
         if !self.seeded {
             self.seeded = true;
-            for pid in 0..self.prep.norm.prods.len() {
-                let (lhs, p) = self.prep.norm.prods[pid as usize];
-                let q = self.dfa.num_states() as u32;
+            for &(lhs, p) in &prep.norm.prods {
                 match p {
                     P::Eps => {
                         for i in 0..q {
-                            self.discover(budget, lhs, i, i)?;
+                            found.discover(budget, dfa, lhs, i, i)?;
                         }
                     }
                     P::T(a) => {
-                        let c = self.dfa.class_of(a) as usize;
+                        let step = &forward[dfa.class_of(a) as usize];
                         for i in 0..q {
-                            let j = self.forward[c][i as usize];
-                            self.discover(budget, lhs, i, j)?;
+                            found.discover(budget, dfa, lhs, i, step[i as usize])?;
                         }
                     }
                     P::TT(a, b) => {
-                        let ca = self.dfa.class_of(a) as usize;
-                        let cb = self.dfa.class_of(b) as usize;
+                        let sa = &forward[dfa.class_of(a) as usize];
+                        let sb = &forward[dfa.class_of(b) as usize];
                         for i in 0..q {
-                            let j = self.forward[cb][self.forward[ca][i as usize] as usize];
-                            self.discover(budget, lhs, i, j)?;
+                            let j = sb[sa[i as usize] as usize];
+                            found.discover(budget, dfa, lhs, i, j)?;
                         }
                     }
                     _ => {}
                 }
             }
         }
+        // A join iterates a copy of its row taken before it discovers
+        // anything: a discovery may set a bit in the row being read.
+        let mut snap = vec![0u64; found.by_start.w];
         while let Some((x, i, j)) = {
-            if matches!(mode, QueryMode::EarlyExit) && self.hit {
-                self.exited_early = !self.worklist.is_empty();
+            if matches!(mode, QueryMode::EarlyExit) && found.hit {
+                self.exited_early = !found.worklist.is_empty();
                 None
             } else {
-                self.worklist.pop()
+                found.worklist.pop()
             }
         } {
             budget.charge(1)?;
-            self.charged += 1;
-            for &pid in self.prep.occ.unit.get(x.0) {
-                let (lhs, _) = self.prep.norm.prods[pid as usize];
-                self.discover(budget, lhs, i, j)?;
+            found.charged += 1;
+            for &pid in prep.occ.unit.get(x.0) {
+                let (lhs, _) = prep.norm.prods[pid as usize];
+                found.discover(budget, dfa, lhs, i, j)?;
             }
-            for &pid in self.prep.occ.right.get(x.0) {
-                let (lhs, p) = self.prep.norm.prods[pid as usize];
+            for &pid in prep.occ.right.get(x.0) {
+                let (lhs, p) = prep.norm.prods[pid as usize];
                 match p {
                     P::TN(a, _) => {
-                        let c = self.dfa.class_of(a) as usize;
-                        let starts = self.reverse[c][i as usize].clone();
-                        for i0 in starts {
-                            self.discover(budget, lhs, i0, j)?;
+                        for &i0 in &reverse[dfa.class_of(a) as usize][i as usize] {
+                            found.discover(budget, dfa, lhs, i0, j)?;
                         }
                     }
                     P::NN(left, _) => {
                         // x is in the right slot; join with realized
                         // left triples ending at i.
-                        if let Some(starts) = self.by_end[left.index()].get(&i) {
-                            for i0 in starts.clone() {
-                                self.discover(budget, lhs, i0, j)?;
-                            }
+                        snap.copy_from_slice(found.by_end.row(left, i));
+                        for i0 in ones(&snap) {
+                            found.discover(budget, dfa, lhs, i0, j)?;
                         }
                     }
                     _ => unreachable!("occ_right holds TN/NN only"),
                 }
             }
-            for &pid in self.prep.occ.left.get(x.0) {
-                let (lhs, p) = self.prep.norm.prods[pid as usize];
+            for &pid in prep.occ.left.get(x.0) {
+                let (lhs, p) = prep.norm.prods[pid as usize];
                 match p {
                     P::NT(_, b) => {
-                        let c = self.dfa.class_of(b) as usize;
-                        let jb = self.forward[c][j as usize];
-                        self.discover(budget, lhs, i, jb)?;
+                        let jb = forward[dfa.class_of(b) as usize][j as usize];
+                        found.discover(budget, dfa, lhs, i, jb)?;
                     }
                     P::NN(_, right) => {
-                        if let Some(ends) = self.by_start[right.index()].get(&j) {
-                            for k in ends.clone() {
-                                self.discover(budget, lhs, i, k)?;
-                            }
+                        snap.copy_from_slice(found.by_start.row(right, j));
+                        for k in ones(&snap) {
+                            found.discover(budget, dfa, lhs, i, k)?;
                         }
                     }
                     _ => unreachable!("occ_left holds NT/NN only"),
@@ -471,12 +481,12 @@ impl<'g, 'd> Intersection<'g, 'd> {
     /// mode: the `hit` latch is monotone, and a suspended early-exit
     /// run only suspends *because* it latched.
     pub fn is_empty(&self) -> bool {
-        !self.hit
+        !self.found.hit
     }
 
     /// Number of realized triples so far.
     pub fn triples(&self) -> usize {
-        self.triples
+        self.found.triples
     }
 
     /// `true` if the query suspended before draining its worklist.
@@ -486,7 +496,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
 
     /// Fuel units this intersection has successfully charged so far.
     pub fn charged(&self) -> u64 {
-        self.charged
+        self.found.charged
     }
 
     /// Times a suspended run was resumed to completion — zero for any
@@ -518,25 +528,20 @@ impl<'g, 'd> Intersection<'g, 'd> {
         let out_root = out.add_nonterminal(format!("{}∩", self.prep.root_name));
         out.set_taint(out_root, self.prep.root_taint);
 
-        // Realized-triple iteration order: `by_start` is a HashMap, so
-        // its raw order varies per instance. Reconstruction walks the
-        // start states sorted instead — the output grammar (nonterminal
-        // numbering, production order) is then a pure function of the
-        // realized set, identical across engines, runs, and threads.
-        let sorted_starts = |x: NtId| -> Vec<u32> {
-            let mut starts: Vec<u32> = self.by_start[x.index()].keys().copied().collect();
-            starts.sort_unstable();
-            starts
-        };
-
-        // Create result nonterminals for realized triples.
-        let mut map: HashMap<(u32, u32, u32), NtId> = HashMap::new();
+        // Result nonterminals for realized triples, numbered in
+        // row-major order (X, then i, then j ascending): the output
+        // grammar is a pure function of the realized set, identical
+        // across runs and threads. Triple `X_{ij}` is `id(X, i, j)`.
+        let rows = &self.found.by_start;
+        let (ranks, _) = rows.ranks();
+        let id =
+            |x: NtId, i: u32, j: u32| NtId(out_root.0 + 1 + rows.dense(&ranks, x, i, j) as u32);
+        let q = dfa.num_states() as u32;
         for x in norm.nonterminals() {
-            for i in sorted_starts(x) {
-                for &j in &self.by_start[x.index()][&i] {
+            for i in 0..q {
+                for _ in ones(rows.row(x, i)) {
                     let id = out.add_nonterminal(norm.name(x));
                     out.set_taint(id, norm.taint(x)); // TAINTIF
-                    map.insert((x.0, i, j), id);
                 }
             }
         }
@@ -544,11 +549,11 @@ impl<'g, 'd> Intersection<'g, 'd> {
         // Productions.
         let mut charged_here = 0u64;
         for x in norm.nonterminals() {
-            for i in sorted_starts(x) {
-                for &j in &self.by_start[x.index()][&i] {
+            for i in 0..q {
+                for j in ones(rows.row(x, i)) {
                     budget.charge(1)?;
                     charged_here += 1;
-                    let lhs = map[&(x.0, i, j)];
+                    let lhs = id(x, i, j);
                     for &(_, p) in norm.productions(x) {
                         match p {
                             P::Eps => {
@@ -562,8 +567,8 @@ impl<'g, 'd> Intersection<'g, 'd> {
                                 }
                             }
                             P::N(y) => {
-                                if let Some(&sub) = map.get(&(y.0, i, j)) {
-                                    out.add_production(lhs, vec![Symbol::N(sub)]);
+                                if rows.get(y, i, j) {
+                                    out.add_production(lhs, vec![Symbol::N(id(y, i, j))]);
                                 }
                             }
                             P::TT(a, b) => {
@@ -573,36 +578,26 @@ impl<'g, 'd> Intersection<'g, 'd> {
                             }
                             P::TN(a, y) => {
                                 let m = dfa.step_byte(i, a);
-                                if let Some(&sub) = map.get(&(y.0, m, j)) {
-                                    out.add_production(lhs, vec![Symbol::T(a), Symbol::N(sub)]);
+                                if rows.get(y, m, j) {
+                                    let sub = Symbol::N(id(y, m, j));
+                                    out.add_production(lhs, vec![Symbol::T(a), sub]);
                                 }
                             }
                             P::NT(y, b) => {
                                 // Any mid m with Y_{im} realized and
                                 // step(m,b)=j.
-                                if let Some(mids) = self.by_start[y.index()].get(&i) {
-                                    for &m in mids {
-                                        if dfa.step_byte(m, b) == j {
-                                            let sub = map[&(y.0, i, m)];
-                                            out.add_production(
-                                                lhs,
-                                                vec![Symbol::N(sub), Symbol::T(b)],
-                                            );
-                                        }
+                                for m in ones(rows.row(y, i)) {
+                                    if dfa.step_byte(m, b) == j {
+                                        let sub = Symbol::N(id(y, i, m));
+                                        out.add_production(lhs, vec![sub, Symbol::T(b)]);
                                     }
                                 }
                             }
                             P::NN(y, z) => {
-                                if let Some(mids) = self.by_start[y.index()].get(&i) {
-                                    for &m in mids {
-                                        if self.realized(z, m, j) {
-                                            let sy = map[&(y.0, i, m)];
-                                            let sz = map[&(z.0, m, j)];
-                                            out.add_production(
-                                                lhs,
-                                                vec![Symbol::N(sy), Symbol::N(sz)],
-                                            );
-                                        }
+                                for m in ones(rows.row(y, i)) {
+                                    if rows.get(z, m, j) {
+                                        let (sy, sz) = (id(y, i, m), id(z, m, j));
+                                        out.add_production(lhs, vec![Symbol::N(sy), Symbol::N(sz)]);
                                     }
                                 }
                             }
@@ -614,14 +609,12 @@ impl<'g, 'd> Intersection<'g, 'd> {
 
         // Start productions: root from DFA start to each accepting state.
         let q0 = dfa.start();
-        for qf in 0..dfa.num_states() as u32 {
-            if dfa.is_accepting(qf) {
-                if let Some(&sub) = map.get(&(0, q0, qf)) {
-                    out.add_production(out_root, vec![Symbol::N(sub)]);
-                }
+        for qf in 0..q {
+            if dfa.is_accepting(qf) && rows.get(NtId(0), q0, qf) {
+                out.add_production(out_root, vec![Symbol::N(id(NtId(0), q0, qf))]);
             }
         }
-        self.charged += charged_here;
+        self.found.charged += charged_here;
         Ok((out, out_root))
     }
 
@@ -636,12 +629,12 @@ impl<'g, 'd> Intersection<'g, 'd> {
     /// units are drawn while the kernel runs, so a deadline can still
     /// cut extraction short.
     pub fn witness(&mut self, budget: &Budget) -> Result<Option<Vec<u8>>, BudgetExceeded> {
-        if self.is_empty() && self.worklist.is_empty() {
+        if self.is_empty() && self.found.worklist.is_empty() {
             return Ok(None);
         }
         let mut span = strtaint_obs::Span::enter("witness", "");
         self.complete(budget)?;
-        span.set_detail(|| self.triples.to_string());
+        span.set_detail(|| self.found.triples.to_string());
         if self.is_empty() {
             return Ok(None);
         }
@@ -653,7 +646,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
         // One unit per finalized triple as the search goes, then the
         // rest up to `triples`. Every final is a realized triple, so
         // the search never needs more than `triples` units.
-        let mut owed = self.triples as u64;
+        let mut owed = self.found.triples as u64;
         let witness = crate::shortest::canonical(&self.prep.norm, &self.prep.occ, &steps, || {
             debug_assert!(owed > 0, "more finals than realized triples");
             if owed > 0 {
@@ -665,7 +658,7 @@ impl<'g, 'd> Intersection<'g, 'd> {
         for _ in 0..owed {
             budget.charge(1)?;
         }
-        self.charged += self.triples as u64;
+        self.found.charged += self.found.triples as u64;
         Ok(witness)
     }
 }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use strtaint_automata::{ClassDfa, Regex};
-use strtaint_grammar::intersect::{intersect, is_intersection_empty};
+use strtaint_grammar::intersect::{intersect, is_intersection_empty, is_intersection_empty_with};
 use strtaint_grammar::lang::{sample_strings, shortest_string};
 use strtaint_grammar::prepared::{PreparedGrammar, QueryMode};
 use strtaint_grammar::{Budget, Cfg, NtId, Symbol};
@@ -70,6 +70,8 @@ fn byte_string() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Regexes covering empty-ish, universal-ish, and structured patterns.
+/// The last has more than 64 DFA states, so the prepared engine's bit
+/// rows span two words.
 fn pattern() -> impl Strategy<Value = &'static str> {
     prop_oneof![
         Just("'"),
@@ -79,8 +81,12 @@ fn pattern() -> impl Strategy<Value = &'static str> {
         Just("[0-9][0-9]*"),
         Just("\\[a*\\]"),
         Just("zzz"),
+        Just(WIDE),
     ]
 }
+
+/// A pattern whose minimal DFA has more than 64 states.
+const WIDE: &str = "^[\\[\\]ab']{0,70}c";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -91,6 +97,14 @@ proptest! {
         let classes = ClassDfa::new(&dfa);
         let budget = Budget::unlimited();
         let prep = PreparedGrammar::new(&g, root);
+
+        // Fuel: both engines charge one unit per discovery attempt and
+        // per worklist pop, so the full fixpoints draw the same fuel.
+        let (naive_fuel, prep_fuel) = (Budget::new(None, Some(u64::MAX), None), Budget::new(None, Some(u64::MAX), None));
+        is_intersection_empty_with(&g, root, &dfa, &naive_fuel).expect("ample fuel");
+        let full = prep.query(&classes, &prep_fuel, QueryMode::Full).expect("ample fuel");
+        prop_assert_eq!(naive_fuel.fuel_left(), prep_fuel.fuel_left(), "pattern {}", pat);
+        prop_assert_eq!(full.charged(), u64::MAX - prep_fuel.fuel_left().unwrap());
 
         // Emptiness: early-exit prepared query vs the naive engine.
         let naive_empty = is_intersection_empty(&g, root, &dfa);
@@ -195,4 +209,123 @@ proptest! {
         let classes = ClassDfa::new(&dfa);
         prop_assert_eq!(classes.accepts(&bytes), dfa.accepts(&bytes));
     }
+}
+
+/// `root → root leaf | [ leaf ]`, `leaf → a | bb | a'c`, with `leaf`
+/// tainted: the left-recursive shape of [`grammar`], fixed.
+fn recursive_grammar() -> (Cfg, NtId) {
+    let mut g = Cfg::new();
+    let leaf = g.add_nonterminal("leaf");
+    g.set_taint(leaf, strtaint_grammar::Taint::DIRECT);
+    for l in [&b"a"[..], b"bb", b"a'c"] {
+        g.add_literal_production(leaf, l);
+    }
+    let root = g.add_nonterminal("root");
+    let mut rhs = g.literal_symbols(b"[");
+    rhs.push(Symbol::N(leaf));
+    rhs.extend(g.literal_symbols(b"]"));
+    g.add_production(root, rhs);
+    g.add_production(root, vec![Symbol::N(root), Symbol::N(leaf)]);
+    (g, root)
+}
+
+/// `A → ( A ) | x`: balanced parentheses around one `x`.
+fn paren_grammar() -> (Cfg, NtId) {
+    let mut g = Cfg::new();
+    let a = g.add_nonterminal("A");
+    g.add_production(a, vec![Symbol::T(b'('), Symbol::N(a), Symbol::T(b')')]);
+    g.add_literal_production(a, b"x");
+    (g, a)
+}
+
+/// Every nonterminal of `g` in id order with its name, taint and
+/// productions in order.
+fn dump(g: &Cfg) -> String {
+    use std::fmt::Write;
+    let mut s = String::new();
+    for x in g.nonterminals() {
+        write!(s, "{x} {} {}:", g.name(x), g.taint(x)).unwrap();
+        for rhs in g.productions(x) {
+            s.push_str(" |");
+            for sym in rhs {
+                write!(s, " {sym}").unwrap();
+            }
+        }
+        s.push('\n');
+    }
+    s
+}
+
+/// 64-bit FNV-1a.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The reconstructed product grammar is a pure function of the
+/// realized set and the discovery schedule: its nonterminal numbering,
+/// names, taints and production order are pinned here, per (grammar,
+/// pattern), as (nonterminals, productions, FNV-1a of the dump). One
+/// pattern's DFA has more than 64 states, so its bit rows span two
+/// words. The naive engine orders productions differently, so it cannot
+/// serve as this reference.
+#[test]
+fn product_grammar_is_pinned() {
+    type Case = (
+        &'static str,
+        fn() -> (Cfg, NtId),
+        &'static str,
+        (usize, usize, u64),
+    );
+    let cases: [Case; 6] = [
+        ("paren", paren_grammar, ".*", (3, 4, 0x872f714eeb715f8e)),
+        (
+            "paren",
+            paren_grammar,
+            "^\\(\\(.*$",
+            (13, 16, 0xffbc6cb2985edb79),
+        ),
+        (
+            "recursive",
+            recursive_grammar,
+            "a'c",
+            (32, 56, 0xb87942201599a0f5),
+        ),
+        (
+            "recursive",
+            recursive_grammar,
+            "'",
+            (12, 19, 0xa948074c922ec984),
+        ),
+        (
+            "recursive",
+            recursive_grammar,
+            "^\\[bb\\]a",
+            (35, 56, 0x7bff647ef621347b),
+        ),
+        (
+            "recursive",
+            recursive_grammar,
+            WIDE,
+            (2984, 7690, 0x75e2fa19ae75fde0),
+        ),
+    ];
+    let budget = Budget::unlimited();
+    for (name, make, pat, want) in cases {
+        let (g, root) = make();
+        let classes = ClassDfa::new(&Regex::new(pat).unwrap().match_dfa());
+        let prep = PreparedGrammar::new(&g, root);
+        for mode in [QueryMode::EarlyExit, QueryMode::Full] {
+            let mut ix = prep
+                .query(&classes, &budget, mode)
+                .expect("unlimited budget");
+            let (out, _) = ix.grammar(&budget).expect("unlimited budget");
+            let text = dump(&out);
+            let got = (out.num_nonterminals(), out.num_productions(), fnv(&text));
+            assert_eq!(got, want, "{name} ∩ {pat} [{mode:?}]:\n{text}");
+        }
+    }
+    let wide = ClassDfa::new(&Regex::new(WIDE).unwrap().match_dfa());
+    assert!(wide.num_states() > 64, "two-word rows are exercised");
 }

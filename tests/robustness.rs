@@ -303,3 +303,62 @@ fn per_page_deadline_skips_only_slow_pages() {
     assert!(!pages[1].is_verified(), "slow page stays conservative");
     assert!(pages[1].is_degraded() || pages[1].skipped.is_some());
 }
+
+/// The prepared kernel's worst case on corpus-sized input: the full
+/// Bar-Hillel fixpoint of the sql C4 attack automaton over the
+/// `_GET[name]` grammar (after three transducer images) of the chain-2
+/// synthetic app's `page1.php` (82,640 normalized nonterminals × 27
+/// states). The checker's
+/// early-exit query stops long before this, because the intersection is
+/// non-empty; a grammar this size with an empty C4 answer runs the
+/// whole fixpoint under the default unlimited fuel, so it must finish,
+/// and it must realize exactly what every earlier kernel realized.
+/// Ignored in the debug tier-1 run (~16 s there); CI runs it in release
+/// with `--ignored`.
+#[test]
+#[ignore = "release-mode robustness case; run with --release -- --ignored"]
+fn c4_worst_case_full_fixpoint_completes() {
+    use strtaint_automata::ClassDfa;
+    use strtaint_checker::abstraction::maximal_labeled;
+    use strtaint_corpus::{synth_app, SynthConfig};
+    use strtaint_grammar::{Budget, PreparedGrammar, QueryMode};
+
+    let app = synth_app(&SynthConfig {
+        pages: 6,
+        replace_chain: 2,
+        ..SynthConfig::default()
+    });
+    let config = Config {
+        policies: vec!["sql".to_owned()],
+        ..Config::default()
+    };
+    let a = strtaint_analysis::analyze(&app.vfs, "page1.php", &config).expect("page1 analyzes");
+    let x = a
+        .hotspots
+        .iter()
+        .flat_map(|h| maximal_labeled(&a.cfg, h.root))
+        .find(|&x| a.cfg.name(x) == "_GET[name]↦↦↦")
+        .expect("_GET[name]'s transducer image is labeled under a hotspot");
+    let prep = PreparedGrammar::new(&a.cfg, x);
+    assert_eq!(prep.num_nonterminals(), 82_640);
+
+    let sql = strtaint::policy::builtin()
+        .into_iter()
+        .find(|p| p.id == "sql")
+        .expect("the sql policy is built in");
+    let c4 = (sql.cascade)()
+        .steps
+        .into_iter()
+        .find(|s| s.span == Some("check:C4"))
+        .expect("the sql cascade has a C4 step");
+    let dfa = ClassDfa::new(&c4.dfa);
+    assert_eq!(dfa.num_states(), 27);
+    let t0 = Instant::now();
+    let ix = prep
+        .query(&dfa, &Budget::unlimited(), QueryMode::Full)
+        .expect("an unlimited budget cannot trip");
+    let wall = t0.elapsed();
+    assert!(!ix.is_empty());
+    assert_eq!((ix.triples(), ix.charged()), (56_808_036, 148_497_504));
+    eprintln!("C4 worst case: full fixpoint in {wall:?}");
+}
