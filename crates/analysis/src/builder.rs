@@ -6,7 +6,7 @@
 //!    φ-sets, condition refinements, prepared transducers);
 //! 2. [`crate::summary`] — per-file IR summaries memoized by content
 //!    hash so shared includes lower once per app, not once per page;
-//! 3. [`crate::emit`] — IR → annotated CFG productions (paper §3.1),
+//! 3. `crate::emit` — IR → annotated CFG productions (paper §3.1),
 //!    owning every grammar, budget, and configuration interaction.
 //!
 //! This module keeps the stable public surface: [`analyze`] /

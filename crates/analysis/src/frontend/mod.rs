@@ -21,7 +21,7 @@
 //!   `Var`/`Index` shapes the PHP superglobals use (so the emitter's
 //!   taint-source recognition applies unchanged), output statements
 //!   lower to `IrStmt::Sink`, and calls keep their (canonicalized)
-//!   names so the shared [`SinkTable`](crate::sinks) and builtin
+//!   names so the shared `SinkTable` and builtin
 //!   models apply.
 //! - **The fingerprint names the lowering.** [`Frontend::fingerprint`]
 //!   must change whenever the frontend's lowering semantics change;

@@ -3,7 +3,7 @@
 //! The paper (§3.1) derives its grammar from programs "in SSA form" —
 //! one nonterminal per variable version. This module makes that stage
 //! explicit: [`crate::lower`] translates a parsed file into the
-//! instructions below once, and [`crate::emit`] interprets them
+//! instructions below once, and `crate::emit` interprets them
 //! against a flow-sensitive environment to produce CFG productions.
 //! The split buys reuse: a file's IR ([`FileSummary`]) depends only on
 //! its source bytes, so shared includes and library functions are

@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use strtaint_grammar::cfg::Csr;
 use strtaint_grammar::{Cfg, NtId, Symbol};
 use strtaint_sql::VAR_MARKER;
 
@@ -21,10 +22,10 @@ const MARKER_SUBSTITUTE: u8 = 0x1b;
 /// nonterminal, so the enclosing check subsumes it.
 ///
 /// Runs in time linear in the subgraph reachable from `root` (one
-/// Tarjan SCC pass plus one walk marking the components below a
-/// labeled one) — transducer images can leave hundreds of labeled
-/// copies, so a per-label reachability walk would dominate checking
-/// time.
+/// Tarjan SCC pass plus one pass over the components, callers first,
+/// marking those below a labeled one) — transducer images can leave
+/// hundreds of labeled copies, so a per-label reachability walk would
+/// dominate checking time.
 pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     let nodes = cfg.reachable_list(root);
     let labeled: Vec<NtId> = nodes
@@ -42,40 +43,39 @@ pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     for (i, &n) in nodes.iter().enumerate() {
         slot[n.index()] = i as u32 + 1;
     }
-    let index = |n: NtId| slot[n.index()] as usize - 1;
-    let succ = Succ::new(&nodes, |n, out| {
-        for s in cfg.productions(n).iter().flatten() {
-            if let Symbol::N(t) = s {
-                out.push(index(*t) as u32);
-            }
-        }
+    let index = |n: NtId| slot[n.index()] - 1;
+    let succ = Csr::from_rows(nodes.len(), |i, out| {
+        let prods = cfg.productions(nodes[i as usize]);
+        out.extend(prods.iter().flatten().filter_map(|s| match s {
+            Symbol::N(t) => Some(index(*t)),
+            Symbol::T(_) => None,
+        }));
     });
-    let scc = scc_ids(&succ);
-    let num_sccs = scc.iter().copied().max().map(|m| m + 1).unwrap_or(0);
+    let sccs = succ.components();
+    let scc = |n: NtId| sccs.of[index(n) as usize] as usize;
 
     // Representative (smallest-id) labeled NT per SCC, if any.
-    let mut scc_label_rep: Vec<Option<NtId>> = vec![None; num_sccs];
+    let mut rep: Vec<Option<NtId>> = vec![None; sccs.bounds.len() - 1];
     for &l in &labeled {
-        let rep = &mut scc_label_rep[scc[index(l)]];
-        if rep.map_or(true, |r| l < r) {
-            *rep = Some(l);
+        let r = &mut rep[scc(l)];
+        if r.is_none_or(|r| l < r) {
+            *r = Some(l);
         }
     }
-    // Marks the SCCs strictly below a labeled SCC: walk every node
-    // reachable from a labeled SCC; an edge into another SCC
-    // dominates it.
-    let mut dominated = vec![false; num_sccs];
-    let mut seen: Vec<bool> = scc.iter().map(|&c| scc_label_rep[c].is_some()).collect();
-    let mut queue: Vec<usize> = (0..nodes.len()).filter(|&i| seen[i]).collect();
-    while let Some(i) = queue.pop() {
-        for &j in succ.of(i) {
-            let j = j as usize;
-            if scc[j] != scc[i] {
-                dominated[scc[j]] = true;
-            }
-            if !seen[j] {
-                seen[j] = true;
-                queue.push(j);
+    // Marks the SCCs strictly below a labeled SCC in one pass, callers
+    // before callees: an SCC that is labeled or already marked marks
+    // every other SCC it has an edge into.
+    let mut dominated = vec![false; rep.len()];
+    for c in (0..rep.len()).rev() {
+        if rep[c].is_none() && !dominated[c] {
+            continue;
+        }
+        for &i in &sccs.members[sccs.bounds[c] as usize..sccs.bounds[c + 1] as usize] {
+            for &j in succ.get(i) {
+                let d = sccs.of[j as usize] as usize;
+                if d != c {
+                    dominated[d] = true;
+                }
             }
         }
     }
@@ -83,102 +83,12 @@ pub fn maximal_labeled(cfg: &Cfg, root: NtId) -> Vec<NtId> {
     labeled
         .into_iter()
         .filter(|&x| {
-            let c = scc[index(x)];
+            let c = scc(x);
             // Dropped if the SCC is strictly below a labeled SCC, or a
             // smaller-id labeled NT shares the SCC.
-            !dominated[c] && scc_label_rep[c] == Some(x)
+            !dominated[c] && rep[c] == Some(x)
         })
         .collect()
-}
-
-/// Deduplicated successor lists in one flat array: node `i`'s
-/// successors, ascending, are `targets[offsets[i]..offsets[i + 1]]`.
-struct Succ {
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-}
-
-impl Succ {
-    /// Successors of each of `nodes`, as `edges(node, out)` pushes them.
-    fn new(nodes: &[NtId], mut edges: impl FnMut(NtId, &mut Vec<u32>)) -> Succ {
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        offsets.push(0);
-        let (mut targets, mut buf) = (Vec::new(), Vec::new());
-        for &n in nodes {
-            buf.clear();
-            edges(n, &mut buf);
-            buf.sort_unstable();
-            buf.dedup();
-            targets.extend_from_slice(&buf);
-            offsets.push(targets.len());
-        }
-        Succ { offsets, targets }
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn of(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i]..self.offsets[i + 1]]
-    }
-}
-
-/// Iterative Tarjan SCC over successor lists; returns a component id
-/// per node.
-fn scc_ids(succ: &Succ) -> Vec<usize> {
-    let n = succ.len();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![usize::MAX; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        index[start] = next_index;
-        lowlink[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if let Some(&w) = succ.of(v).get(*ci) {
-                let w = w as usize;
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&mut (p, _)) = call.last_mut() {
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
-    }
-    comp
 }
 
 /// Builds the *marked grammar* for `x`: a copy of the grammar reachable

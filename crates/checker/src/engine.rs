@@ -9,12 +9,14 @@
 //!   form ([`ClassDfa`]) at checker construction, so per-query DFA work
 //!   is two array loads per step;
 //! - [`Shared`]: the one prepared memo and the optional verdict cache
-//!   of a checker, handed to every cascade;
+//!   of a checker (both single-flight [`Memo`](crate::memo::Memo)s),
+//!   handed to every cascade;
 //! - [`Engine`]: a per-hotspot session that takes its targets from the
 //!   content-keyed prepared memo (shared across pages and worker
 //!   threads), answers every step through one cached query
 //!   ([`Engine::query`]) on the prepared engine — replaying it from the
-//!   verdict cache when `CheckOptions::query_cache` is on —
+//!   verdict cache when `CheckOptions::query_cache` is on, keyed by
+//!   the query's content and budget class alone —
 //!   accumulates [`EngineStats`], and fingerprints the hotspot's
 //!   subgrammar at most once for all of its marked-grammar, splice and
 //!   skeleton lookups;
@@ -33,8 +35,9 @@ use strtaint_grammar::stats::EngineStats;
 use strtaint_grammar::{Cfg, NtId};
 
 use crate::checks::CheckOptions;
+use crate::memo::Lookup;
 use crate::pmemo::{PreparedMemo, Subgrammar};
-use crate::qcache::{Lookup, QueryCache, QueryKey, Verdict};
+use crate::qcache::{QueryCache, QueryKey, Verdict};
 use crate::report::{CheckKind, Finding};
 
 /// A check automaton in byte-class-compressed form.
@@ -132,13 +135,6 @@ impl Shared {
             eager_witness: opts.eager_witness,
             qcache: opts.query_cache.then(|| Arc::new(QueryCache::new())),
             pmemo: Arc::new(PreparedMemo::new()),
-        }
-    }
-
-    /// Stamps the config-fingerprint namespace on the query cache.
-    pub(crate) fn set_query_scope(&self, scope: u64) {
-        if let Some(qc) = &self.qcache {
-            qc.set_scope(scope);
         }
     }
 }
@@ -287,7 +283,6 @@ impl<'a> Engine<'a> {
         let ticket = match self.shared.qcache.as_deref() {
             Some(qc) if !(extract && self.shared.eager_witness) => {
                 let key = QueryKey {
-                    scope: qc.scope(),
                     grammar: target.prep.fingerprint(),
                     dfa: q.fp,
                     extract,

@@ -42,7 +42,7 @@
 pub mod abstraction;
 pub mod checks;
 mod engine;
-mod flight;
+mod memo;
 pub mod policy_driver;
 mod pmemo;
 mod qcache;

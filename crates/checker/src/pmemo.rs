@@ -42,19 +42,20 @@
 //! The memo is an optimization cache, never an oracle: entries are
 //! evicted FIFO past a bounded capacity and rebuilt on demand. It is
 //! always on; `CheckOptions::query_cache` switches only the verdict
-//! cache. Builds are single-flight ([`crate::flight`]), so each key is
-//! prepared once however many workers ask for it at the same time, and
-//! the `normalizations` counter repeats across identical runs.
+//! cache. Both stores are [`Memo`]s, so builds are single-flight: each
+//! key is prepared once however many workers ask for it at the same
+//! time, and the `normalizations` counter repeats across identical
+//! runs.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::prepared::PreparedGrammar;
 use strtaint_grammar::{Cfg, NtId, Symbol};
 
 use crate::abstraction::marked_grammar;
-use crate::flight::Flights;
+use crate::memo::Memo;
 
 /// Prepared grammars retained (each is a trimmed, normalized, indexed
 /// copy of a hotspot subgrammar — the heavyweight entries).
@@ -218,67 +219,19 @@ fn derive_key(fp: (u64, u64), x_local: u32, tag: u8) -> (u64, u64) {
     (h.a, h.b)
 }
 
-/// One bounded FIFO map shard: insertion order drives eviction.
-struct Store<V> {
-    map: HashMap<(u64, u64), V>,
-    order: VecDeque<(u64, u64)>,
-    cap: usize,
-    /// Keys being built (see [`get_or_build`]).
-    flights: Flights<(u64, u64)>,
-}
-
-impl<V: Clone> Store<V> {
-    fn new(cap: usize) -> Self {
-        Store {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            cap,
-            flights: Flights::default(),
-        }
-    }
-
-    fn get(&self, key: &(u64, u64)) -> Option<V> {
-        self.map.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: (u64, u64), value: V) -> V {
-        // First writer wins, so every caller of a key shares one
-        // entry.
-        if let Some(existing) = self.map.get(&key) {
-            return existing.clone();
-        }
-        self.map.insert(key, value.clone());
-        self.order.push_back(key);
-        while self.map.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            } else {
-                break;
-            }
-        }
-        value
-    }
-}
-
 /// The cross-page preparation memo shared by every page and worker a
-/// checker serves. All fallible lock states degrade to recomputation —
-/// the memo can make nothing wrong, only some things slower.
+/// checker serves, keyed by [`derive_key`].
+#[derive(Debug)]
 pub(crate) struct PreparedMemo {
-    prepared: Mutex<Store<Arc<PreparedGrammar>>>,
-    skeletons: Mutex<Store<Option<Vec<u8>>>>,
-}
-
-impl std::fmt::Debug for PreparedMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedMemo").finish_non_exhaustive()
-    }
+    prepared: Memo<(u64, u64), Arc<PreparedGrammar>>,
+    skeletons: Memo<(u64, u64), Option<Vec<u8>>>,
 }
 
 impl PreparedMemo {
     pub(crate) fn new() -> Self {
         PreparedMemo {
-            prepared: Mutex::new(Store::new(PREPARED_CAP)),
-            skeletons: Mutex::new(Store::new(SKELETON_CAP)),
+            prepared: Memo::new(PREPARED_CAP),
+            skeletons: Memo::new(SKELETON_CAP),
         }
     }
 
@@ -290,9 +243,9 @@ impl PreparedMemo {
     pub(crate) fn prepared(&self, g: &Cfg, root: NtId) -> (Arc<PreparedGrammar>, bool, usize) {
         let sub = Subgrammar::of(g, root);
         let key = derive_key(sub.fp, u32::MAX, TAG_PLAIN);
-        let (prep, hit) = get_or_build(&self.prepared, key, || {
-            Arc::new(PreparedGrammar::new(g, root))
-        });
+        let (prep, hit) = self
+            .prepared
+            .get_or(key, || Arc::new(PreparedGrammar::new(g, root)));
         (prep, hit, sub.count)
     }
 
@@ -317,7 +270,7 @@ impl PreparedMemo {
             return (Arc::new(PreparedGrammar::new(&marked, mroot)), false);
         };
         let key = derive_key(sub.fp, lx, TAG_MARKED);
-        get_or_build(&self.prepared, key, || {
+        self.prepared.get_or(key, || {
             let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
             Arc::new(PreparedGrammar::new(&marked, mroot))
         })
@@ -344,13 +297,8 @@ impl PreparedMemo {
             return shortest_string(&marked, mroot);
         };
         let key = derive_key(sub.fp, lx, TAG_SKELETON);
-        let (skeleton, _) = get_or_build(&self.skeletons, key, || {
-            let marked = self
-                .prepared
-                .lock()
-                .ok()
-                .and_then(|store| store.get(&derive_key(sub.fp, lx, TAG_MARKED)));
-            match marked {
+        let (skeleton, _) = self.skeletons.get_or(key, || {
+            match self.prepared.peek(&derive_key(sub.fp, lx, TAG_MARKED)) {
                 Some(prep) => prep.shortest_string(),
                 None => {
                     let (marked, mroot) = marked_grammar(g, root, x, &HashMap::new());
@@ -360,52 +308,6 @@ impl PreparedMemo {
         });
         skeleton
     }
-}
-
-/// The value of `key` in `store`, built by `build` on a miss; `true`
-/// on a hit. Builds are single-flight (see [`crate::flight`]): a
-/// caller of a key another caller is building waits for that build
-/// and then hits. A poisoned store builds without caching.
-fn get_or_build<V: Clone>(
-    store: &Mutex<Store<V>>,
-    key: (u64, u64),
-    build: impl FnOnce() -> V,
-) -> (V, bool) {
-    loop {
-        let Ok(mut guard) = store.lock() else {
-            return (build(), false);
-        };
-        if let Some(v) = guard.get(&key) {
-            return (v, true);
-        }
-        match guard.flights.join(&key) {
-            Some(flight) => {
-                drop(guard);
-                flight.wait();
-            }
-            None => break,
-        }
-    }
-    /// Ends the leader's flight on every path, a panicking build
-    /// included.
-    struct Lead<'a, V> {
-        store: &'a Mutex<Store<V>>,
-        key: (u64, u64),
-    }
-    impl<V> Drop for Lead<'_, V> {
-        fn drop(&mut self) {
-            let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
-            store.flights.end(&self.key);
-        }
-    }
-    let lead = Lead { store, key };
-    let value = build();
-    let value = match store.lock() {
-        Ok(mut store) => store.insert(key, value),
-        Err(_) => value,
-    };
-    drop(lead);
-    (value, false)
 }
 
 #[cfg(test)]
@@ -527,37 +429,5 @@ mod tests {
         let stray = g2.add_nonterminal("stray");
         g2.add_literal_production(stray, b"zzz");
         assert_eq!(n, Subgrammar::of(&g2, root).count);
-    }
-
-    #[test]
-    fn concurrent_builds_of_one_key_run_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::RwLock;
-        let store = Mutex::new(Store::new(4));
-        let (built, gate) = (AtomicUsize::new(0), RwLock::new(()));
-        let closed = gate.write().unwrap();
-        let mut results: Vec<(u32, bool)> = std::thread::scope(|s| {
-            let calls: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        get_or_build(&store, (1, 2), || {
-                            built.fetch_add(1, Ordering::SeqCst);
-                            drop(gate.read().unwrap());
-                            7
-                        })
-                    })
-                })
-                .collect();
-            // Open the gate once the second caller waits on the first
-            // one's build (the table's reference plus the waiter's).
-            while store.lock().unwrap().flights.holders(&(1, 2)) < 2 {
-                std::thread::yield_now();
-            }
-            drop(closed);
-            calls.into_iter().map(|c| c.join().unwrap()).collect()
-        });
-        assert_eq!(built.load(Ordering::SeqCst), 1);
-        results.sort_unstable();
-        assert_eq!(results, [(7, false), (7, true)], "one build, one hit");
     }
 }

@@ -254,15 +254,6 @@ impl PolicyChecker {
         }
     }
 
-    /// Stamps the config-fingerprint namespace for cross-page verdict
-    /// memoization. Verdicts computed under one scope can never answer
-    /// queries made under another; drivers call this whenever the
-    /// effective analysis `Config` changes (mirroring the artifact
-    /// store, which keys evidence by the same fingerprint).
-    pub fn set_query_scope(&self, scope: u64) {
-        self.shared.set_query_scope(scope);
-    }
-
     /// Exports one hotspot's canonical skeleton set (see
     /// [`crate::skeletons`]). Shares the prepared memo with the checks
     /// and witness splicing, so exporting after a check is a warm
@@ -396,10 +387,12 @@ impl Checker {
         Checker(PolicyChecker::with_options(opts))
     }
 
-    /// See [`PolicyChecker::set_query_scope`].
-    pub fn set_query_scope(&self, scope: u64) {
-        self.0.set_query_scope(scope);
-    }
+    /// Does nothing. Cached verdicts are keyed by the content of each
+    /// query and its budget class, which already carry everything a
+    /// config can change about a verdict, so there is no per-config
+    /// namespace to stamp. Kept for callers written against the scoped
+    /// cache.
+    pub fn set_query_scope(&self, _scope: u64) {}
 
     /// See [`PolicyChecker::skeletons_for`].
     pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {

@@ -285,10 +285,7 @@ fn page(
     let items: Vec<(NtId, String)> = sites.iter().map(|h| (h.root, h.policy.clone())).collect();
     // All sinks of the page are checked in one batch sharing the
     // checker's prepared memo; reports come back in program order,
-    // identical to the serial loop. The cross-page query cache is
-    // namespaced by the config fingerprint so memoized verdicts never
-    // leak across configs (same rule the artifact store applies).
-    checker.set_query_scope(config.fingerprint());
+    // identical to the serial loop.
     let reports =
         checker.check_hotspots_with(&analysis.cfg, &items, &budget, hotspot_workers, evidence);
     let mut hotspots = Vec::new();

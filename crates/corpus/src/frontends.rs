@@ -29,7 +29,7 @@ pub struct Pair {
     /// Policy that must be enabled to see the sink (`"xss"` runs the
     /// XSS checker path).
     pub policy: &'static str,
-    /// `true`: both members must report ≥1 finding with rule [`rule`].
+    /// `true`: both members must report ≥1 finding with rule [`Self::rule`].
     /// `false`: both members must verify with zero findings.
     pub vulnerable: bool,
     /// Expected SARIF rule id for vulnerable pairs (`""` otherwise).

@@ -3,8 +3,8 @@
 //!
 //! Two serving paths share one protocol:
 //!
-//! - **stdio** ([`serve_lines`] / [`serve_server_lines`]): one serial
-//!   client, requests executed inline.
+//! - **stdio** ([`serve_server_lines`]): one serial client, requests
+//!   executed inline.
 //! - **Unix socket** ([`serve_socket`], in [`crate::socket`]): many
 //!   concurrent clients. Each connection gets a cheap reader thread,
 //!   but all real work (`analyze` / `profile` / `invalidate` /
@@ -42,7 +42,7 @@ use crate::protocol::{dispatch_cmd, parse_request, request_deadline, request_pri
 pub use crate::socket::serve_socket;
 use crate::state::{snapshot_to_json, DaemonState};
 use crate::store::ArtifactStore;
-use crate::workspace::{canonical_key, WorkspaceLoader, WorkspaceMap};
+use crate::workspace::{canonical_key, load_workspace, WorkspaceLoader, WorkspaceMap};
 
 /// Writes `response` as one line and flushes it.
 pub(crate) fn write_response(response: &Json, output: &mut impl Write) -> io::Result<()> {
@@ -606,21 +606,9 @@ pub fn build_server(opts: &ServeOptions) -> io::Result<ServerState> {
         if key == default_key {
             continue;
         }
-        match Vfs::from_dir(root) {
-            Ok(vfs) => {
-                let store = if opts.no_disk_cache {
-                    None
-                } else {
-                    ArtifactStore::open(&root.join(".strtaint-cache")).ok()
-                };
-                workspaces.insert(
-                    &key,
-                    Arc::new(DaemonState::new(vfs, loader.config.clone(), store)),
-                );
-            }
-            Err(e) => {
-                eprintln!("strtaint serve: cannot load workspace {key}: {e}");
-            }
+        match load_workspace(root, &loader) {
+            Ok(state) => workspaces.insert(&key, Arc::new(state)),
+            Err(e) => eprintln!("strtaint serve: cannot load workspace {key}: {e}"),
         }
     }
     Ok(ServerState::new(

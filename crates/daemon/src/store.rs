@@ -160,13 +160,11 @@ impl ArtifactStore {
         &self.root
     }
 
-    /// Removes temp files (`*.tmp.<salt>` names from [`write_atomic`])
+    /// Removes temp files (`*.tmp.<salt>` names from `write_atomic`)
     /// last modified before `cutoff`, in the store root and the
     /// verdicts directory. Returns how many were collected. Called from
     /// [`ArtifactStore::open`] with a grace window; public so tests can
     /// drive it with an explicit cutoff.
-    ///
-    /// [`write_atomic`]: ArtifactStore::write_atomic
     pub fn gc_stale_temp_files(&self, cutoff: SystemTime) -> usize {
         let mut collected = 0;
         for dir in [self.root.clone(), self.root.join("verdicts")] {

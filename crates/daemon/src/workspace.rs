@@ -165,7 +165,7 @@ impl WorkspaceMap {
 
 /// Loads one workspace from disk: its tree, and (per the loader
 /// policy) its artifact store.
-fn load_workspace(root: &Path, loader: &WorkspaceLoader) -> io::Result<DaemonState> {
+pub(crate) fn load_workspace(root: &Path, loader: &WorkspaceLoader) -> io::Result<DaemonState> {
     let vfs = Vfs::from_dir(root)?;
     let store = if loader.disk_cache {
         ArtifactStore::open(&root.join(".strtaint-cache")).ok()

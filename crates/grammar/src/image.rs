@@ -10,7 +10,7 @@
 //! the grammar's terminals).
 //!
 //! The kernel runs in two phases over the trimmed, binary-normalized
-//! operand ([`Normal`]):
+//! operand (`Normal`):
 //!
 //! 1. **Packed fixpoint.** For each nonterminal `X` the realized
 //!    relation `{(i, j) | some string of X drives the FST from i to j}`
@@ -204,13 +204,8 @@ fn fixpoint(norm: &Normal, steps: &Steps, budget: &Budget) -> Result<BitRows, Bu
             .iter()
             .flat_map(|&(lhs, p)| p.children().map(move |y| (y.0, lhs.0))),
     );
-    let (members, bounds) = components(&kids);
-    let mut comp = vec![0u32; nv];
-    for c in 0..bounds.len() - 1 {
-        for &x in &members[bounds[c] as usize..bounds[c + 1] as usize] {
-            comp[x as usize] = c as u32;
-        }
-    }
+    let sccs = kids.components();
+    let (members, bounds, comp) = (&sccs.members, &sccs.bounds, &sccs.of);
 
     let mut queued = vec![false; nv];
     let mut queue = std::collections::VecDeque::new();
@@ -269,67 +264,6 @@ fn fixpoint(norm: &Normal, steps: &Steps, budget: &Budget) -> Result<BitRows, Bu
         }
     }
     Ok(rel)
-}
-
-/// Strongly connected components of a graph (Tarjan, iterative), each
-/// listed after every component it reaches. Returns the members of all
-/// components concatenated, and the component bounds into that list.
-fn components(edges: &Csr) -> (Vec<u32>, Vec<u32>) {
-    const NONE: u32 = u32::MAX;
-    let n = edges.len();
-    let mut index = vec![NONE; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut members: Vec<u32> = Vec::with_capacity(n);
-    let mut bounds = vec![0u32];
-    // (node, index of its next edge)
-    let mut calls: Vec<(u32, u32)> = Vec::new();
-    let mut counter = 0u32;
-    for s in 0..n as u32 {
-        if index[s as usize] != NONE {
-            continue;
-        }
-        let mut next = Some(s);
-        loop {
-            if let Some(v) = next.take() {
-                index[v as usize] = counter;
-                low[v as usize] = counter;
-                counter += 1;
-                stack.push(v);
-                on_stack[v as usize] = true;
-                calls.push((v, 0));
-            }
-            let Some(&mut (v, ref mut pos)) = calls.last_mut() else {
-                break;
-            };
-            if let Some(&u) = edges.get(v).get(*pos as usize) {
-                *pos += 1;
-                if index[u as usize] == NONE {
-                    next = Some(u);
-                } else if on_stack[u as usize] {
-                    low[v as usize] = low[v as usize].min(index[u as usize]);
-                }
-                continue;
-            }
-            calls.pop();
-            if let Some(&(parent, _)) = calls.last() {
-                low[parent as usize] = low[parent as usize].min(low[v as usize]);
-            }
-            if low[v as usize] == index[v as usize] {
-                loop {
-                    let u = stack.pop().expect("v is on the stack");
-                    on_stack[u as usize] = false;
-                    members.push(u);
-                    if u == v {
-                        break;
-                    }
-                }
-                bounds.push(members.len() as u32);
-            }
-        }
-    }
-    (members, bounds)
 }
 
 /// An image grammar collected for writing into an arena: entry 0 is

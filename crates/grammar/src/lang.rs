@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, Csr};
 use crate::normal::{Normal, Occurrences};
 use crate::symbol::{NtId, Symbol};
 
@@ -47,7 +47,14 @@ pub fn is_infinite(g: &Cfg, root: NtId) -> bool {
             }
         }
     }
-    let scc = scc_ids(&t);
+    let edges = Csr::from_rows(n, |x, out| {
+        let prods = t.productions(NtId(x));
+        out.extend(prods.iter().flatten().filter_map(|s| match s {
+            Symbol::N(y) => Some(y.0),
+            Symbol::T(_) => None,
+        }));
+    });
+    let scc = edges.components().of;
     for (lhs, rhs) in t.iter_productions() {
         for (i, s) in rhs.iter().enumerate() {
             let Symbol::N(y) = s else { continue };
@@ -68,80 +75,6 @@ pub fn is_infinite(g: &Cfg, root: NtId) -> bool {
         }
     }
     false
-}
-
-/// Computes strongly connected component ids of the nonterminal graph
-/// (iterative Tarjan).
-fn scc_ids(g: &Cfg) -> Vec<u32> {
-    let n = g.num_nonterminals();
-    let children: Vec<Vec<u32>> = (0..n)
-        .map(|i| {
-            let mut v: Vec<u32> = Vec::new();
-            for rhs in g.productions(NtId(i as u32)) {
-                for s in rhs {
-                    if let Symbol::N(id) = s {
-                        v.push(id.0);
-                    }
-                }
-            }
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-        .collect();
-    let mut index = vec![u32::MAX; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![u32::MAX; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-
-    for start in 0..n as u32 {
-        if index[start as usize] != u32::MAX {
-            continue;
-        }
-        // Iterative Tarjan with explicit call stack of (node, child idx).
-        let mut call: Vec<(u32, usize)> = vec![(start, 0)];
-        index[start as usize] = next_index;
-        lowlink[start as usize] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start as usize] = true;
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci < children[v as usize].len() {
-                let w = children[v as usize][*ci];
-                *ci += 1;
-                if index[w as usize] == u32::MAX {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                call.pop();
-                if let Some(&mut (p, _)) = call.last_mut() {
-                    lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
-    }
-    comp
 }
 
 /// Computes the **canonical** shortest string derivable from `root`,

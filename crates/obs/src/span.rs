@@ -366,7 +366,7 @@ pub fn budget_charges_enabled() -> bool {
 ///
 /// Even in Full mode a per-call atomic add would dominate the hot
 /// loops, so charges batch in a thread-local cell and fold into the
-/// shared counter every [`CHARGE_FLUSH`] units and at thread exit; the
+/// shared counter every `CHARGE_FLUSH` units and at thread exit; the
 /// counter trails live threads by at most `CHARGE_FLUSH - 1` units
 /// each, which is noise at the scale the counter exists to show.
 #[inline]

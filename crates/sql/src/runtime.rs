@@ -1,6 +1,6 @@
 //! Runtime syntactic-confinement checking — the SqlCheck approach of
 //! the paper's companion work (Su & Wassermann, POPL 2006, cited as
-//! [25] and used for Definition 2.2/2.3).
+//! \[25\] and used for Definition 2.2/2.3).
 //!
 //! Where the static analysis of this repository checks *grammars* of
 //! queries before deployment, a runtime monitor sees one concrete query

@@ -17,8 +17,8 @@ echo "==> module size lint (analysis + grammar + daemon + obs + policy + checker
 # server; the obs crate separates span collection from the metrics
 # registry and the trace writer; the policy crate separates the kind
 # namespace from the registry; the checker separates the check
-# cascade from the engine facade and the optimized-path caches
-# (qcache/pmemo); the remedy crate separates fix planning
+# cascade from the engine facade, the one cache type (memo) and its
+# two uses (qcache/pmemo); the remedy crate separates fix planning
 # from plan application and profile export; the template frontend
 # separates lexer/parser/ast. A file regrowing past 900 lines means a
 # stage is reabsorbing its neighbours.
@@ -45,11 +45,15 @@ cargo test -q -p strtaint-analysis
 echo "==> policy + SQL crate units (registry cascades and automata, SQL grammar and lexer)"
 cargo test -q -p strtaint-policy -p strtaint-sql
 
-echo "==> checker crate units (pmemo, skeletons, abstraction, engine)"
+echo "==> checker crate units (memo, pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 
 echo "==> CLI process contract (parse error: first failing entry, exit 2, empty stdout)"
 cargo test -q -p strtaint-cli
+
+echo "==> rustdoc builds without warnings"
+# A broken or private intra-doc link is a doc that points nowhere.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> bench crate builds (table1, the §5.3 curve benches, examples)"
 # Nothing else compiles the bench crate's benches and examples; a

@@ -174,3 +174,30 @@ fn budget_exhaustion_identical_with_cache_on_and_off() {
          assertion is vacuous; lower the sweep"
     );
 }
+
+#[test]
+fn a_timeout_change_replays_every_cached_verdict() {
+    // The verdict cache is keyed by query content and budget class; a
+    // wall-clock deadline is neither, so one checker re-checking a
+    // page under a config that only sets a timeout answers every query
+    // from the cache, with the same findings.
+    let app = apps::utopia::build();
+    let checker = PolicyChecker::new();
+    let summaries = SummaryCache::new();
+    let run = |config: &Config| {
+        analyze_page_cached(&app.vfs, "news.php", config, &checker, &summaries).unwrap()
+    };
+    let first = run(&Config::default());
+    let second = run(&Config {
+        timeout: Some(std::time::Duration::from_secs(60)),
+        ..Config::default()
+    });
+    let (cold, warm) = (first.engine_stats(), second.engine_stats());
+    assert!(cold.qcache_misses > 0, "news.php asks the engine: {cold:?}");
+    assert_eq!(warm.qcache_misses, 0, "{warm:?}");
+    assert_eq!(warm.qcache_hits, warm.queries, "{warm:?}");
+    assert_eq!(
+        render::sarif(std::slice::from_ref(&first)),
+        render::sarif(std::slice::from_ref(&second))
+    );
+}

@@ -105,7 +105,6 @@ fn assembled_page(
     let analysis = strtaint_analysis::analyze_cached(vfs, entry, config, &budget, summaries)
         .expect("page analyzes");
     let roots: Vec<NtId> = analysis.hotspots.iter().map(|h| h.root).collect();
-    checker.set_query_scope(config.fingerprint());
     let checked = checker.check_hotspots_with(&analysis.cfg, &roots, &budget, 2);
     let mut hotspots = Vec::new();
     for (h, mut r) in analysis.hotspots.iter().zip(checked) {
