@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use strtaint_grammar::cfg::Csr;
+use strtaint_grammar::csr::Csr;
 use strtaint_grammar::{Cfg, NtId, Symbol};
 use strtaint_sql::VAR_MARKER;
 
@@ -107,41 +107,48 @@ pub fn marked_grammar(
     x: NtId,
     replacements: &HashMap<NtId, Vec<u8>>,
 ) -> (Cfg, NtId) {
-    let reachable = cfg.reachable(root);
+    // The reachable nonterminals in ascending id order; `slot[n]` is
+    // one more than n's id in the copy, or 0 for `x`, the replaced
+    // nonterminals and everything unreachable.
+    let mut nodes = cfg.reachable_list(root);
+    nodes.sort_unstable();
     let mut out = Cfg::new();
-    let mut map: HashMap<NtId, NtId> = HashMap::new();
-    for id in cfg.nonterminals() {
-        if reachable[id.index()] && id != x && !replacements.contains_key(&id) {
-            let n = out.add_nonterminal(cfg.name(id));
-            map.insert(id, n);
+    let mut slot = vec![0u32; cfg.num_nonterminals()];
+    for &id in &nodes {
+        if id != x && !replacements.contains_key(&id) {
+            slot[id.index()] = out.add_nonterminal(cfg.name(id)).0 + 1;
         }
     }
     // If the root itself is the marked nonterminal the whole query is
     // the tainted value: the marked grammar is a single marker.
     if x == root {
         let r = out.add_nonterminal(cfg.name(root));
-        out.add_production(r, vec![Symbol::T(VAR_MARKER)]);
+        out.add_production(r, [Symbol::T(VAR_MARKER)]);
         return (out, r);
     }
-    for (lhs, rhs) in cfg.iter_productions() {
-        let Some(&new_lhs) = map.get(&lhs) else { continue };
-        let mut new_rhs: Vec<Symbol> = Vec::with_capacity(rhs.len());
-        for s in rhs {
-            match s {
-                Symbol::T(b) if *b == VAR_MARKER => new_rhs.push(Symbol::T(MARKER_SUBSTITUTE)),
-                Symbol::T(b) => new_rhs.push(Symbol::T(*b)),
-                Symbol::N(id) if *id == x => new_rhs.push(Symbol::T(VAR_MARKER)),
-                Symbol::N(id) => match replacements.get(id) {
-                    Some(bytes) => {
-                        new_rhs.extend(bytes.iter().map(|&b| Symbol::T(b)));
-                    }
-                    None => new_rhs.push(Symbol::N(map[id])),
-                },
+    let mut new_rhs: Vec<Symbol> = Vec::new();
+    for &lhs in &nodes {
+        let Some(new_lhs) = slot[lhs.index()].checked_sub(1) else { continue };
+        for rhs in cfg.productions(lhs) {
+            new_rhs.clear();
+            for &s in rhs {
+                match s {
+                    Symbol::T(VAR_MARKER) => new_rhs.push(Symbol::T(MARKER_SUBSTITUTE)),
+                    Symbol::T(b) => new_rhs.push(Symbol::T(b)),
+                    Symbol::N(id) => match slot[id.index()] {
+                        0 if id == x => new_rhs.push(Symbol::T(VAR_MARKER)),
+                        0 => new_rhs.extend(replacements[&id].iter().map(|&b| Symbol::T(b))),
+                        n => new_rhs.push(Symbol::N(NtId(n - 1))),
+                    },
+                }
             }
+            out.add_production(NtId(new_lhs), &new_rhs);
         }
-        out.add_production(new_lhs, new_rhs);
     }
-    (out, map[&root])
+    let root = slot[root.index()]
+        .checked_sub(1)
+        .expect("the root is neither marked nor replaced");
+    (out, NtId(root))
 }
 
 #[cfg(test)]

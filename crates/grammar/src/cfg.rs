@@ -6,9 +6,21 @@
 //! Fig. 5). A single [`Cfg`] arena holds the grammar for a whole
 //! program; individual string expressions are *roots* (nonterminals)
 //! within it.
+//!
+//! The arena is a few flat buffers, not a heap block per production or
+//! name: every right-hand side is a span of one symbol buffer, each
+//! nonterminal's productions are a run of consecutive spans in one span
+//! buffer, and each name is a span of one string. A production added to
+//! the nonterminal whose run ends the span buffer is pushed; one added
+//! to any other nonterminal with a full run moves that run to the end
+//! with doubled capacity, so adding stays amortized O(1) and the
+//! abandoned and spare slots stay within a small multiple of the live
+//! ones.
 
 use std::fmt;
+use std::ops::Index;
 
+use crate::csr::Csr;
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// A context-free grammar over the byte alphabet with tainted
@@ -31,12 +43,46 @@ use crate::symbol::{NtId, Symbol, Taint};
 /// g.add_production(query, rhs);
 /// assert!(g.derives(query, b"SELECT * FROM t WHERE id='1'"));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Cfg {
-    names: Vec<String>,
+    /// Every right-hand side, concatenated in the order added.
+    syms: Vec<Symbol>,
+    /// Right-hand sides as spans of `syms`, one run per nonterminal.
+    rules: Vec<Span>,
+    /// Per nonterminal: its run of `rules`.
+    runs: Vec<Run>,
+    /// Every name given, concatenated.
+    names: String,
+    /// Per nonterminal: its current name, as a span of `names`.
+    name_spans: Vec<Span>,
     taint: Vec<Taint>,
-    /// Productions, grouped per nonterminal.
-    prods: Vec<Vec<Vec<Symbol>>>,
+}
+
+/// `len` consecutive items of a buffer from `start`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// A nonterminal's productions: the first `len` of the `cap` slots of
+/// `Cfg::rules` it owns from `start`.
+#[derive(Clone, Copy)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// An arena offset: offsets are `u32`, like [`NtId`].
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("grammar arena exceeds u32 offsets")
 }
 
 impl Cfg {
@@ -46,32 +92,46 @@ impl Cfg {
     }
 
     /// Adds a nonterminal with a display name, returning its id.
-    pub fn add_nonterminal(&mut self, name: impl Into<String>) -> NtId {
-        let id = NtId(self.names.len() as u32);
-        self.names.push(name.into());
+    pub fn add_nonterminal(&mut self, name: impl AsRef<str>) -> NtId {
+        let id = NtId(offset(self.runs.len()));
+        let name = self.push_name(name.as_ref());
+        self.name_spans.push(name);
         self.taint.push(Taint::NONE);
-        self.prods.push(Vec::new());
+        self.runs.push(Run {
+            start: offset(self.rules.len()),
+            len: 0,
+            cap: 0,
+        });
         id
+    }
+
+    fn push_name(&mut self, name: &str) -> Span {
+        let start = offset(self.names.len());
+        self.names.push_str(name);
+        Span {
+            start,
+            len: offset(name.len()),
+        }
     }
 
     /// Returns the number of nonterminals (`|V|` in the paper's Table 1).
     pub fn num_nonterminals(&self) -> usize {
-        self.names.len()
+        self.runs.len()
     }
 
     /// Returns the total number of productions (`|R|` in Table 1).
     pub fn num_productions(&self) -> usize {
-        self.prods.iter().map(Vec::len).sum()
+        self.runs.iter().map(|r| r.len as usize).sum()
     }
 
     /// Returns the display name of a nonterminal.
     pub fn name(&self, id: NtId) -> &str {
-        &self.names[id.index()]
+        &self.names[self.name_spans[id.index()].range()]
     }
 
     /// Replaces the display name of a nonterminal.
-    pub fn set_name(&mut self, id: NtId, name: impl Into<String>) {
-        self.names[id.index()] = name.into();
+    pub fn set_name(&mut self, id: NtId, name: impl AsRef<str>) {
+        self.name_spans[id.index()] = self.push_name(name.as_ref());
     }
 
     /// Returns the taint labels of a nonterminal.
@@ -91,9 +151,46 @@ impl Cfg {
         *t = t.union(taint);
     }
 
-    /// Adds a production `lhs → rhs`.
-    pub fn add_production(&mut self, lhs: NtId, rhs: Vec<Symbol>) {
-        self.prods[lhs.index()].push(rhs);
+    /// Adds a production `lhs → rhs`, copying `rhs` into the arena.
+    pub fn add_production(&mut self, lhs: NtId, rhs: impl AsRef<[Symbol]>) {
+        let rhs = rhs.as_ref();
+        let span = Span {
+            start: offset(self.syms.len()),
+            len: offset(rhs.len()),
+        };
+        self.syms.extend_from_slice(rhs);
+        let tail = offset(self.rules.len());
+        let run = &mut self.runs[lhs.index()];
+        if run.len == run.cap {
+            if run.start + run.cap == tail {
+                self.rules.push(span);
+                run.len += 1;
+                run.cap += 1;
+                return;
+            }
+            // Move the full run to the tail with doubled capacity.
+            let old = Span {
+                start: run.start,
+                len: run.len,
+            };
+            run.start = tail;
+            run.cap = (2 * run.len).max(1);
+            self.rules.extend_from_within(old.range());
+            self.rules
+                .resize(tail as usize + run.cap as usize, Span::default());
+        }
+        self.rules[(run.start + run.len) as usize] = span;
+        run.len += 1;
+    }
+
+    /// Reserves room for `nonterminals` more nonterminals, `rules` more
+    /// productions and `syms` more right-hand-side symbols.
+    pub(crate) fn reserve(&mut self, nonterminals: usize, rules: usize, syms: usize) {
+        self.runs.reserve(nonterminals);
+        self.name_spans.reserve(nonterminals);
+        self.taint.reserve(nonterminals);
+        self.rules.reserve(rules);
+        self.syms.reserve(syms);
     }
 
     /// Adds a production `lhs → literal` for a byte string.
@@ -107,23 +204,24 @@ impl Cfg {
         literal.iter().map(|&b| Symbol::T(b)).collect()
     }
 
-    /// Returns the productions of `id`.
-    pub fn productions(&self, id: NtId) -> &[Vec<Symbol>] {
-        &self.prods[id.index()]
+    /// Returns the productions of `id`, in the order they were added.
+    pub fn productions(&self, id: NtId) -> Productions<'_> {
+        let run = self.runs[id.index()];
+        Productions {
+            syms: &self.syms,
+            rules: &self.rules[run.start as usize..(run.start + run.len) as usize],
+        }
     }
 
     /// Iterates over all `(lhs, rhs)` pairs.
     pub fn iter_productions(&self) -> impl Iterator<Item = (NtId, &[Symbol])> + '_ {
-        self.prods.iter().enumerate().flat_map(|(i, rules)| {
-            rules
-                .iter()
-                .map(move |rhs| (NtId(i as u32), rhs.as_slice()))
-        })
+        self.nonterminals()
+            .flat_map(move |id| self.productions(id).into_iter().map(move |rhs| (id, rhs)))
     }
 
     /// Iterates over all nonterminal ids.
     pub fn nonterminals(&self) -> impl Iterator<Item = NtId> {
-        (0..self.names.len() as u32).map(NtId)
+        (0..self.runs.len() as u32).map(NtId)
     }
 
     /// Returns all nonterminals carrying at least one taint label
@@ -135,7 +233,7 @@ impl Cfg {
     }
 
     /// Convenience: a fresh nonterminal with a single literal production.
-    pub fn literal_nonterminal(&mut self, name: impl Into<String>, literal: &[u8]) -> NtId {
+    pub fn literal_nonterminal(&mut self, name: impl AsRef<str>, literal: &[u8]) -> NtId {
         let id = self.add_nonterminal(name);
         self.add_literal_production(id, literal);
         id
@@ -228,13 +326,14 @@ impl Cfg {
                 out.set_taint(n, self.taint(id));
             }
         }
+        let mut new_rhs = Vec::new();
         for (local, &id) in reach.order.iter().enumerate() {
             let new_lhs = kept[local];
             if new_lhs == u32::MAX {
                 continue;
             }
             'prods: for rhs in self.productions(id) {
-                let mut new_rhs = Vec::with_capacity(rhs.len());
+                new_rhs.clear();
                 for s in rhs {
                     match s {
                         Symbol::T(b) => new_rhs.push(Symbol::T(*b)),
@@ -244,7 +343,7 @@ impl Cfg {
                         },
                     }
                 }
-                out.add_production(NtId(new_lhs), new_rhs);
+                out.add_production(NtId(new_lhs), &new_rhs);
             }
         }
         (out, NtId(0))
@@ -263,49 +362,18 @@ impl Cfg {
             let n = self.add_nonterminal(other.name(id));
             self.set_taint(n, other.taint(id));
         }
+        let mut new_rhs = Vec::new();
         for (local, &id) in reach.order.iter().enumerate() {
             for rhs in other.productions(id) {
-                let new_rhs = rhs
-                    .iter()
-                    .map(|s| match s {
-                        Symbol::T(b) => Symbol::T(*b),
-                        Symbol::N(sub) => Symbol::N(NtId(base + reach.local(*sub) as u32)),
-                    })
-                    .collect();
-                self.add_production(NtId(base + local as u32), new_rhs);
+                new_rhs.clear();
+                new_rhs.extend(rhs.iter().map(|s| match s {
+                    Symbol::T(b) => Symbol::T(*b),
+                    Symbol::N(sub) => Symbol::N(NtId(base + reach.local(*sub) as u32)),
+                }));
+                self.add_production(NtId(base + local as u32), &new_rhs);
             }
         }
         NtId(base)
-    }
-
-    /// Appends a nonterminal together with its productions, moving them
-    /// into the arena without copying.
-    pub(crate) fn push_nonterminal(
-        &mut self,
-        name: String,
-        taint: Taint,
-        rules: Vec<Vec<Symbol>>,
-    ) -> NtId {
-        let id = NtId(self.names.len() as u32);
-        self.names.push(name);
-        self.taint.push(taint);
-        self.prods.push(rules);
-        id
-    }
-
-    /// Gives an existing nonterminal that has no productions yet its
-    /// name, taint and productions, moving them into the arena.
-    pub(crate) fn define(
-        &mut self,
-        id: NtId,
-        name: String,
-        taint: Taint,
-        rules: Vec<Vec<Symbol>>,
-    ) {
-        debug_assert!(self.prods[id.index()].is_empty(), "{id} is already defined");
-        self.names[id.index()] = name;
-        self.taint[id.index()] = taint;
-        self.prods[id.index()] = rules;
     }
 
     /// Returns a nonterminal deriving every byte string (`Σ*`), creating
@@ -322,9 +390,9 @@ impl Cfg {
             return id;
         }
         let any = self.add_nonterminal("ANY");
-        self.add_production(any, vec![]);
+        self.add_production(any, []);
         for b in 0..=255u8 {
-            self.add_production(any, vec![Symbol::T(b), Symbol::N(any)]);
+            self.add_production(any, [Symbol::T(b), Symbol::N(any)]);
         }
         any
     }
@@ -561,139 +629,104 @@ impl Reach {
     }
 }
 
-/// A compressed adjacency list over dense ids `0..len`: a graph's
-/// edges, or any grouping of items by id.
-#[derive(Debug)]
-pub struct Csr {
-    start: Vec<u32>,
-    items: Vec<u32>,
+/// The productions of one nonterminal, in the order they were added:
+/// a `Copy` view into a [`Cfg`] arena.
+#[derive(Clone, Copy)]
+pub struct Productions<'a> {
+    syms: &'a [Symbol],
+    rules: &'a [Span],
 }
 
-/// The strongly connected components of a [`Csr`] graph, each listed
-/// after every component it reaches (callees first).
-#[derive(Debug)]
-pub struct Components {
-    /// The members of every component, concatenated in component order.
-    pub members: Vec<u32>,
-    /// Component `c` is `members[bounds[c]..bounds[c + 1]]`.
-    pub bounds: Vec<u32>,
-    /// The component of each id.
-    pub of: Vec<u32>,
+impl<'a> Productions<'a> {
+    /// Number of productions.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// Whether there are no productions.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// The right-hand side of production `k`, if there is one.
+    pub fn get(&self, k: usize) -> Option<&'a [Symbol]> {
+        self.rules.get(k).map(|r| &self.syms[r.range()])
+    }
+
+    /// Iterates over the right-hand sides.
+    pub fn iter(&self) -> ProductionsIter<'a> {
+        ProductionsIter {
+            syms: self.syms,
+            rules: self.rules.iter(),
+        }
+    }
 }
 
-impl Csr {
-    /// Groups `(from, to)` pairs by `from`, keeping their order; every
-    /// `from` must be below `n`. The pairs are iterated twice.
-    pub(crate) fn new(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Csr {
-        let mut start = vec![0u32; n + 1];
-        for (from, _) in pairs.clone() {
-            start[from as usize + 1] += 1;
-        }
-        for x in 0..n {
-            start[x + 1] += start[x];
-        }
-        let mut fill = start.clone();
-        let mut items = vec![0u32; start[n] as usize];
-        for (from, to) in pairs {
-            items[fill[from as usize] as usize] = to;
-            fill[from as usize] += 1;
-        }
-        Csr { start, items }
+impl Index<usize> for Productions<'_> {
+    type Output = [Symbol];
+
+    fn index(&self, k: usize) -> &[Symbol] {
+        &self.syms[self.rules[k].range()]
+    }
+}
+
+impl<'a> IntoIterator for Productions<'a> {
+    type Item = &'a [Symbol];
+    type IntoIter = ProductionsIter<'a>;
+
+    fn into_iter(self) -> ProductionsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Productions<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over the right-hand sides of a [`Productions`] view.
+#[derive(Clone, Debug)]
+pub struct ProductionsIter<'a> {
+    syms: &'a [Symbol],
+    rules: std::slice::Iter<'a, Span>,
+}
+
+impl<'a> Iterator for ProductionsIter<'a> {
+    type Item = &'a [Symbol];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Symbol]> {
+        self.rules.next().map(|r| &self.syms[r.range()])
     }
 
-    /// Builds the lists of ids `0..n` in order: `row(x, out)` pushes
-    /// the items of `x` onto an empty `out`, and they are kept sorted
-    /// and deduplicated.
-    pub fn from_rows(n: usize, mut row: impl FnMut(u32, &mut Vec<u32>)) -> Csr {
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0);
-        let (mut items, mut buf) = (Vec::new(), Vec::new());
-        for x in 0..n as u32 {
-            buf.clear();
-            row(x, &mut buf);
-            buf.sort_unstable();
-            buf.dedup();
-            items.extend_from_slice(&buf);
-            start.push(items.len() as u32);
-        }
-        Csr { start, items }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rules.size_hint()
     }
+}
 
-    /// Number of ids.
-    pub(crate) fn len(&self) -> usize {
-        self.start.len() - 1
-    }
+impl ExactSizeIterator for ProductionsIter<'_> {}
 
-    /// The items of `x`, in insertion order.
-    pub fn get(&self, x: u32) -> &[u32] {
-        &self.items[self.start[x as usize] as usize..self.start[x as usize + 1] as usize]
-    }
-
-    /// The strongly connected components of the graph whose edges are
-    /// `x → get(x)` (Tarjan, iterative), callees first.
-    pub fn components(&self) -> Components {
-        const NONE: u32 = u32::MAX;
-        let n = self.len();
-        let mut index = vec![NONE; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut members: Vec<u32> = Vec::with_capacity(n);
-        let mut bounds = vec![0u32];
-        let mut of = vec![0u32; n];
-        // (node, index of its next edge)
-        let mut calls: Vec<(u32, u32)> = Vec::new();
-        let mut counter = 0u32;
-        for s in 0..n as u32 {
-            if index[s as usize] != NONE {
-                continue;
-            }
-            let mut next = Some(s);
-            loop {
-                if let Some(v) = next.take() {
-                    index[v as usize] = counter;
-                    low[v as usize] = counter;
-                    counter += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    calls.push((v, 0));
-                }
-                let Some(&mut (v, ref mut pos)) = calls.last_mut() else {
-                    break;
-                };
-                if let Some(&u) = self.get(v).get(*pos as usize) {
-                    *pos += 1;
-                    if index[u as usize] == NONE {
-                        next = Some(u);
-                    } else if on_stack[u as usize] {
-                        low[v as usize] = low[v as usize].min(index[u as usize]);
-                    }
-                    continue;
-                }
-                calls.pop();
-                if let Some(&(parent, _)) = calls.last() {
-                    low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                }
-                if low[v as usize] == index[v as usize] {
-                    let c = bounds.len() as u32 - 1;
-                    loop {
-                        let u = stack.pop().expect("v is on the stack");
-                        on_stack[u as usize] = false;
-                        members.push(u);
-                        of[u as usize] = c;
-                        if u == v {
-                            break;
-                        }
-                    }
-                    bounds.push(members.len() as u32);
-                }
+/// Prints the logical grammar — each nonterminal's name, taint and
+/// productions, in id order — not the buffers behind it, so arenas
+/// holding the same grammar print alike whatever their slack.
+impl fmt::Debug for Cfg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Nonterminal<'a>(&'a Cfg, NtId);
+        impl fmt::Debug for Nonterminal<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let Nonterminal(g, id) = *self;
+                f.debug_struct("Nonterminal")
+                    .field("name", &g.name(id))
+                    .field("taint", &g.taint(id))
+                    .field("productions", &g.productions(id))
+                    .finish()
             }
         }
-        Components {
-            members,
-            bounds,
-            of,
-        }
+        f.write_str("Cfg ")?;
+        f.debug_list()
+            .entries(self.nonterminals().map(|id| Nonterminal(self, id)))
+            .finish()
     }
 }
 

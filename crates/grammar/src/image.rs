@@ -40,7 +40,8 @@ use strtaint_automata::StateId;
 
 use crate::bits::{ones, BitRows};
 use crate::budget::{Budget, BudgetExceeded};
-use crate::cfg::{Cfg, Csr};
+use crate::cfg::Cfg;
+use crate::csr::Csr;
 use crate::normal::{Normal, P};
 use crate::symbol::{NtId, Symbol, Taint};
 
@@ -268,12 +269,21 @@ fn fixpoint(norm: &Normal, steps: &Steps, budget: &Budget) -> Result<BitRows, Bu
 
 /// An image grammar collected for writing into an arena: entry 0 is
 /// the root, and entry `k > 0` is appended as nonterminal
-/// `base + k - 1`.
+/// `base + k - 1`. Flat like the arena itself: names, right-hand sides
+/// and each entry's rules are spans of shared buffers.
 struct Image {
     base: u32,
-    names: Vec<String>,
+    /// Every entry's name, concatenated; entry `k`'s ends at
+    /// `name_ends[k]`.
+    names: String,
+    name_ends: Vec<u32>,
     taints: Vec<Taint>,
-    rules: Vec<Vec<Vec<Symbol>>>,
+    /// Every right-hand side, concatenated; rule `r` ends at
+    /// `rule_ends[r]`.
+    syms: Vec<Symbol>,
+    rule_ends: Vec<u32>,
+    /// Entry `k`'s rules are `first[k]..first[k + 1]`.
+    first: Vec<u32>,
 }
 
 impl Image {
@@ -297,16 +307,33 @@ impl Image {
         Rebuild::new(&norm, &steps, &rel, base).run(g, root, fst, budget)
     }
 
+    /// Adds the symbols pushed since the last rule as one rule.
+    fn close_rule(&mut self) {
+        self.rule_ends.push(self.syms.len() as u32);
+    }
+
     /// Writes the root into `root` and appends the other collected
     /// nonterminals to `g`.
     fn write(self, g: &mut Cfg, root: NtId) {
         debug_assert_eq!(g.num_nonterminals() as u32, self.base);
-        let mut entries = self.names.into_iter().zip(self.taints).zip(self.rules);
-        if let Some(((name, taint), rules)) = entries.next() {
-            g.define(root, name, taint, rules);
-        }
-        for ((name, taint), rules) in entries {
-            g.push_nonterminal(name, taint, rules);
+        debug_assert!(g.productions(root).is_empty(), "{root} is already defined");
+        let entries = self.taints.len();
+        g.reserve(entries - 1, self.rule_ends.len(), self.syms.len());
+        let (mut name_start, mut rule_start) = (0, 0);
+        for k in 0..entries {
+            let name = &self.names[name_start..self.name_ends[k] as usize];
+            name_start = self.name_ends[k] as usize;
+            let id = if k == 0 {
+                g.set_name(root, name);
+                root
+            } else {
+                g.add_nonterminal(name)
+            };
+            g.set_taint(id, self.taints[k]);
+            for &end in &self.rule_ends[self.first[k] as usize..self.first[k + 1] as usize] {
+                g.add_production(id, &self.syms[rule_start..end as usize]);
+                rule_start = end as usize;
+            }
         }
     }
 }
@@ -339,24 +366,34 @@ impl<'a> Rebuild<'a> {
             queue: Vec::new(),
             img: Image {
                 base,
-                names: Vec::new(),
+                names: String::new(),
+                name_ends: Vec::new(),
                 taints: Vec::new(),
-                rules: Vec::new(),
+                syms: Vec::new(),
+                rule_ends: Vec::new(),
+                first: Vec::new(),
             },
         }
     }
 
-    /// The arena id of realized triple `(x, i, j)`, discovering it on
-    /// first use.
-    fn id(&mut self, x: NtId, i: u32, j: u32) -> Symbol {
+    /// Pushes the arena id of realized triple `(x, i, j)` onto the open
+    /// rule, discovering the triple on first use.
+    fn nt(&mut self, x: NtId, i: u32, j: u32) {
         let dense = self.rel.dense(&self.rank, x, i, j);
         if self.entry[dense] == u32::MAX {
             self.queue.push((x, i, j));
             self.entry[dense] = self.queue.len() as u32;
-            self.img.names.push(self.norm.name(x).into_owned());
+            self.img.names.push_str(&self.norm.name(x));
+            self.img.name_ends.push(self.img.names.len() as u32);
             self.img.taints.push(self.norm.taint(x)); // TAINTIF
         }
-        Symbol::N(NtId(self.img.base + self.entry[dense] - 1))
+        let id = NtId(self.img.base + self.entry[dense] - 1);
+        self.img.syms.push(Symbol::N(id));
+    }
+
+    /// Pushes the output bytes `out` as terminals of the open rule.
+    fn lit(&mut self, out: &[u8]) {
+        self.img.syms.extend(out.iter().map(|&b| Symbol::T(b)));
     }
 
     fn run(
@@ -366,23 +403,23 @@ impl<'a> Rebuild<'a> {
         fst: &Fst,
         budget: &Budget,
     ) -> Result<Image, BudgetExceeded> {
-        let lit = |bytes: &[u8]| bytes.iter().map(|&b| Symbol::T(b)).collect::<Vec<_>>();
-        self.img.names.push(format!("{}↦", g.name(root)));
+        self.img.names.push_str(g.name(root));
+        self.img.names.push('↦');
+        self.img.name_ends.push(self.img.names.len() as u32);
         self.img.taints.push(g.taint(root));
         // Start productions: root triples from the FST start to final
         // states, appending per-state flush output.
         let q0 = fst.start();
-        let mut rules = Vec::new();
+        self.img.first.push(0);
         for qf in 0..self.rel.q as u32 {
             if let Some(flush) = fst.final_output(qf as StateId) {
                 if self.rel.get(NtId(0), q0, qf) {
-                    let mut rhs = vec![self.id(NtId(0), q0, qf)];
-                    rhs.extend(lit(flush));
-                    rules.push(rhs);
+                    self.nt(NtId(0), q0, qf);
+                    self.lit(flush);
+                    self.img.close_rule();
                 }
             }
         }
-        self.img.rules.push(rules);
 
         let (norm, steps, rel) = (self.norm, self.steps, self.rel);
         let mut cursor = 0;
@@ -390,33 +427,35 @@ impl<'a> Rebuild<'a> {
             budget.charge(1)?;
             let (x, i, j) = self.queue[cursor];
             cursor += 1;
-            let mut rules = Vec::new();
+            self.img.first.push(self.img.rule_ends.len() as u32);
             for &(_, p) in norm.productions(x) {
                 match p {
                     P::Eps => {
                         if i == j {
-                            rules.push(vec![]);
+                            self.img.close_rule();
                         }
                     }
                     P::T(a) => {
                         for (t, out) in steps.arcs(a, i) {
                             if *t == j {
-                                rules.push(lit(out));
+                                self.lit(out);
+                                self.img.close_rule();
                             }
                         }
                     }
                     P::N(y) => {
                         if rel.get(y, i, j) {
-                            rules.push(vec![self.id(y, i, j)]);
+                            self.nt(y, i, j);
+                            self.img.close_rule();
                         }
                     }
                     P::TT(a, b) => {
                         for (m, out_a) in steps.arcs(a, i) {
                             for (t, out_b) in steps.arcs(b, *m) {
                                 if *t == j {
-                                    let mut rhs = lit(out_a);
-                                    rhs.extend(lit(out_b));
-                                    rules.push(rhs);
+                                    self.lit(out_a);
+                                    self.lit(out_b);
+                                    self.img.close_rule();
                                 }
                             }
                         }
@@ -424,9 +463,9 @@ impl<'a> Rebuild<'a> {
                     P::TN(a, y) => {
                         for (m, out_a) in steps.arcs(a, i) {
                             if rel.get(y, *m, j) {
-                                let mut rhs = lit(out_a);
-                                rhs.push(self.id(y, *m, j));
-                                rules.push(rhs);
+                                self.lit(out_a);
+                                self.nt(y, *m, j);
+                                self.img.close_rule();
                             }
                         }
                     }
@@ -434,9 +473,9 @@ impl<'a> Rebuild<'a> {
                         for m in ones(rel.row(y, i)) {
                             for (t, out_b) in steps.arcs(b, m) {
                                 if *t == j {
-                                    let mut rhs = vec![self.id(y, i, m)];
-                                    rhs.extend(lit(out_b));
-                                    rules.push(rhs);
+                                    self.nt(y, i, m);
+                                    self.lit(out_b);
+                                    self.img.close_rule();
                                 }
                             }
                         }
@@ -444,16 +483,16 @@ impl<'a> Rebuild<'a> {
                     P::NN(y, z) => {
                         for m in ones(rel.row(y, i)) {
                             if rel.get(z, m, j) {
-                                let left = self.id(y, i, m);
-                                let right = self.id(z, m, j);
-                                rules.push(vec![left, right]);
+                                self.nt(y, i, m);
+                                self.nt(z, m, j);
+                                self.img.close_rule();
                             }
                         }
                     }
                 }
             }
-            self.img.rules.push(rules);
         }
+        self.img.first.push(self.img.rule_ends.len() as u32);
         Ok(self.img)
     }
 }

@@ -8,7 +8,8 @@
 
 use std::collections::HashSet;
 
-use crate::cfg::{Cfg, Csr};
+use crate::cfg::Cfg;
+use crate::csr::Csr;
 use crate::normal::{Normal, Occurrences};
 use crate::symbol::{NtId, Symbol};
 

@@ -52,6 +52,7 @@
 mod bits;
 pub mod budget;
 pub mod cfg;
+pub mod csr;
 pub mod earley;
 pub mod image;
 pub mod intersect;

@@ -7,7 +7,8 @@
 
 use std::borrow::Cow;
 
-use crate::cfg::{Cfg, Csr, Reach};
+use crate::cfg::{Cfg, Reach};
+use crate::csr::Csr;
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// Returns an equivalent grammar whose productions all have `|rhs| ≤ 2`.
@@ -25,7 +26,7 @@ pub fn normalize(g: &Cfg) -> Cfg {
     }
     for (lhs, rhs) in g.iter_productions() {
         if rhs.len() <= 2 {
-            out.add_production(lhs, rhs.to_vec());
+            out.add_production(lhs, rhs);
             continue;
         }
         // lhs -> s0 H0, H0 -> s1 H1, ..., H(k) -> s(n-2) s(n-1)

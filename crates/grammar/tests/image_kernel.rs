@@ -221,7 +221,7 @@ mod oracle {
                     budget.charge(1)?;
                     let lhs = map[&(x.0, i, j)];
                     for rhs in norm.productions(x) {
-                        match rhs.as_slice() {
+                        match rhs {
                             [] => {
                                 if i == j {
                                     out.add_production(lhs, vec![]);
@@ -463,7 +463,7 @@ fn grammar() -> impl Strategy<Value = (Cfg, NtId)> {
                 [Taint::NONE, Taint::DIRECT, Taint::INDIRECT][*taint],
             );
             for (p, rhs) in prods.iter().enumerate() {
-                let rhs = rhs
+                let rhs: Vec<Symbol> = rhs
                     .iter()
                     .map(|&(kind, v)| match kind {
                         // The first production stays nonrecursive so

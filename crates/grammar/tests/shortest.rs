@@ -27,7 +27,7 @@ mod oracle {
             let mut changed = false;
             for (lhs, rhs) in ids
                 .iter()
-                .flat_map(|&id| g.productions(id).iter().map(move |r| (id, r.as_slice())))
+                .flat_map(|&id| g.productions(id).iter().map(move |r| (id, r)))
             {
                 let mut candidate: Vec<u8> = Vec::new();
                 let mut ok = true;
@@ -93,7 +93,7 @@ fn grammar() -> impl Strategy<Value = Cfg> {
         let ids: Vec<NtId> = (0..n).map(|k| g.add_nonterminal(format!("N{k}"))).collect();
         for (k, prods) in spec.iter().enumerate() {
             for codes in prods {
-                let rhs = codes
+                let rhs: Vec<Symbol> = codes
                     .iter()
                     .map(|&c| match TERMINALS.get(c) {
                         Some(&t) => Symbol::T(t),

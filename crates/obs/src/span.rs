@@ -297,7 +297,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(active) = self.active.take() else { return };
-        let dur_us = active.start.elapsed().as_micros() as u64;
+        let end = Instant::now();
         STACK.with(|s| {
             let mut s = s.borrow_mut();
             debug_assert_eq!(
@@ -307,16 +307,23 @@ impl Drop for Span {
             );
             s.pop();
         });
-        record_phase(active.name, dur_us);
+        record_phase(
+            active.name,
+            end.duration_since(active.start).as_micros() as u64,
+        );
         if mode() == Mode::Full {
             let c = collector();
+            // Both endpoints are truncated against the same epoch, so a
+            // child's `start_us + dur_us` never passes its parent's.
+            let start_us = active.start.duration_since(c.epoch).as_micros() as u64;
+            let end_us = end.duration_since(c.epoch).as_micros() as u64;
             let event = SpanEvent {
                 name: active.name,
                 detail: active.detail,
                 tid: thread_id(),
                 depth: active.depth,
-                start_us: active.start.duration_since(c.epoch).as_micros() as u64,
-                dur_us,
+                start_us,
+                dur_us: end_us - start_us,
                 kind: EventKind::Span,
             };
             c.events.lock().unwrap_or_else(|p| p.into_inner()).push(event);

@@ -48,6 +48,12 @@ cargo test -q -p strtaint-policy -p strtaint-sql
 echo "==> checker crate units (memo, pmemo, skeletons, abstraction, engine)"
 cargo test -q -p strtaint-checker
 
+echo "==> remaining crate units (automata, obs, php, tpl, corpus, remedy, baseline, core)"
+# These crates test themselves inside their packages; the root test
+# run only covers the suite package, so nothing else runs them.
+cargo test -q -p strtaint-automata -p strtaint-obs -p strtaint-php -p strtaint-tpl \
+    -p strtaint-corpus -p strtaint-remedy -p strtaint-baseline -p strtaint
+
 echo "==> CLI process contract (parse error: first failing entry, exit 2, empty stdout)"
 cargo test -q -p strtaint-cli
 
