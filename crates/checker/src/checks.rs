@@ -75,34 +75,30 @@ impl Derivable {
         }
     }
 
-    /// Runs C5 on the labeled nonterminal `x` of the hotspot `root`,
-    /// whose prepared `L(X)` is `tx`; `all` is every maximal labeled
-    /// nonterminal of the hotspot. Decides: a finding, or verified.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs C5 on the labeled nonterminal `x` of the engine's hotspot,
+    /// whose prepared `L(X)` is `tx`. Decides: a finding, or verified.
     pub(crate) fn check(
         &self,
         cfg: &Cfg,
-        root: NtId,
         x: NtId,
-        all: &[NtId],
         tx: &mut Target,
         budget: &Budget,
         engine: &mut Engine<'_>,
     ) -> Result<Option<Finding>, BudgetExceeded> {
         let finding = |engine: &Engine<'_>, kind, witness, detail: String| {
-            Ok(Some(engine.finding(cfg, root, x, kind, witness, detail)))
+            Ok(Some(engine.finding(cfg, x, kind, witness, detail)))
         };
         // C5: derivability in context. Sibling tainted subgrammars are
         // spliced as representative strings (computed lazily — only
         // hotspots that reach C5 pay for them).
         let mut replacements: HashMap<NtId, Vec<u8>> = HashMap::new();
-        for &y in all {
+        for &y in engine.candidates() {
             if y != x {
                 let sample = shortest_string(cfg, y).unwrap_or_else(|| b"1".to_vec());
                 replacements.insert(y, sample);
             }
         }
-        let (marked, mroot) = marked_grammar(cfg, root, x, &replacements);
+        let (marked, mroot) = marked_grammar(cfg, engine.root(), x, &replacements);
         let Some(contexts) = bounded_language(&marked, mroot, MAX_CONTEXTS) else {
             return finding(
                 engine,

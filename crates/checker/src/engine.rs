@@ -17,14 +17,13 @@
 //!   ([`Engine::query`]) on the prepared engine — replaying it from the
 //!   verdict cache when `CheckOptions::query_cache` is on, keyed by
 //!   the query's content and budget class alone —
-//!   accumulates [`EngineStats`], and fingerprints the hotspot's
-//!   subgrammar at most once for all of its marked-grammar, splice and
-//!   skeleton lookups;
+//!   accumulates [`EngineStats`], and reads its candidates, their
+//!   content keys and its size guard off the page index shared by every
+//!   hotspot of the page;
 //! - [`fan_out`]: the lock-free worker loop that fans independent jobs
 //!   across threads — the hotspots of a lone page here, the pages of a
 //!   run in `strtaint-core`.
 
-use std::cell::OnceCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,9 +33,10 @@ use strtaint_grammar::prepared::{PreparedGrammar, QueryMode};
 use strtaint_grammar::stats::EngineStats;
 use strtaint_grammar::{Cfg, NtId};
 
+use crate::abstraction::PageIndex;
 use crate::checks::CheckOptions;
 use crate::memo::Lookup;
-use crate::pmemo::{PreparedMemo, Subgrammar};
+use crate::pmemo::PreparedMemo;
 use crate::qcache::{QueryCache, QueryKey, Verdict};
 use crate::report::{CheckKind, Finding};
 
@@ -96,7 +96,7 @@ pub(crate) struct Target {
     used: bool,
     /// Whether witness reconstruction is skipped: the target's
     /// reachable production count exceeds [`WITNESS_BUDGET`]. The
-    /// memo's key traversal counts it for free. Marked-grammar targets
+    /// candidate's key traversal counts it for free. Marked-grammar targets
     /// only ever answer emptiness, so they are built guarded.
     guarded: bool,
 }
@@ -141,15 +141,14 @@ impl Shared {
 
 /// Per-hotspot query session: answers intersections on the prepared
 /// engine through the checker's memo and cache, and counts engine work.
-/// One session serves exactly one hotspot `(cfg, root)`: every method
-/// taking a `root` must be passed that same root.
+/// One session serves exactly one hotspot `(cfg, root)` of an indexed
+/// page: every method taking a `cfg` must be passed the grammar the
+/// page index was built on.
 pub(crate) struct Engine<'a> {
     shared: &'a Shared,
+    page: &'a PageIndex,
+    root: NtId,
     pub(crate) stats: EngineStats,
-    /// The key of the hotspot's subgrammar, computed on first use and
-    /// shared by every marked target, splice and skeleton of the
-    /// session.
-    hotspot: OnceCell<Subgrammar>,
 }
 
 /// Production-count guard above which witness-grammar reconstruction is
@@ -157,45 +156,45 @@ pub(crate) struct Engine<'a> {
 const WITNESS_BUDGET: usize = 50_000;
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(shared: &'a Shared) -> Self {
+    /// A session for the hotspot `root`, one of the roots `page`
+    /// indexes.
+    pub(crate) fn new(shared: &'a Shared, page: &'a PageIndex, root: NtId) -> Self {
         Engine {
             shared,
+            page,
+            root,
             stats: EngineStats::default(),
-            hotspot: OnceCell::new(),
         }
     }
 
-    /// The key of the session's hotspot subgrammar (one traversal per
-    /// session).
-    fn hotspot(&self, cfg: &Cfg, root: NtId) -> &Subgrammar {
-        self.hotspot.get_or_init(|| Subgrammar::of(cfg, root))
+    /// The hotspot's root.
+    pub(crate) fn root(&self) -> NtId {
+        self.root
+    }
+
+    /// The hotspot's candidates: its maximal labeled nonterminals.
+    pub(crate) fn candidates(&self) -> &'a [NtId] {
+        self.page.candidates(self.root)
     }
 
     /// Whether the hotspot subgrammar has at most `cap` productions.
-    /// A capped count answers it until the key exists, so an oversized
-    /// hotspot never pays the full fingerprint traversal here.
-    pub(crate) fn within(&self, cfg: &Cfg, root: NtId, cap: usize) -> bool {
-        match self.hotspot.get() {
-            Some(sub) => sub.count <= cap,
-            None => cfg.count_reachable_productions(root, cap) <= cap,
-        }
+    pub(crate) fn within(&self, cap: usize) -> bool {
+        self.page.productions(self.root) <= cap
     }
 
     /// The canonical marked skeleton of `x` under the hotspot (see
     /// [`PreparedMemo::skeleton_for`]); callers apply the size guard.
-    pub(crate) fn skeleton(&self, cfg: &Cfg, root: NtId, x: NtId) -> Option<Vec<u8>> {
-        let sub = self.hotspot(cfg, root);
-        self.shared.pmemo.skeleton_for(cfg, root, sub, x)
+    pub(crate) fn skeleton(&self, cfg: &Cfg, x: NtId) -> Option<Vec<u8>> {
+        self.shared.pmemo.skeleton_for(cfg, self.root, x)
     }
 
     /// A `kind` finding against `x` carrying `witness` and, when there
     /// is one, the witness spliced into the shortest context of `x`
-    /// under `root` — the full payload the downstream interpreter
-    /// would receive (see [`splice_example`]).
+    /// under the hotspot's root — the full payload the downstream
+    /// interpreter would receive (see [`splice_example`]).
     pub(crate) fn finding(
         &self,
         cfg: &Cfg,
-        root: NtId,
         x: NtId,
         kind: CheckKind,
         witness: Option<Vec<u8>>,
@@ -203,7 +202,7 @@ impl<'a> Engine<'a> {
     ) -> Finding {
         let example_query = witness
             .as_deref()
-            .and_then(|w| splice_example(cfg, root, x, w, self));
+            .and_then(|w| splice_example(cfg, x, w, self));
         Finding {
             witness,
             example_query,
@@ -211,13 +210,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Target for a root of the page grammar, shared through the memo
-    /// with every content-identical subgrammar of any page (and across
-    /// worker threads). Returns `None` when `L(cfg, root)` is empty
-    /// (nothing to check): emptiness is read off the preparation in
-    /// O(1) instead of re-running the productivity fixpoint per hotspot.
-    pub(crate) fn target(&mut self, cfg: &Cfg, root: NtId) -> Option<Target> {
-        let (prep, hit, count) = self.shared.pmemo.prepared(cfg, root);
+    /// Target for the candidate `x`, shared through the memo with every
+    /// content-identical subgrammar of any page (and across worker
+    /// threads); its key comes from the page index. Returns `None` when
+    /// `L(cfg, x)` is empty (nothing to check): emptiness is read off
+    /// the preparation in O(1) instead of re-running the productivity
+    /// fixpoint per hotspot.
+    pub(crate) fn target(&mut self, cfg: &Cfg, x: NtId) -> Option<Target> {
+        let sub = self.page.key(cfg, x);
+        let (prep, hit) = self.shared.pmemo.prepared(cfg, x, sub);
         if !hit {
             self.stats.normalizations += 1;
         }
@@ -227,17 +228,16 @@ impl<'a> Engine<'a> {
         Some(Target {
             prep,
             used: hit,
-            guarded: count > WITNESS_BUDGET,
+            guarded: sub.count > WITNESS_BUDGET,
         })
     }
 
-    /// Target for the marked grammar of `(cfg, root, x)` with no
-    /// replacements — the context grammar of the C2 and XSS checks.
-    /// A warm memo hit never constructs the marked grammar at all (see
-    /// [`PreparedMemo::marked_prepared`]).
-    pub(crate) fn target_marked(&mut self, cfg: &Cfg, root: NtId, x: NtId) -> Target {
-        let sub = self.hotspot(cfg, root);
-        let (prep, hit) = self.shared.pmemo.marked_prepared(cfg, root, sub, x);
+    /// Target for the marked grammar of `x` under the hotspot's root
+    /// with no replacements — the context grammar of the C2 and XSS
+    /// checks. A warm memo hit never constructs the marked grammar at
+    /// all (see [`PreparedMemo::marked_prepared`]).
+    pub(crate) fn target_marked(&mut self, cfg: &Cfg, x: NtId) -> Target {
+        let (prep, hit) = self.shared.pmemo.marked_prepared(cfg, self.root, x);
         if !hit {
             self.stats.normalizations += 1;
         }
@@ -384,18 +384,12 @@ impl<'a> Engine<'a> {
 /// string of the marked grammar, the expensive part) comes from the
 /// memo, shared across content-identical marked grammars, so a warm
 /// re-check of an unchanged page skips the reconstruction.
-fn splice_example(
-    cfg: &Cfg,
-    root: NtId,
-    x: NtId,
-    witness: &[u8],
-    engine: &Engine<'_>,
-) -> Option<Vec<u8>> {
+fn splice_example(cfg: &Cfg, x: NtId, witness: &[u8], engine: &Engine<'_>) -> Option<Vec<u8>> {
     const BUDGET: usize = 50_000;
-    if !engine.within(cfg, root, BUDGET) {
+    if !engine.within(BUDGET) {
         return None;
     }
-    let skeleton = engine.skeleton(cfg, root, x)?;
+    let skeleton = engine.skeleton(cfg, x)?;
     let mut out = Vec::with_capacity(skeleton.len() + witness.len());
     for b in skeleton {
         if b == strtaint_sql::VAR_MARKER {
@@ -474,10 +468,16 @@ mod tests {
         (target, Qdfa::new(Regex::new("'").unwrap().match_dfa()))
     }
 
+    /// An index over an empty page: the query tests need no hotspot.
+    fn no_page() -> PageIndex {
+        PageIndex::new(&Cfg::new(), &[])
+    }
+
     #[test]
     fn guarded_witness_answers_count_one_skip_live_and_replayed() {
         let shared = Shared::new(&CheckOptions::default());
-        let mut engine = Engine::new(&shared);
+        let page = no_page();
+        let mut engine = Engine::new(&shared, &page, NtId(0));
         let (mut t, q) = quoted_guarded();
         let budget = Budget::unlimited();
         assert_eq!(engine.query(&mut t, &q, &budget, true), Ok((false, None)));
@@ -492,9 +492,10 @@ mod tests {
     #[test]
     fn emptiness_and_guarded_witness_questions_share_an_entry() {
         let budget = Budget::unlimited();
+        let page = no_page();
         for witness_first in [false, true] {
             let shared = Shared::new(&CheckOptions::default());
-            let mut engine = Engine::new(&shared);
+            let mut engine = Engine::new(&shared, &page, NtId(0));
             let (mut t, q) = quoted_guarded();
             let first = engine.query(&mut t, &q, &budget, witness_first);
             let triples = engine.stats.realized_triples;

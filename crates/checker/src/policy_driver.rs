@@ -15,22 +15,23 @@
 //! in `checks`) decides by SQL context. The residual decides anything
 //! that falls through.
 //!
-//! Everything around the steps is shared: the `maximal_labeled` walk,
-//! the `Engine` session over the checker's one query cache and
-//! prepared memo, the per-candidate span, and the budget discipline —
-//! a trip yields a conservative `BudgetExhausted` finding and a
-//! degradation, never a silent "verified".
+//! Everything around the steps is shared: the page index that finds
+//! every hotspot's candidates in one walk of the page grammar, the
+//! `Engine` session over the checker's one query cache and prepared
+//! memo, the per-candidate span, and the budget discipline — a trip
+//! yields a conservative `BudgetExhausted` finding and a degradation,
+//! never a silent "verified".
 
 use strtaint_grammar::budget::{Budget, BudgetExceeded, DegradeAction};
 use strtaint_grammar::lang::shortest_string;
 use strtaint_grammar::{Cfg, NtId};
 use strtaint_policy::{Cascade, CheckKind, Policy, Residual, StepAction, SQL_POLICY, XSS_POLICY};
 
-use crate::abstraction::maximal_labeled;
+use crate::abstraction::PageIndex;
 use crate::checks::{CheckOptions, Derivable};
 use crate::engine::{fan_out, Engine, Qdfa, Shared};
 use crate::report::{Finding, HotspotReport};
-use crate::skeletons::hotspot_skeletons;
+use crate::skeletons::{hotspot_skeletons, SKELETON_BUDGET};
 
 /// One compiled cascade step: its automata in byte-class form.
 #[derive(Debug, Clone)]
@@ -112,20 +113,16 @@ fn spellable(fragments: &[&[u8]], alphabet: &[u8]) -> bool {
 }
 
 /// Runs one compiled cascade on the labeled nonterminal `x` of the
-/// hotspot `root`; `all` is every maximal labeled nonterminal of the
-/// hotspot.
-#[allow(clippy::too_many_arguments)]
+/// engine's hotspot.
 fn check_one(
     (steps, residual): &(Vec<Step>, Residual),
     cfg: &Cfg,
-    root: NtId,
     x: NtId,
-    all: &[NtId],
     budget: &Budget,
     engine: &mut Engine<'_>,
 ) -> Result<Option<Finding>, BudgetExceeded> {
     let found = |engine: &Engine<'_>, kind, witness, detail: &str| {
-        Some(engine.finding(cfg, root, x, kind, witness, detail.to_owned()))
+        Some(engine.finding(cfg, x, kind, witness, detail.to_owned()))
     };
     // One prepared grammar serves every step and, via the shared memo,
     // any other hotspot reaching `x`; so does one marked grammar for
@@ -137,7 +134,7 @@ fn check_one(
     for step in steps {
         let _span = step.span.map(|name| strtaint_obs::Span::enter(name, ""));
         if let Some((gate, when_empty)) = &step.gate {
-            let tm = tm.get_or_insert_with(|| engine.target_marked(cfg, root, x));
+            let tm = tm.get_or_insert_with(|| engine.target_marked(cfg, x));
             if engine.query(tm, gate, budget, false)?.0 != *when_empty {
                 continue;
             }
@@ -193,7 +190,7 @@ fn check_one(
                     return Ok(found(engine, *kind, witness, ""));
                 }
             }
-            Op::Derivable(d) => return d.check(cfg, root, x, all, &mut tx, budget, engine),
+            Op::Derivable(d) => return d.check(cfg, x, &mut tx, budget, engine),
         }
     }
     Ok(match residual {
@@ -257,9 +254,14 @@ impl PolicyChecker {
     /// Exports one hotspot's canonical skeleton set (see
     /// [`crate::skeletons`]). Shares the prepared memo with the checks
     /// and witness splicing, so exporting after a check is a warm
-    /// lookup.
+    /// lookup. An oversized hotspot exports nothing, so its size guard
+    /// runs first, on a capped walk, before the hotspot is indexed.
     pub fn skeletons_for(&self, cfg: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        hotspot_skeletons(cfg, root, &Engine::new(&self.shared))
+        if cfg.count_reachable_productions(root, SKELETON_BUDGET) > SKELETON_BUDGET {
+            return (Vec::new(), false);
+        }
+        let page = PageIndex::new(cfg, &[root]);
+        hotspot_skeletons(cfg, &Engine::new(&self.shared, &page, root))
     }
 
     /// Checks one hotspot under the named policy, through the checker's
@@ -278,16 +280,17 @@ impl PolicyChecker {
         root: NtId,
         budget: &Budget,
     ) -> HotspotReport {
-        self.check_job(policy, cfg, root, budget, Evidence::Verdicts)
+        let page = PageIndex::new(cfg, &[root]);
+        self.check_job(policy, cfg, &page, root, budget, Evidence::Verdicts)
     }
 
     /// One hotspot's job: its check and, when `evidence` asks for them,
-    /// its skeletons, in one engine session (one fingerprint of the
-    /// hotspot subgrammar serves both).
+    /// its skeletons, in one engine session over the page index.
     fn check_job(
         &self,
         policy: &str,
         cfg: &Cfg,
+        page: &PageIndex,
         root: NtId,
         budget: &Budget,
         evidence: Evidence,
@@ -306,15 +309,12 @@ impl PolicyChecker {
             "check"
         };
         let mut report = HotspotReport::default();
-        let candidates = {
-            let _span = strtaint_obs::Span::enter("candidates", "");
-            maximal_labeled(cfg, root)
-        };
+        let mut engine = Engine::new(&self.shared, page, root);
+        let candidates = engine.candidates();
         report.checked = candidates.len();
-        let mut engine = Engine::new(&self.shared);
-        for &x in &candidates {
+        for &x in candidates {
             let _span = strtaint_obs::Span::enter_with(span, || cfg.name(x).to_owned());
-            match check_one(cascade, cfg, root, x, &candidates, budget, &mut engine) {
+            match check_one(cascade, cfg, x, budget, &mut engine) {
                 Ok(None) => report.verified += 1,
                 Ok(Some(finding)) => report.findings.push(finding),
                 Err(err) => {
@@ -334,7 +334,7 @@ impl PolicyChecker {
             f.cap_witness();
         }
         if evidence == Evidence::Skeletons {
-            (report.skeletons, report.skeletons_complete) = hotspot_skeletons(cfg, root, &engine);
+            (report.skeletons, report.skeletons_complete) = hotspot_skeletons(cfg, &engine);
         }
         report.engine = engine.stats;
         report
@@ -345,11 +345,14 @@ impl PolicyChecker {
     /// [`Evidence::Skeletons`] each hotspot's job also exports its
     /// skeletons.
     ///
-    /// Hotspots are independent given the immutable `cfg`; the shared
-    /// prepared memo lets them reuse each other's prepared grammars
-    /// (sinks frequently share roots or labeled sources). A
-    /// worker panic propagates to the caller unchanged, so page-level
-    /// fault isolation behaves exactly as in the serial loop.
+    /// Hotspots are independent given the immutable `cfg`. One page
+    /// index, built before the fan-out, gives every hotspot its
+    /// candidates and computes each distinct candidate's content key
+    /// once; the shared prepared memo lets them reuse each other's
+    /// prepared grammars (sinks frequently share roots or labeled
+    /// sources). A worker panic propagates to the caller unchanged, so
+    /// page-level fault isolation behaves exactly as in the serial
+    /// loop.
     pub fn check_hotspots_with(
         &self,
         cfg: &Cfg,
@@ -358,8 +361,10 @@ impl PolicyChecker {
         workers: usize,
         evidence: Evidence,
     ) -> Vec<HotspotReport> {
+        let roots: Vec<NtId> = items.iter().map(|(root, _)| *root).collect();
+        let page = PageIndex::new(cfg, &roots);
         fan_out(items, workers, |(root, policy)| {
-            self.check_job(policy, cfg, *root, budget, evidence)
+            self.check_job(policy, cfg, &page, *root, budget, evidence)
         })
     }
 }

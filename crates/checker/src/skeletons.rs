@@ -12,54 +12,49 @@
 //! needs to pick a quoted-position vs numeric-position sanitizer.
 //!
 //! Derivation is shared with witness splicing: the skeleton is
-//! content-addressed in the checker's `PreparedMemo`, so exporting it
-//! in the same job as the check is a memo hit that reuses the check's
-//! hotspot fingerprint, and a daemon warm replay serves the identical
+//! content-addressed in the checker's `PreparedMemo` by the marked
+//! grammar it is read from, so exporting it in the same job as the
+//! check is a memo hit, and a daemon warm replay serves the identical
 //! bytes.
 //! Hotspots whose grammar exceeds the reconstruction budget export an
 //! incomplete set (`complete == false`) rather than an unsound one.
 
 use strtaint_grammar::lang::shortest_string;
-use strtaint_grammar::{Cfg, NtId};
+use strtaint_grammar::Cfg;
 
-use crate::abstraction::maximal_labeled;
 use crate::engine::Engine;
 
 /// Reconstruction budget, aligned with witness splicing so a hotspot
 /// that can render an `example_query` can always render its skeleton.
-const SKELETON_BUDGET: usize = 50_000;
+pub(crate) const SKELETON_BUDGET: usize = 50_000;
 
-/// Derives the skeleton set for one hotspot: one canonical marked
-/// shortest string per maximal labeled nonterminal, sorted and
+/// Derives the skeleton set for the engine's hotspot: one canonical
+/// marked shortest string per maximal labeled nonterminal, sorted and
 /// deduplicated. An untainted hotspot (no labeled nonterminals)
 /// exports its canonical minimal query as the single representative
 /// shape. Returns `(skeletons, complete)`; `complete` is `false` when
 /// any candidate exceeded the reconstruction budget or derives no
 /// finite string.
-pub(crate) fn hotspot_skeletons(
-    cfg: &Cfg,
-    root: NtId,
-    engine: &Engine<'_>,
-) -> (Vec<Vec<u8>>, bool) {
+pub(crate) fn hotspot_skeletons(cfg: &Cfg, engine: &Engine<'_>) -> (Vec<Vec<u8>>, bool) {
     let _span = strtaint_obs::Span::enter("skeletons", "");
     // The size guard depends on `(cfg, root)` alone. Over budget, every
     // candidate — and the untainted fallback — yields no skeleton, so
     // one guard decides the whole hotspot before any per-candidate
     // work.
-    if !engine.within(cfg, root, SKELETON_BUDGET) {
+    if !engine.within(SKELETON_BUDGET) {
         return (Vec::new(), false);
     }
-    let candidates = maximal_labeled(cfg, root);
+    let candidates = engine.candidates();
     if candidates.is_empty() {
-        return match shortest_string(cfg, root) {
+        return match shortest_string(cfg, engine.root()) {
             Some(s) => (vec![s], true),
             None => (Vec::new(), false),
         };
     }
     let mut out: Vec<Vec<u8>> = Vec::new();
     let mut complete = true;
-    for &x in &candidates {
-        match engine.skeleton(cfg, root, x) {
+    for &x in candidates {
+        match engine.skeleton(cfg, x) {
             Some(s) => out.push(s),
             None => complete = false,
         }
@@ -89,14 +84,14 @@ pub fn skeleton_display(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::marked_grammar;
+    use crate::abstraction::{marked_grammar, maximal_labeled, PageIndex};
     use crate::checks::CheckOptions;
     use crate::engine::Shared;
 
     fn shared() -> Shared {
         Shared::new(&CheckOptions::default())
     }
-    use strtaint_grammar::{Symbol, Taint};
+    use strtaint_grammar::{NtId, Symbol, Taint};
 
     /// `query -> "SELECT * FROM t WHERE id='" X "'"`, X tainted.
     fn harness() -> (Cfg, NtId) {
@@ -113,8 +108,13 @@ mod tests {
         (g, root)
     }
 
+    fn skeletons_with(g: &Cfg, root: NtId, shared: &Shared) -> (Vec<Vec<u8>>, bool) {
+        let page = PageIndex::new(g, &[root]);
+        hotspot_skeletons(g, &Engine::new(shared, &page, root))
+    }
+
     fn skeletons(g: &Cfg, root: NtId) -> (Vec<Vec<u8>>, bool) {
-        hotspot_skeletons(g, root, &Engine::new(&shared()))
+        skeletons_with(g, root, &shared())
     }
 
     #[test]
@@ -136,8 +136,8 @@ mod tests {
         let x = maximal_labeled(&g, root)[0];
         let (marked, mroot) = marked_grammar(&g, root, x, &Default::default());
         let direct = shortest_string(&marked, mroot).expect("finite skeleton");
-        let (cold, complete) = hotspot_skeletons(&g, root, &Engine::new(&shared));
-        let (warm, _) = hotspot_skeletons(&g, root, &Engine::new(&shared));
+        let (cold, complete) = skeletons_with(&g, root, &shared);
+        let (warm, _) = skeletons_with(&g, root, &shared);
         assert!(complete);
         assert_eq!(cold, vec![direct]);
         assert_eq!(cold, warm);

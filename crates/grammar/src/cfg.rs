@@ -20,7 +20,7 @@
 use std::fmt;
 use std::ops::Index;
 
-use crate::csr::Csr;
+use crate::reach::Reach;
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// A context-free grammar over the byte alphabet with tainted
@@ -321,7 +321,7 @@ impl Cfg {
         let kept = reach.kept(self);
         let mut out = Cfg::new();
         for (local, &id) in reach.order.iter().enumerate() {
-            if kept[local] != u32::MAX {
+            if local == 0 || kept[local] != u32::MAX {
                 let n = out.add_nonterminal(self.name(id));
                 out.set_taint(n, self.taint(id));
             }
@@ -497,135 +497,6 @@ impl Cfg {
             }
         }
         out
-    }
-}
-
-/// The nonterminals reachable from a root, numbered densely in
-/// breadth-first discovery order: the root is local 0, and a
-/// nonterminal's local id is its position in [`Reach::order`].
-///
-/// Trimming, emptiness, import, FST image and prepared-grammar
-/// construction all start from this one walk.
-pub(crate) struct Reach {
-    /// Arena ids in discovery order.
-    pub(crate) order: Vec<NtId>,
-    /// `slot[arena id]` = local id + 1, or 0 when unreached. A zeroed
-    /// allocation, so only the pages the walk touches cost anything;
-    /// it doubles as the visited set.
-    slot: Vec<u32>,
-}
-
-impl Reach {
-    /// Walks the subgraph reachable from `root`.
-    pub(crate) fn new(g: &Cfg, root: NtId) -> Reach {
-        Reach::from_roots(g, &[root])
-    }
-
-    /// Walks the subgraph reachable from any of `roots`; the roots
-    /// come first in the order, duplicates dropped.
-    pub(crate) fn from_roots(g: &Cfg, roots: &[NtId]) -> Reach {
-        let mut slot = vec![0u32; g.num_nonterminals()];
-        let mut order = Vec::with_capacity(roots.len());
-        for &root in roots {
-            if slot[root.index()] == 0 {
-                order.push(root);
-                slot[root.index()] = order.len() as u32;
-            }
-        }
-        let mut cursor = 0;
-        while cursor < order.len() {
-            let id = order[cursor];
-            cursor += 1;
-            for rhs in g.productions(id) {
-                for s in rhs {
-                    if let Symbol::N(t) = *s {
-                        if slot[t.index()] == 0 {
-                            order.push(t);
-                            slot[t.index()] = order.len() as u32;
-                        }
-                    }
-                }
-            }
-        }
-        Reach { order, slot }
-    }
-
-    /// Local id of a reached arena nonterminal.
-    #[inline]
-    pub(crate) fn local(&self, id: NtId) -> usize {
-        debug_assert!(self.slot[id.index()] != 0, "{id} was not reached");
-        self.slot[id.index()] as usize - 1
-    }
-
-    /// Productivity of each reached nonterminal, by local id.
-    ///
-    /// One counter worklist, linear in the subgraph: every production
-    /// counts its outstanding nonterminal occurrences, and the
-    /// production fires its left-hand side when the count reaches zero.
-    pub(crate) fn productive(&self, g: &Cfg) -> Vec<bool> {
-        // Per production: its left-hand side and how many nonterminal
-        // occurrences are not yet known productive; per occurrence: the
-        // (local nonterminal, production) pair.
-        let mut lhs_of: Vec<u32> = Vec::new();
-        let mut pending: Vec<u32> = Vec::new();
-        let mut occurrences: Vec<(u32, u32)> = Vec::new();
-        for (local, &id) in self.order.iter().enumerate() {
-            for rhs in g.productions(id) {
-                let p = pending.len() as u32;
-                let before = occurrences.len();
-                occurrences.extend(
-                    rhs.iter()
-                        .filter_map(|s| s.as_nt())
-                        .map(|t| (self.local(t) as u32, p)),
-                );
-                pending.push((occurrences.len() - before) as u32);
-                lhs_of.push(local as u32);
-            }
-        }
-        let users = Csr::new(self.order.len(), occurrences.iter().copied());
-        let mut productive = vec![false; self.order.len()];
-        let mut queue: Vec<u32> = Vec::new();
-        for (p, &count) in pending.iter().enumerate() {
-            let lhs = lhs_of[p] as usize;
-            if count == 0 && !productive[lhs] {
-                productive[lhs] = true;
-                queue.push(lhs as u32);
-            }
-        }
-        while let Some(y) = queue.pop() {
-            for &p in users.get(y) {
-                let p = p as usize;
-                pending[p] -= 1;
-                let lhs = lhs_of[p] as usize;
-                if pending[p] == 0 && !productive[lhs] {
-                    productive[lhs] = true;
-                    queue.push(lhs as u32);
-                }
-            }
-        }
-        productive
-    }
-
-    /// The trimmed numbering: `kept[local]` is the nonterminal's id in
-    /// the trimmed grammar, or `u32::MAX` when it is dropped. The root
-    /// is always kept as id 0 (with no productions when it is
-    /// unproductive); the other productive nonterminals follow in
-    /// discovery order.
-    pub(crate) fn kept(&self, g: &Cfg) -> Vec<u32> {
-        let productive = self.productive(g);
-        let mut next = 0u32;
-        productive
-            .iter()
-            .enumerate()
-            .map(|(local, &p)| {
-                if p || local == 0 {
-                    next += 1;
-                    next - 1
-                } else {
-                    u32::MAX
-                }
-            })
-            .collect()
     }
 }
 
@@ -808,6 +679,36 @@ mod tests {
         assert_eq!(t.num_nonterminals(), 1);
         assert_eq!(t.num_productions(), 1);
         assert!(t.derives(root, b"x"));
+    }
+
+    #[test]
+    fn unproductive_root_trims_to_no_productions() {
+        // X -> a X derives nothing, so the trimmed root keeps no
+        // production, its self-recursive one included, and the
+        // prepared grammar agrees that the language is empty.
+        let mut g = Cfg::new();
+        let x = g.add_nonterminal("X");
+        g.add_production(x, vec![Symbol::T(b'a'), Symbol::N(x)]);
+        let (t, root) = g.trimmed(x);
+        assert!(t.productions(root).is_empty());
+        assert!(g.is_empty_language(x));
+        let prep = crate::PreparedGrammar::new(&g, x);
+        assert_eq!(prep.is_empty_language(), g.is_empty_language(x));
+
+        // A productive nonterminal below the root that mentions it
+        // loses that production too: Y -> X | b keeps only Y -> b.
+        let mut g = Cfg::new();
+        let x = g.add_nonterminal("X");
+        let y = g.add_nonterminal("Y");
+        g.add_production(x, vec![Symbol::N(y), Symbol::N(x)]);
+        g.add_production(y, vec![Symbol::N(x)]);
+        g.add_literal_production(y, b"b");
+        let (t, root) = g.trimmed(x);
+        assert!(t.productions(root).is_empty());
+        assert_eq!(t.num_productions(), 1);
+        let prep = crate::PreparedGrammar::new(&g, x);
+        assert!(prep.is_empty_language());
+        assert!(g.is_empty_language(x));
     }
 
     #[test]

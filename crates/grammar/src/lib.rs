@@ -59,6 +59,7 @@ pub mod intersect;
 pub mod lang;
 pub mod normal;
 pub mod prepared;
+pub mod reach;
 mod shortest;
 pub mod stats;
 pub mod symbol;
@@ -67,4 +68,5 @@ pub use budget::{Budget, BudgetExceeded, DegradeAction, Degradation, Resource};
 pub use prepared::{Intersection, PreparedGrammar, QueryMode};
 pub use stats::EngineStats;
 pub use cfg::Cfg;
+pub use reach::Reach;
 pub use symbol::{NtId, Symbol, Taint};

@@ -7,8 +7,9 @@
 
 use std::borrow::Cow;
 
-use crate::cfg::{Cfg, Reach};
+use crate::cfg::Cfg;
 use crate::csr::Csr;
+use crate::reach::Reach;
 use crate::symbol::{NtId, Symbol, Taint};
 
 /// Returns an equivalent grammar whose productions all have `|rhs| ≤ 2`.
@@ -118,20 +119,25 @@ impl Normal {
             taints: Vec::new(),
             helpers: Vec::new(),
         };
-        let num_kept = kept.iter().filter(|&&k| k != u32::MAX).count() as u32;
+        // The root is declared even when it is unproductive.
+        let num_kept = 1 + kept[1..].iter().filter(|&&k| k != u32::MAX).count() as u32;
         // Chain productions of helpers, appended after the kept
         // nonterminals' own productions (helpers have one each).
         let mut chains: Vec<(NtId, P)> = Vec::new();
         let mut rhs: Vec<Symbol> = Vec::new();
         for (local, &id) in reach.order.iter().enumerate() {
-            if kept[local] == u32::MAX {
+            if local != 0 && kept[local] == u32::MAX {
                 continue;
             }
-            let lhs = NtId(kept[local]);
             out.names.push_str(g.name(id));
             out.name_ends.push(out.names.len() as u32);
             out.taints.push(g.taint(id));
             out.first.push(out.prods.len() as u32);
+            // An unproductive root keeps no production.
+            if kept[local] == u32::MAX {
+                continue;
+            }
+            let lhs = NtId(kept[local]);
             'prods: for orig in g.productions(id) {
                 rhs.clear();
                 for s in orig {

@@ -211,7 +211,8 @@ impl Model {
 
     /// `trimmed`, the slow way: productive by repeated sweeps, the root
     /// kept as 0 and the other productive nonterminals in reach order; a
-    /// production survives when every nonterminal in it is kept.
+    /// production survives when every nonterminal in it is productive
+    /// (so an unproductive root keeps none, and is mentioned by none).
     fn trimmed(&self, root: NtId) -> Model {
         let order = self.reach(root);
         let mut productive = vec![false; self.names.len()];
@@ -245,7 +246,9 @@ impl Model {
                     .iter()
                     .map(|&s| match s {
                         Symbol::T(b) => Some(Symbol::T(b)),
-                        Symbol::N(t) => new_id(t).map(|n| Symbol::N(NtId(n as u32))),
+                        Symbol::N(t) => new_id(t)
+                            .filter(|_| productive[t.index()])
+                            .map(|n| Symbol::N(NtId(n as u32))),
                     })
                     .collect();
                 if let Some(rhs) = mapped {
