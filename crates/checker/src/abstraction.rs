@@ -100,18 +100,20 @@ impl PageIndex {
         }
         let labeled: Vec<usize> = (0..num_sccs).filter(|&c| rep[c].is_some()).collect();
 
-        // The roots come first in the walk's order, duplicates dropped.
+        // The distinct roots are the first `num_roots` nonterminals of
+        // the walk's order.
         let mut distinct = roots.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut hotspots = Vec::with_capacity(distinct.len());
+        let num_roots = distinct.len();
+        let mut hotspots = Vec::with_capacity(num_roots);
         // Up to 64 roots per pass, one bit each: `clean[c]` holds the
         // roots that reach component `c` on a path through no labeled
         // component before it, `dirty[c]` those that reach it through
         // one. A labeled component that a root reaches only cleanly is
         // maximal for that root.
-        for first in (0..distinct.len()).step_by(64) {
-            let batch = first..distinct.len().min(first + 64);
+        for first in (0..num_roots).step_by(64) {
+            let batch = first..num_roots.min(first + 64);
             let mut clean = vec![0u64; num_sccs];
             let mut dirty = vec![0u64; num_sccs];
             for (bit, r) in batch.clone().enumerate() {
